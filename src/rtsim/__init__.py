@@ -28,8 +28,7 @@ from .signals import (
     SignalManager,
     UnknownSignalError,
 )
-from .store import available_backends, store_backend
-from .testkit import CheckReport, Expectation, assert_events, expect, set_input
+from .testkit import CheckReport, assert_events, expect, set_input
 from .timeline import (
     ContextKind,
     ContextStackError,
@@ -57,7 +56,6 @@ __all__ = [
     "DeviceDescriptor",
     "DeviceError",
     "DuplicateSignalError",
-    "Expectation",
     "Experiment",
     "ExperimentRunError",
     "InputBuffer",
@@ -77,7 +75,6 @@ __all__ = [
     "UnknownDeviceError",
     "UnknownSignalError",
     "assert_events",
-    "available_backends",
     "expect",
     "export_jsonl",
     "export_vcd",
@@ -90,5 +87,4 @@ __all__ = [
     "run_scenario_both",
     "seconds_to_mu",
     "set_input",
-    "store_backend",
 ]

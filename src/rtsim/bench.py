@@ -10,12 +10,10 @@ report carries the measured timeline lengths and a speedup proxy.
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .environment import DeviceDb, Experiment, SimulationRun, run_experiment
-from .store import available_backends
 from .timeline import SimConfig, SyncMode
 
 BUFFER_BATCH = 16
@@ -209,34 +207,3 @@ def report_rows(report: BenchReport, t_ref_mu: Optional[int] = None) -> list[dic
         rows.append(row)
     return rows
 
-
-def bench_event_store(n_events: int = 1_000_000, n_pulls: int = 100_000) -> list[dict]:
-    """Time push/pull throughput of every available event-store backend.
-
-    Pushes use ascending timestamps, the pattern a running simulation
-    produces; pulls hit uniformly spread positions.
-    """
-    rows = []
-    for backend, cls in available_backends().items():
-        store = cls()
-        t0 = _time.perf_counter_ns()
-        for t in range(n_events):
-            store.push(t * 8, t)
-        push_ns = _time.perf_counter_ns() - t0
-        step = max(1, (n_events * 8) // max(n_pulls, 1))
-        t0 = _time.perf_counter_ns()
-        for i in range(n_pulls):
-            store.pull(i * step + 3)
-        pull_ns = _time.perf_counter_ns() - t0
-        rows.append(
-            {
-                "backend": backend,
-                "events": n_events,
-                "pulls": n_pulls,
-                "push_ns": push_ns,
-                "pull_ns": pull_ns,
-                "pushes_per_s": f"{n_events / (push_ns * 1e-9):.6g}",
-                "pulls_per_s": f"{n_pulls / (pull_ns * 1e-9):.6g}",
-            }
-        )
-    return rows

@@ -13,7 +13,6 @@ from typing import Optional
 
 from . import bench, experiments
 from .environment import DeviceDbError, ExperimentRunError, load_ddb, run_experiment
-from .store import store_backend
 from .timeline import SimConfig, SyncMode
 from .trace import export_jsonl, export_vcd, read_jsonl
 
@@ -52,11 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="CSV with columns scenario,t_ref_mu (hardware reference "
                              "timeline lengths); adds a relative_error column")
 
-    p_store = bench_sub.add_parser("store", help="compare event-store backends")
-    p_store.add_argument("--events", type=int, default=1_000_000)
-    p_store.add_argument("--pulls", type=int, default=100_000)
-    p_store.add_argument("--csv", default=None)
-
     p_diff = sub.add_parser("diff", help="compare two JSONL event dumps")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
@@ -69,7 +63,6 @@ def _print_summary(run) -> None:
     stats = run.stats
     start = stats.start_cursor_after_first_sync
     print(f"config:          {run.config.mode.value} (slack {run.config.sync_slack_mu} MU, seed {run.config.seed})")
-    print(f"store backend:   {store_backend()}")
     print(f"start cursor (after first sync): {start if start is not None else 'never synced'}")
     print(f"final cursor:    {stats.final_cursor}")
     print(f"timeline length: {stats.timeline_length_mu} MU")
@@ -153,16 +146,6 @@ def _cmd_bench_scan(args) -> int:
     return 0
 
 
-def _cmd_bench_store(args) -> int:
-    rows = bench.bench_event_store(args.events, args.pulls)
-    for row in rows:
-        print("  ".join(f"{k}={v}" for k, v in row.items()))
-    if args.csv:
-        _write_csv(args.csv, rows)
-        print(f"wrote CSV: {args.csv}")
-    return 0
-
-
 def _summary_deltas(sa: Optional[dict], sb: Optional[dict]) -> list[str]:
     if sa == sb:
         return []
@@ -214,9 +197,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "bench":
-        if args.bench_command == "scan":
-            return _cmd_bench_scan(args)
-        return _cmd_bench_store(args)
+        return _cmd_bench_scan(args)
     return _cmd_diff(args)
 
 

@@ -10,6 +10,7 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field
 
 from .rng import RngPool
@@ -236,8 +237,8 @@ class Dds(SimDevice):
         self.init_marker.push(True, self._time.now_mu())
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
-        if not freq_hz >= 0:
-            raise DeviceError(f"{self.name}: frequency must be >= 0, got {freq_hz}")
+        if not 0 <= freq_hz < math.inf:
+            raise DeviceError(f"{self.name}: frequency must be finite and >= 0, got {freq_hz}")
         if not 0.0 <= phase_turns < 1.0:
             raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {phase_turns}")
         if not 0.0 <= amplitude <= 1.0:

@@ -1,6 +1,6 @@
 """Named, typed signals whose events form the simulated event timeline.
 
-Every signal stores (timestamp, value) events in a timestamp-sorted store.
+Every signal stores its (timestamp, value) events sorted by timestamp.
 Pulling at time t returns the value of the latest event at or before t;
 before the first event the value is the UNKNOWN sentinel. A push at an
 existing timestamp overwrites that event.
@@ -9,9 +9,10 @@ existing timestamp overwrites that event.
 from __future__ import annotations
 
 import enum
+import math
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
-from .store import EventStore
 from .timeline import MU_MAX, MU_MIN
 
 MAX_TEXT_BYTES = 64
@@ -63,8 +64,8 @@ class SignalKind(enum.Enum):
         """Validate ``value`` against this kind; returns the stored form.
 
         BOOL accepts bool only, INT accepts signed 64-bit int (bool excluded),
-        REAL accepts int/float and stores float, TEXT accepts str up to 64
-        UTF-8 bytes.
+        REAL accepts finite int/float and stores float, TEXT accepts str up
+        to 64 UTF-8 bytes.
         """
         if value is UNKNOWN:
             raise SignalKindMismatch("UNKNOWN cannot be pushed onto a signal")
@@ -81,7 +82,10 @@ class SignalKind(enum.Enum):
         if self is SignalKind.REAL:
             if type(value) is bool or not isinstance(value, (int, float)):
                 raise SignalKindMismatch(f"expected real, got {value!r}")
-            return float(value)
+            value = float(value)
+            if not math.isfinite(value):
+                raise SignalKindMismatch(f"expected finite real, got {value!r}")
+            return value
         if type(value) is not str:
             raise SignalKindMismatch(f"expected text, got {value!r}")
         if len(value.encode("utf-8")) > MAX_TEXT_BYTES:
@@ -90,60 +94,73 @@ class SignalKind(enum.Enum):
 
 
 class Signal:
-    """One per-device state channel with a timestamp-sorted event store."""
+    """One per-device state channel: events kept as parallel sorted lists."""
 
-    __slots__ = ("device_name", "signal_name", "kind", "is_input", "_store", "_on_push")
+    __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values")
 
     def __init__(self, device_name: str, signal_name: str, kind: SignalKind, is_input: bool = False):
         self.device_name = device_name
         self.signal_name = signal_name
         self.kind = kind
         self.is_input = is_input
-        self._store = EventStore()
-        self._on_push = None
+        self._times: list[int] = []
+        self._values: list[object] = []
 
     def __repr__(self):
         return f"Signal({self.device_name}.{self.signal_name}, {self.kind.value})"
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._times)
 
     def push(self, value, time: int) -> None:
+        """Add an event; appends in O(1) when ``time`` is at or past the last event."""
         if not MU_MIN <= time <= MU_MAX:
             raise SignalError(f"event timestamp out of 64-bit range: {time}")
-        self._store.push(time, self.kind.coerce(value))
-        if self._on_push is not None:
-            self._on_push(time)
+        value = self.kind.coerce(value)
+        times = self._times
+        if not times or time > times[-1]:
+            times.append(time)
+            self._values.append(value)
+        elif time == times[-1]:
+            self._values[-1] = value
+        else:
+            idx = bisect_left(times, time)
+            if times[idx] == time:
+                self._values[idx] = value
+            else:
+                times.insert(idx, time)
+                self._values.insert(idx, value)
 
     def pull(self, time: int):
-        # Query times beyond the 64-bit domain clamp to it; no event can
-        # exist there, so the answer is unchanged and backend-independent.
-        value = self._store.pull(min(max(time, MU_MIN), MU_MAX))
-        return UNKNOWN if value is None else value
+        """Value of the latest event at or before ``time``; UNKNOWN if there is none."""
+        idx = bisect_right(self._times, time)
+        return self._values[idx - 1] if idx else UNKNOWN
 
     def events(self) -> list[tuple[int, object]]:
         """All events as (time, value) in strictly increasing time order."""
-        return self._store.items()
+        return list(zip(self._times, self._values))
 
     def events_in(self, t0: int, t1: int) -> list[tuple[int, object]]:
         if t0 > t1:
             raise ValueError(f"bad event range: {t0} > {t1}")
-        return self._store.range_items(max(t0, MU_MIN), min(t1, MU_MAX))
+        times = self._times
+        lo = bisect_left(times, t0)
+        hi = bisect_right(times, t1, lo)
+        return list(zip(times[lo:hi], self._values[lo:hi]))
 
     def max_event_time(self) -> Optional[int]:
-        return self._store.max_time()
+        return self._times[-1] if self._times else None
 
 
 class SignalManager:
     """Registry of all signals of one simulation.
 
-    Tracks the maximum event timestamp across every signal, which feeds the
+    Reports the maximum event timestamp across every signal, which feeds the
     timeline horizon.
     """
 
     def __init__(self):
         self._signals: dict[tuple[str, str], Signal] = {}
-        self._max_event_time: Optional[int] = None
 
     def register(
         self,
@@ -156,13 +173,8 @@ class SignalManager:
         if key in self._signals:
             raise DuplicateSignalError(f"signal already registered: {device_name}.{signal_name}")
         signal = Signal(device_name, signal_name, kind, is_input)
-        signal._on_push = self._record_event_time
         self._signals[key] = signal
         return signal
-
-    def _record_event_time(self, time: int) -> None:
-        if self._max_event_time is None or time > self._max_event_time:
-            self._max_event_time = time
 
     def signal(self, device_name: str, signal_name: str) -> Signal:
         try:
@@ -179,15 +191,10 @@ class SignalManager:
     def list(self) -> list[tuple[str, str]]:
         return list(self._signals.keys())
 
-    def push(self, signal: Signal, value, time: int) -> None:
-        signal.push(value, time)
-
-    def pull(self, signal: Signal, time: int):
-        return signal.pull(time)
-
     @property
     def max_event_time(self) -> Optional[int]:
-        return self._max_event_time
+        # Events are never deleted, so this equals the largest time ever pushed.
+        return max((s._times[-1] for s in self._signals.values() if s._times), default=None)
 
     def event_count(self) -> int:
         return sum(len(s) for s in self._signals.values())

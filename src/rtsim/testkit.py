@@ -14,14 +14,6 @@ from .signals import UNKNOWN, Signal, SignalError, SignalKind
 
 
 @dataclass(frozen=True)
-class Expectation:
-    device: str
-    signal: str
-    time: int
-    expected: object  # UNKNOWN means "must be unset at this time"
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one signal-value check."""
 

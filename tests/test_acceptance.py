@@ -19,7 +19,6 @@ from rtsim import (
     SyncMode,
     TimeManager,
     run_experiment,
-    store_backend,
 )
 from rtsim.bench import PRESETS, run_scenario_both, scenario_ddb
 from rtsim.experiments import get_experiment, load_demo_ddb
@@ -261,10 +260,7 @@ def test_criterion_7_performance_envelope():
     elapsed = time.perf_counter() - t0
     assert len(sig) == n_events
     assert elapsed < 5.0, f"performance envelope exceeded: {elapsed:.2f}s"
-    report(
-        7,
-        f"10^6 pushes + 10^5 pulls in {elapsed:.2f}s on the {store_backend()} backend",
-    )
+    report(7, f"10^6 pushes + 10^5 pulls in {elapsed:.2f}s")
 
 
 def test_criterion_8_speedup_direction():

@@ -3,7 +3,6 @@ import pytest
 from rtsim import BenchScenario, SimConfig, SyncMode, relative_error
 from rtsim.bench import (
     PRESETS,
-    bench_event_store,
     report_rows,
     run_scenario,
     run_scenario_both,
@@ -81,13 +80,3 @@ class TestReports:
     def test_optimistic_vs_regular_error_negative(self):
         report = run_scenario_both(BenchScenario("s", points=2, samples_per_point=4))
         assert report.optimistic_vs_regular_error() < 0
-
-
-class TestStoreBench:
-    def test_reports_every_available_backend(self):
-        from rtsim import available_backends
-
-        rows = bench_event_store(n_events=2000, n_pulls=500)
-        assert {row["backend"] for row in rows} == set(available_backends())
-        for row in rows:
-            assert row["push_ns"] > 0 and row["pull_ns"] > 0

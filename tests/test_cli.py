@@ -1,13 +1,24 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from rtsim.cli import main
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def child_env(**extra):
+    """The current environment with the repo's src on PYTHONPATH, plus ``extra``."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 class TestRun:
@@ -59,11 +70,6 @@ class TestBench:
         assert all(r["sync_count"] == "11" for r in rows)
         delta = int(rows[0]["timeline_length_mu"]) - int(rows[1]["timeline_length_mu"])
         assert delta == 125_000 * 10
-
-    def test_store_bench_lists_backends(self, capsys):
-        assert run_cli("bench", "store", "--events", "1000", "--pulls", "100") == 0
-        out = capsys.readouterr().out
-        assert "backend=python" in out
 
     def test_scan_with_reference_lengths(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
@@ -130,7 +136,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rtsim", "run", "demo"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "final cursor:    1126900" in proc.stdout
@@ -138,7 +144,7 @@ class TestEntryPoint:
     def test_seed_env_override(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rtsim", "run", "demo"],
-            capture_output=True, text=True, env={"RTSIM_SEED": "321", "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, env=child_env(RTSIM_SEED="321"),
         )
         assert proc.returncode == 0
         assert "seed 321" in proc.stdout

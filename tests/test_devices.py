@@ -279,7 +279,10 @@ class TestDds:
 
     @pytest.mark.parametrize(
         "freq,phase,amp",
-        [(-1.0, 0.0, 1.0), (1e6, 1.0, 1.0), (1e6, -0.1, 1.0), (1e6, 0.0, 1.1), (1e6, 0.0, -0.1)],
+        [
+            (-1.0, 0.0, 1.0), (1e6, 1.0, 1.0), (1e6, -0.1, 1.0), (1e6, 0.0, 1.1), (1e6, 0.0, -0.1),
+            (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0), (float("-inf"), 0.0, 1.0),
+        ],
     )
     def test_parameter_validation(self, make_run, freq, phase, amp):
         run = make_run()

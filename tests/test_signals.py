@@ -11,17 +11,11 @@ from rtsim import (
     SimConfig,
     TimeManager,
     UnknownSignalError,
-    available_backends,
 )
 
+from rtsim.timeline import MU_MAX, MU_MIN
+
 from oracles import PushLogOracle
-
-BACKENDS = sorted(available_backends())
-
-
-@pytest.fixture(params=BACKENDS)
-def store(request):
-    return available_backends()[request.param]()
 
 
 class TestRegistry:
@@ -158,10 +152,16 @@ class TestManagerCoupling:
     def test_max_event_time_tracks_pushes(self):
         sm = SignalManager()
         sig = sm.register("d", "s", SignalKind.INT)
+        other = sm.register("d", "t", SignalKind.INT)
         assert sm.max_event_time is None
         sig.push(1, 500)
         sig.push(2, 100)
         assert sm.max_event_time == 500
+        other.push(3, 800)
+        other.push(4, 200)  # out of order: below the maximum
+        assert sm.max_event_time == 800
+        other.push(5, 800)  # overwrite at the maximum
+        assert sm.max_event_time == 800
 
     def test_horizon_covers_any_push(self):
         sm = SignalManager()
@@ -189,35 +189,40 @@ script = st.lists(
 )
 
 
+def pushed(pushes):
+    """A registered signal and the oracle, both fed the same push script."""
+    sig = SignalManager().register("d", "s", SignalKind.INT)
+    oracle = PushLogOracle()
+    for t, v in pushes:
+        sig.push(v, t)
+        oracle.push(t, v)
+    return sig, oracle
+
+
+def unknown_if_none(value):
+    return UNKNOWN if value is None else value
+
+
 class TestStoreBackends:
-    def test_expected_backends_present(self):
-        assert "python" in BACKENDS
+    """The signal's event store against the linear-scan oracle."""
 
     @given(pushes=script, pulls=st.lists(st.integers(-(10**4) - 5, 10**4 + 5), max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_pull_matches_linear_scan_oracle(self, pushes, pulls):
-        for cls in available_backends().values():
-            store = cls()
-            oracle = PushLogOracle()
-            for t, v in pushes:
-                store.push(t, v)
-                oracle.push(t, v)
-            for t in pulls + [t for t, _ in pushes]:
-                assert store.pull(t) == oracle.pull(t)
+        sig, oracle = pushed(pushes)
+        for t in pulls + [t for t, _ in pushes]:
+            assert sig.pull(t) == unknown_if_none(oracle.pull(t))
 
     @given(pushes=script)
     @settings(max_examples=200, deadline=None)
     def test_items_sorted_and_deduplicated(self, pushes):
-        for cls in available_backends().values():
-            store = cls()
-            oracle = PushLogOracle()
-            for t, v in pushes:
-                store.push(t, v)
-                oracle.push(t, v)
-            items = store.items()
-            assert items == oracle.items()
-            times = [t for t, _ in items]
-            assert times == sorted(set(times))
+        sig, oracle = pushed(pushes)
+        items = sig.events()
+        assert items == oracle.items()
+        times = [t for t, _ in items]
+        assert times == sorted(set(times))
+        assert len(sig) == len(times)
+        assert sig.max_event_time() == (times[-1] if times else None)
 
     @given(
         pushes=script,
@@ -226,23 +231,24 @@ class TestStoreBackends:
     )
     @settings(max_examples=100, deadline=None)
     def test_range_items_match_oracle(self, pushes, t0, span):
-        for cls in available_backends().values():
-            store = cls()
-            oracle = PushLogOracle()
-            for t, v in pushes:
-                store.push(t, v)
-                oracle.push(t, v)
-            assert store.range_items(t0, t0 + span) == oracle.range_items(t0, t0 + span)
+        sig, oracle = pushed(pushes)
+        assert sig.events_in(t0, t0 + span) == oracle.range_items(t0, t0 + span)
 
-    def test_empty_store_behaviour(self, store):
-        assert len(store) == 0
-        assert store.pull(0) is None
-        assert store.max_time() is None
-        assert store.items() == []
-        assert store.range_items(-10, 10) == []
+    def test_empty_store_behaviour(self):
+        sig, _ = pushed([])
+        assert len(sig) == 0
+        assert sig.pull(0) is UNKNOWN
+        assert sig.max_event_time() is None
+        assert sig.events() == []
+        assert sig.events_in(-10, 10) == []
 
-    def test_max_time(self, store):
-        store.push(5, "a")
-        store.push(-3, "b")
-        assert store.max_time() == 5
-        assert len(store) == 2
+    def test_max_time(self):
+        sig, _ = pushed([(5, 1), (-3, 2)])
+        assert sig.max_event_time() == 5
+        assert len(sig) == 2
+
+    def test_pull_outside_64_bit_range(self):
+        sig, _ = pushed([(MU_MIN, 1), (MU_MAX, 2)])
+        assert sig.pull(MU_MIN - 1) is UNKNOWN
+        assert sig.pull(MU_MAX + 1) == 2
+        assert sig.events_in(MU_MIN - 10, MU_MAX + 10) == [(MU_MIN, 1), (MU_MAX, 2)]

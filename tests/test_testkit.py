@@ -1,6 +1,6 @@
 import pytest
 
-from rtsim import UNKNOWN, SignalError, assert_events, expect, set_input
+from rtsim import UNKNOWN, SignalError, SignalKindMismatch, assert_events, expect, set_input
 
 
 
@@ -49,6 +49,14 @@ class TestSetInput:
 
         with pytest.raises(UnknownSignalError):
             set_input(run, "ghost", "prob", 0, 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_real_rejected(self, make_run, value):
+        run = make_run()
+        adc = run.get_device("adc0")
+        with pytest.raises(SignalKindMismatch, match="finite"):
+            set_input(run, "adc0", "v0", 0, value)
+        assert adc.voltages[0].events() == []
 
 
 class TestExpect:
