@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from itertools import zip_longest
 from typing import Optional
 
 from . import bench, experiments
@@ -54,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser("diff", help="compare two JSONL event dumps")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
-    p_diff.add_argument("--max-diffs", type=int, default=10)
+    p_diff.add_argument("--max-diffs", type=int, default=10,
+                        help="divergent records to print; the verdict always compares all")
 
     return parser
 
@@ -159,6 +161,9 @@ def _summary_deltas(sa: Optional[dict], sb: Optional[dict]) -> list[str]:
 
 
 def _cmd_diff(args) -> int:
+    if args.max_diffs < 0:
+        print(f"error: --max-diffs must be >= 0, got {args.max_diffs}", file=sys.stderr)
+        return 2
     try:
         recs_a, sum_a = read_jsonl(args.a)
         recs_b, sum_b = read_jsonl(args.b)
@@ -166,19 +171,16 @@ def _cmd_diff(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    divergences = []
-    for i in range(max(len(recs_a), len(recs_b))):
-        a = recs_a[i] if i < len(recs_a) else None
-        b = recs_b[i] if i < len(recs_b) else None
-        if a != b:
-            divergences.append((i, a, b))
-        if len(divergences) >= args.max_diffs:
-            break
-
-    for i, a, b in divergences:
+    # The verdict comes from every record; --max-diffs limits only the printout.
+    divergences = [
+        (i, a, b) for i, (a, b) in enumerate(zip_longest(recs_a, recs_b)) if a != b
+    ]
+    for i, a, b in divergences[:args.max_diffs]:
         print(f"record {i}:")
         print(f"  A: {a}")
         print(f"  B: {b}")
+    if len(divergences) > args.max_diffs:
+        print(f"{len(divergences) - args.max_diffs} more divergent records not shown")
     if len(recs_a) != len(recs_b):
         print(f"record counts: A={len(recs_a)} B={len(recs_b)}")
     deltas = _summary_deltas(sum_a, sum_b)

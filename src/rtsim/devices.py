@@ -10,7 +10,7 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .rng import RngPool
@@ -133,8 +133,8 @@ class TtlOut(SimDevice):
         self.state.push(False, self._time.now_mu())
 
     def pulse_mu(self, duration_mu: int) -> None:
-        if duration_mu <= 0:
-            raise DeviceError(f"pulse duration must be positive, got {duration_mu}")
+        if type(duration_mu) is not int or duration_mu <= 0:
+            raise DeviceError(f"pulse duration must be a positive int, got {duration_mu!r}")
         self.on()
         self._time.delay_mu(duration_mu)
         self.off()
@@ -193,8 +193,8 @@ class EdgeCounter(SimDevice):
 
     def gate_rising_mu(self, duration_mu: int) -> int:
         """Open the gate for ``duration_mu``, enqueue the count, return the close time."""
-        if duration_mu <= 0:
-            raise DeviceError(f"gate duration must be positive, got {duration_mu}")
+        if type(duration_mu) is not int or duration_mu <= 0:
+            raise DeviceError(f"gate duration must be a positive int, got {duration_mu!r}")
         t_open = self._time.now_mu()
         f = self.freq.pull(t_open)
         if f is UNKNOWN:
@@ -237,8 +237,8 @@ class Dds(SimDevice):
         self.init_marker.push(True, self._time.now_mu())
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
-        if not 0 <= freq_hz < math.inf:
-            raise DeviceError(f"{self.name}: frequency must be finite and >= 0, got {freq_hz}")
+        if not 0 <= freq_hz <= sys.float_info.max:
+            raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {freq_hz}")
         if not 0.0 <= phase_turns < 1.0:
             raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {phase_turns}")
         if not 0.0 <= amplitude <= 1.0:

@@ -82,7 +82,10 @@ class SignalKind(enum.Enum):
         if self is SignalKind.REAL:
             if type(value) is bool or not isinstance(value, (int, float)):
                 raise SignalKindMismatch(f"expected real, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise SignalKindMismatch("int value too large for a finite real") from None
             if not math.isfinite(value):
                 raise SignalKindMismatch(f"expected finite real, got {value!r}")
             return value
@@ -94,7 +97,12 @@ class SignalKind(enum.Enum):
 
 
 class Signal:
-    """One per-device state channel: events kept as parallel sorted lists."""
+    """One per-device state channel: events kept as parallel sorted lists.
+
+    ``_times`` is strictly increasing and ``_values[i]`` is the value of the
+    event at ``_times[i]``. Readers inside the package (the horizon, the
+    exporters, the testkit) read the two lists in place.
+    """
 
     __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values")
 
@@ -114,8 +122,8 @@ class Signal:
 
     def push(self, value, time: int) -> None:
         """Add an event; appends in O(1) when ``time`` is at or past the last event."""
-        if not MU_MIN <= time <= MU_MAX:
-            raise SignalError(f"event timestamp out of 64-bit range: {time}")
+        if type(time) is not int or not MU_MIN <= time <= MU_MAX:
+            raise SignalError(f"event timestamp must be a signed 64-bit int: {time!r}")
         value = self.kind.coerce(value)
         times = self._times
         if not times or time > times[-1]:
@@ -133,6 +141,8 @@ class Signal:
 
     def pull(self, time: int):
         """Value of the latest event at or before ``time``; UNKNOWN if there is none."""
+        if type(time) is not int:
+            raise SignalError(f"pull time must be int, got {time!r}")
         idx = bisect_right(self._times, time)
         return self._values[idx - 1] if idx else UNKNOWN
 
@@ -141,6 +151,8 @@ class Signal:
         return list(zip(self._times, self._values))
 
     def events_in(self, t0: int, t1: int) -> list[tuple[int, object]]:
+        if type(t0) is not int or type(t1) is not int:
+            raise SignalError(f"event range bounds must be int, got {t0!r}, {t1!r}")
         if t0 > t1:
             raise ValueError(f"bad event range: {t0} > {t1}")
         times = self._times

@@ -6,6 +6,7 @@ any host test framework's assert.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,14 +44,9 @@ class CheckReport:
 
 
 def _nearest_events(signal: Signal, time: int):
-    before = after = None
-    for t, _ in signal.events():
-        if t <= time:
-            before = t
-        elif after is None:
-            after = t
-            break
-    return before, after
+    times = signal._times
+    i = bisect_right(times, time)
+    return (times[i - 1] if i else None), (times[i] if i < len(times) else None)
 
 
 def set_input(run: SimulationRun, device: str, signal: str, time: int, value) -> None:

@@ -81,6 +81,8 @@ class SimConfig:
         if self.sync_slack_mu is None:
             slack = REGULAR_SYNC_SLACK_MU if self.mode is SyncMode.REGULAR else 0
             object.__setattr__(self, "sync_slack_mu", slack)
+        if type(self.sync_slack_mu) is not int:
+            raise TypeError(f"sync_slack_mu must be int, got {self.sync_slack_mu!r}")
         _checked_mu(self.sync_slack_mu, "SimConfig.sync_slack_mu")
         if not 0 < self.ref_period_s < math.inf:
             raise ValueError(f"ref_period_s must be positive and finite: {self.ref_period_s}")
@@ -144,6 +146,8 @@ class TimeManager:
         return self._top.t_current
 
     def delay_mu(self, d: int) -> None:
+        if type(d) is not int:
+            raise TypeError(f"delay_mu: machine units must be int, got {d!r}")
         top = self._top
         if top.kind is ContextKind.SEQUENTIAL:
             top.t_current = _checked_mu(top.t_current + d, "delay_mu")
@@ -157,6 +161,8 @@ class TimeManager:
         self.delay_mu(seconds_to_mu(d_seconds, self.config.ref_period_s))
 
     def at_mu(self, t_new: int) -> None:
+        if type(t_new) is not int:
+            raise TypeError(f"at_mu: machine units must be int, got {t_new!r}")
         top = self._top
         if top.kind is ContextKind.SEQUENTIAL:
             self.delay_mu(_checked_mu(t_new - top.t_current, "at_mu"))

@@ -8,10 +8,10 @@ clamped into the VCD initial-values block; the JSONL dump keeps them as-is.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import repeat
 
 from .environment import SimulationRun
-from .signals import Signal, SignalKind
+from .signals import UNKNOWN, Signal, SignalKind
 
 _VCD_ID_BASE = 94
 _VCD_ID_FIRST = 33  # '!'
@@ -22,15 +22,6 @@ _VAR_DECLS = {
     SignalKind.REAL: ("real", 64),
     SignalKind.TEXT: ("string", 1),
 }
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    time_mu: int
-    device: str
-    signal: str
-    kind: SignalKind
-    value: object
 
 
 def _vcd_id(index: int) -> str:
@@ -66,21 +57,25 @@ def _vcd_unknown(kind: SignalKind, code: str) -> str | None:
     return None  # reals and strings have no unknown representation
 
 
-def records_of(run: SimulationRun) -> list[TraceRecord]:
-    """All surviving events, sorted by (time, device, signal)."""
-    records = [
-        TraceRecord(t, sig.device_name, sig.signal_name, sig.kind, v)
-        for sig in run.signals
-        for t, v in sig.events()
-    ]
-    records.sort(key=lambda r: (r.time_mu, r.device, r.signal))
+def records_of(run: SimulationRun) -> list[tuple[int, int, Signal, object]]:
+    """All surviving events as (time, rank, signal, value), sorted by (time, device, signal).
+
+    ``rank`` orders the signals by (device, signal) name. No two events share
+    (time, rank), so the sort never compares signals or values, and each
+    signal's events are already an ascending run that timsort only merges.
+    """
+    ranked = sorted(run.signals, key=lambda s: (s.device_name, s.signal_name))
+    records = []
+    for rank, sig in enumerate(ranked):
+        records.extend(zip(sig._times, repeat(rank), repeat(sig), sig._values))
+    records.sort()
     return records
 
 
 def export_vcd(run: SimulationRun, path) -> None:
     """Write the run's timeline as a value-change-dump waveform."""
     signals = list(run.signals)
-    codes: dict[tuple[str, str], str] = {}
+    codes: dict[Signal, str] = {}
     lines = ["$timescale 1 ns $end"]
 
     by_device: dict[str, list[Signal]] = {}
@@ -90,7 +85,7 @@ def export_vcd(run: SimulationRun, path) -> None:
         lines.append(f"$scope module {device} $end")
         for sig in sigs:
             code = _vcd_id(len(codes))
-            codes[(sig.device_name, sig.signal_name)] = code
+            codes[sig] = code
             var_type, width = _VAR_DECLS[sig.kind]
             lines.append(f"$var {var_type} {width} {code} {sig.signal_name} $end")
         lines.append("$upscope $end")
@@ -100,10 +95,10 @@ def export_vcd(run: SimulationRun, path) -> None:
         # Initial-values block: last pre-time-0 event wins, else unknown.
         lines.append("$dumpvars")
         for sig in signals:
-            code = codes[(sig.device_name, sig.signal_name)]
-            negatives = [(t, v) for t, v in sig.events() if t < 0]
-            if negatives:
-                lines.append(_vcd_change(sig.kind, negatives[-1][1], code))
+            code = codes[sig]
+            initial = sig.pull(-1)
+            if initial is not UNKNOWN:
+                lines.append(_vcd_change(sig.kind, initial, code))
             else:
                 unknown = _vcd_unknown(sig.kind, code)
                 if unknown is not None:
@@ -111,13 +106,13 @@ def export_vcd(run: SimulationRun, path) -> None:
         lines.append("$end")
 
         current_time = None
-        for rec in records_of(run):
-            if rec.time_mu < 0:
+        for time_mu, _, sig, value in records_of(run):
+            if time_mu < 0:
                 continue
-            if rec.time_mu != current_time:
-                current_time = rec.time_mu
+            if time_mu != current_time:
+                current_time = time_mu
                 lines.append(f"#{current_time}")
-            lines.append(_vcd_change(rec.kind, rec.value, codes[(rec.device, rec.signal)]))
+            lines.append(_vcd_change(sig.kind, value, codes[sig]))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -145,17 +140,14 @@ def export_jsonl(run: SimulationRun, path) -> None:
     seed and configuration produce byte-identical files.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records_of(run):
-            fh.write(json.dumps(
-                {
-                    "time_mu": rec.time_mu,
-                    "device": rec.device,
-                    "signal": rec.signal,
-                    "kind": rec.kind.value,
-                    "value": rec.value,
-                },
-                sort_keys=False,
-            ))
+        for time_mu, _, sig, value in records_of(run):
+            fh.write(json.dumps({
+                "time_mu": time_mu,
+                "device": sig.device_name,
+                "signal": sig.signal_name,
+                "kind": sig.kind.value,
+                "value": value,
+            }))
             fh.write("\n")
         fh.write(json.dumps({"summary": _summary_of(run)}))
         fh.write("\n")

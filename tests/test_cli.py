@@ -131,6 +131,25 @@ class TestDiff:
         a = self.make_dump(tmp_path, "a.jsonl")
         assert run_cli("diff", str(a), str(tmp_path / "nope.jsonl")) == 2
 
+    def test_max_diffs_limits_printout_not_verdict(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden" / "demo.jsonl"
+        flipped = tmp_path / "flipped.jsonl"
+        text = golden.read_text()
+        assert text.count('"value": true}') >= 2
+        flipped.write_text(text.replace('"value": true}', '"value": false}', 1))
+        assert run_cli("diff", str(golden), str(flipped), "--max-diffs", "0") == 1
+        out = capsys.readouterr().out
+        assert "identical" not in out
+        assert "record " not in out
+        assert "1 more divergent records not shown" in out
+        assert run_cli("diff", str(golden), str(flipped), "--max-diffs", "1") == 1
+        assert "record 5:" in capsys.readouterr().out
+
+    def test_negative_max_diffs_rejected(self, tmp_path, capsys):
+        a = self.make_dump(tmp_path, "a.jsonl")
+        assert run_cli("diff", str(a), str(a), "--max-diffs", "-1") == 2
+        assert "--max-diffs" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

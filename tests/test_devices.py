@@ -11,10 +11,13 @@ from rtsim import (
     InputBuffer,
     InputUnset,
     SimConfig,
+    SimulationRun,
     SyncMode,
     run_experiment,
 )
 from rtsim.devices import DeviceDescriptor
+
+from conftest import FULL_DDB
 
 # Golden sequences generated once with the pinned xoshiro256** streams.
 BERNOULLI_SEED_12345_IN0_P05 = [1, 0, 0, 1, 0, 1, 1, 1]
@@ -94,6 +97,16 @@ class TestTtlOut:
         run = make_run()
         with pytest.raises(DeviceError):
             run.get_device("ttl0").pulse(bad)
+
+    @given(bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
+    @settings(max_examples=50, deadline=None)
+    def test_non_int_duration_rejected_before_any_push(self, bad):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        ttl = run.get_device("ttl0")
+        with pytest.raises(DeviceError, match="int"):
+            ttl.pulse(bad)
+        assert ttl.state.events() == []
+        assert run.now_mu() == 0
 
 
 class TestTtlIn:
@@ -233,6 +246,18 @@ class TestEdgeCounter:
         with pytest.raises(BufferEmpty):
             run.get_device("counter0").fetch_count()
 
+    @given(bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
+    @settings(max_examples=50, deadline=None)
+    def test_non_int_gate_rejected_before_any_push(self, bad):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        counter = run.get_device("counter0")
+        counter.freq.push(1.0, 0)
+        with pytest.raises(DeviceError, match="int"):
+            counter.gate_rising(bad)
+        assert counter.gate.events() == []
+        assert len(counter.buffer) == 0
+        assert run.now_mu() == 0
+
 
 class TestDds:
     def test_set_pushes_three_events_at_cursor(self, make_run):
@@ -282,6 +307,7 @@ class TestDds:
         [
             (-1.0, 0.0, 1.0), (1e6, 1.0, 1.0), (1e6, -0.1, 1.0), (1e6, 0.0, 1.1), (1e6, 0.0, -0.1),
             (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0), (float("-inf"), 0.0, 1.0),
+            (10**400, 0.0, 1.0),
         ],
     )
     def test_parameter_validation(self, make_run, freq, phase, amp):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from rtsim import (
     UNKNOWN,
     DuplicateSignalError,
+    SignalError,
     SignalKind,
     SignalKindMismatch,
     SignalManager,
@@ -252,3 +253,19 @@ class TestStoreBackends:
         assert sig.pull(MU_MIN - 1) is UNKNOWN
         assert sig.pull(MU_MAX + 1) == 2
         assert sig.events_in(MU_MIN - 10, MU_MAX + 10) == [(MU_MIN, 1), (MU_MAX, 2)]
+
+
+class TestIntegerTimes:
+    @given(pushes=script, bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
+    @settings(max_examples=100, deadline=None)
+    def test_non_int_times_raise_and_leave_store(self, pushes, bad):
+        sig, oracle = pushed(pushes)
+        with pytest.raises(SignalError):
+            sig.push(1, bad)
+        with pytest.raises(SignalError):
+            sig.pull(bad)
+        with pytest.raises(SignalError):
+            sig.events_in(bad, 10)
+        with pytest.raises(SignalError):
+            sig.events_in(-10, bad)
+        assert sig.events() == oracle.items()

@@ -1,7 +1,20 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rtsim import UNKNOWN, SignalError, SignalKindMismatch, assert_events, expect, set_input
+from rtsim import (
+    UNKNOWN,
+    DeviceDb,
+    SignalError,
+    SignalKindMismatch,
+    SimConfig,
+    SimulationRun,
+    assert_events,
+    expect,
+    set_input,
+)
 
+from conftest import FULL_DDB
 
 
 @pytest.fixture
@@ -50,7 +63,7 @@ class TestSetInput:
         with pytest.raises(UnknownSignalError):
             set_input(run, "ghost", "prob", 0, 1.0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
     def test_non_finite_real_rejected(self, make_run, value):
         run = make_run()
         adc = run.get_device("adc0")
@@ -94,6 +107,25 @@ class TestExpect:
 
         with pytest.raises(UnknownSignalError):
             expect(make_run(), "ghost", "x", 0, True)
+
+    @given(
+        times=st.lists(st.integers(min_value=-100, max_value=100), max_size=30),
+        queries=st.lists(st.integers(min_value=-110, max_value=110), max_size=10),
+    )
+    @example(times=[], queries=[0])
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_events_match_linear_scan(self, times, queries):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        sig = run.get_device("ttl0").state
+        for t in times:
+            sig.push(True, t)
+        stored = [t for t, _ in sig.events()]
+        # Exactly at each event, before the first and after the last.
+        probes = queries + stored + [t - 1 for t in stored[:1]] + [t + 1 for t in stored[-1:]]
+        for q in probes:
+            report = expect(run, "ttl0", "state", q, True)
+            assert report.nearest_before == max((t for t in stored if t <= q), default=None)
+            assert report.nearest_after == min((t for t in stored if t > q), default=None)
 
 
 class TestAssertEvents:

@@ -391,3 +391,25 @@ class TestProperties:
                 tm.at_mu(arg)
             top = tm._top
             assert top.t_current - top.t_start == top.t_duration
+
+
+non_int = st.one_of(st.floats(allow_nan=True), st.booleans())
+
+
+class TestIntegerUnits:
+    @given(bad=non_int, kind=st.sampled_from([SEQ, PAR]))
+    def test_non_int_cursor_times_raise(self, bad, kind):
+        tm = manager()
+        tm.delay_mu(7)
+        tm.push_context(kind)
+        for op in (tm.delay_mu, tm.at_mu):
+            with pytest.raises(TypeError, match="must be int"):
+                op(bad)
+        assert (tm._top.t_current, tm._top.t_duration) == (7, 0)
+        tm.pop_context()
+        assert tm.now_mu() == 7
+
+    @given(bad=non_int, mode=st.sampled_from(list(SyncMode)))
+    def test_non_int_slack_rejected(self, bad, mode):
+        with pytest.raises(TypeError, match="sync_slack_mu"):
+            SimConfig(mode=mode, sync_slack_mu=bad)

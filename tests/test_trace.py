@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rtsim import Experiment, SimConfig, run_experiment, set_input
+from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, SimulationRun, run_experiment, set_input
 from rtsim.trace import export_jsonl, export_vcd, read_jsonl, records_of
 
+from conftest import FULL_DDB
 from vcd_check import check_vcd
 
 
@@ -170,4 +173,42 @@ class TestJsonl:
         records, _ = read_jsonl(path)
         keys = [(r["time_mu"], r["device"], r["signal"]) for r in records]
         assert keys == sorted(keys)
-        assert records_of(run)[0].device == "ttl0"
+        assert records_of(run)[0][2].device_name == "ttl0"
+
+
+# Every kind, from devices whose registration order the property permutes.
+_RECORD_SIGNALS = [
+    ("ttl0", "state"), ("ttl1", "state"), ("dds0", "freq"), ("dds0", "amp"),
+    ("core", "kernel"), ("in0", "sample"),
+]
+_AS_KIND = {SignalKind.BOOL: lambda n: n % 2 == 0, SignalKind.INT: int,
+            SignalKind.REAL: float, SignalKind.TEXT: str}
+
+
+class TestRecordsOf:
+    @given(
+        order=st.permutations(["ttl1", "ttl0", "in0", "dds0", "core"]),
+        pushes=st.lists(
+            st.tuples(
+                st.integers(0, len(_RECORD_SIGNALS) - 1),
+                st.integers(min_value=-50, max_value=50),
+                st.integers(min_value=-3, max_value=3),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_global_sort_by_time_device_signal(self, order, pushes):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        for name in order:
+            run.get_device(name)
+        for idx, t, n in pushes:
+            sig = run.signals.signal(*_RECORD_SIGNALS[idx])
+            sig.push(_AS_KIND[sig.kind](n), t)
+
+        expected = sorted(
+            ((t, s.device_name, s.signal_name, v) for s in run.signals for t, v in s.events()),
+            key=lambda r: r[:3],
+        )
+        got = [(t, s.device_name, s.signal_name, v) for t, _, s, v in records_of(run)]
+        assert got == expected
