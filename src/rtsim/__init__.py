@@ -34,7 +34,6 @@ from .timeline import (
     ContextStackError,
     MachineUnitsOverflow,
     SimConfig,
-    SimulationContext,
     SyncMode,
     TimeManager,
     mu_to_seconds,
@@ -67,7 +66,6 @@ __all__ = [
     "SignalKindMismatch",
     "SignalManager",
     "SimConfig",
-    "SimulationContext",
     "SimulationRun",
     "SyncMode",
     "TimeManager",

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .environment import DeviceDb, Experiment, SimulationRun, run_experiment
-from .timeline import SimConfig, SyncMode
+from .environment import DeviceDb, Experiment, RunStats, SimulationRun, run_experiment
+from .timeline import SimConfig, SyncMode, mu_to_seconds
 
 BUFFER_BATCH = 16
 
@@ -88,7 +88,7 @@ def scenario_experiment(scenario: BenchScenario) -> Experiment:
         if scenario.buffered and done % BUFFER_BATCH:
             core.reset()
 
-    return Experiment(scenario.name, body, metadata={"scenario": scenario})
+    return Experiment(scenario.name, body)
 
 
 PRESETS = {
@@ -115,28 +115,17 @@ def relative_error(t_sim: float, t_ref: float) -> float:
     return (t_sim - t_ref) / t_ref
 
 
-@dataclass(frozen=True)
-class ConfigResult:
-    """Measurement of one scenario under one synchronization configuration."""
-
-    mode: SyncMode
-    timeline_length_mu: int
-    event_count: int
-    sync_count: int
-    wall_clock_ns: int
-
-    @property
-    def speedup_proxy(self) -> float:
-        """Simulated timeline seconds per wall-clock second."""
-        simulated_s = self.timeline_length_mu * 1e-9
-        wall_s = max(self.wall_clock_ns, 1) * 1e-9
-        return simulated_s / wall_s
+def speedup_proxy(stats: RunStats, ref_period_s: float) -> float:
+    """Simulated timeline seconds per wall-clock second."""
+    wall_s = max(stats.wall_clock_ns, 1) * 1e-9
+    return mu_to_seconds(stats.timeline_length_mu, ref_period_s) / wall_s
 
 
 @dataclass
 class BenchReport:
     scenario: BenchScenario
-    results: dict = field(default_factory=dict)  # SyncMode -> ConfigResult
+    ref_period_s: float
+    results: dict = field(default_factory=dict)  # SyncMode -> RunStats of that run
 
     @property
     def timeline_length_regular_mu(self) -> int:
@@ -168,24 +157,11 @@ def run_scenario(scenario: BenchScenario, config: SimConfig) -> SimulationRun:
 
 def run_scenario_both(scenario: BenchScenario, seed: int = 0) -> BenchReport:
     """Run a scenario under the regular and the optimistic configuration."""
-    report = BenchReport(scenario)
-    for mode in (SyncMode.REGULAR, SyncMode.OPTIMISTIC):
-        run = run_scenario(scenario, SimConfig(mode=mode, seed=seed))
-        stats = run.stats
-        report.results[mode] = ConfigResult(
-            mode=mode,
-            timeline_length_mu=stats.timeline_length_mu,
-            event_count=stats.event_count,
-            sync_count=stats.sync_count,
-            wall_clock_ns=stats.wall_clock_ns,
-        )
+    configs = [SimConfig(mode=mode, seed=seed) for mode in (SyncMode.REGULAR, SyncMode.OPTIMISTIC)]
+    report = BenchReport(scenario, configs[0].ref_period_s)
+    for config in configs:
+        report.results[config.mode] = run_scenario(scenario, config).stats
     return report
-
-
-CSV_HEADER = (
-    "scenario", "config", "timeline_length_mu", "event_count",
-    "sync_count", "wall_clock_ns", "speedup_proxy",
-)
 
 
 def report_rows(report: BenchReport, t_ref_mu: Optional[int] = None) -> list[dict]:
@@ -200,7 +176,7 @@ def report_rows(report: BenchReport, t_ref_mu: Optional[int] = None) -> list[dic
             "event_count": res.event_count,
             "sync_count": res.sync_count,
             "wall_clock_ns": res.wall_clock_ns,
-            "speedup_proxy": f"{res.speedup_proxy:.6g}",
+            "speedup_proxy": f"{speedup_proxy(res, report.ref_period_s):.6g}",
         }
         if t_ref_mu is not None:
             row["relative_error"] = f"{relative_error(res.timeline_length_mu, t_ref_mu):.6g}"

@@ -39,9 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan = bench_sub.add_parser("scan", help="run a scan scenario under both configurations")
     p_scan.add_argument("--points", type=int, default=20)
     p_scan.add_argument("--samples", type=int, default=100)
-    buf = p_scan.add_mutually_exclusive_group()
-    buf.add_argument("--buffered", action="store_true")
-    buf.add_argument("--unbuffered", action="store_true")
+    p_scan.add_argument("--buffered", action="store_true", help="sync once per 16 samples")
     p_scan.add_argument("--delay-mu", type=int, default=10_000, help="fixed delay per sample")
     p_scan.add_argument("--pulses", type=int, default=3, help="TTL pulses per sample")
     p_scan.add_argument("--dds-sets", type=int, default=1, help="DDS writes per sample")
@@ -84,14 +82,16 @@ def _cmd_run(args) -> int:
     except DeviceDbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = SimConfig(mode=SyncMode(args.config), seed=args.seed)
     print(f"experiment:      {exp.name}")
     try:
-        run = run_experiment(exp, ddb, config)
+        run = run_experiment(exp, ddb, SimConfig(mode=SyncMode(args.config), seed=args.seed))
     except ExperimentRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _print_summary(exc.run)
         return 1
+    except ValueError as exc:  # a seed from --seed or RTSIM_SEED; body errors are wrapped above
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _print_summary(run)
     if args.vcd:
         export_vcd(run, args.vcd)
@@ -118,24 +118,23 @@ def _read_reference_mu(path: str, scenario_name: str) -> int:
 
 
 def _cmd_bench_scan(args) -> int:
-    scenario = bench.BenchScenario(
-        name="scan",
-        points=args.points,
-        samples_per_point=args.samples,
-        delay_per_sample_mu=args.delay_mu,
-        pulses_per_sample=args.pulses,
-        dds_sets_per_sample=args.dds_sets,
-        pulse_mu=args.pulse_mu,
-        buffered=bool(args.buffered),
-    )
-    t_ref_mu = None
-    if args.ref_csv:
-        try:
-            t_ref_mu = _read_reference_mu(args.ref_csv, scenario.name)
-        except (OSError, KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    report = bench.run_scenario_both(scenario, seed=args.seed)
+    try:
+        scenario = bench.BenchScenario(
+            name="scan",
+            points=args.points,
+            samples_per_point=args.samples,
+            delay_per_sample_mu=args.delay_mu,
+            pulses_per_sample=args.pulses,
+            dds_sets_per_sample=args.dds_sets,
+            pulse_mu=args.pulse_mu,
+            buffered=args.buffered,
+        )
+        t_ref_mu = _read_reference_mu(args.ref_csv, scenario.name) if args.ref_csv else None
+        # Body errors are wrapped in ExperimentRunError, so a ValueError here is a bad seed.
+        report = bench.run_scenario_both(scenario, seed=args.seed)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = bench.report_rows(report, t_ref_mu=t_ref_mu)
     for row in rows:
         print("  ".join(f"{k}={v}" for k, v in row.items()))

@@ -15,19 +15,7 @@ from dataclasses import dataclass, field
 
 from .rng import RngPool
 from .signals import UNKNOWN, SignalKind, SignalManager
-from .timeline import TimeManager, round_half_away_from_zero
-
-DEVICE_KINDS = ("core", "ttl_out", "ttl_in", "edge_counter", "dds", "adc")
-
-# Allowed DDB params and their defaults, per device kind.
-_PARAM_DEFAULTS = {
-    "core": {},
-    "ttl_out": {},
-    "ttl_in": {"sample_delay_mu": 0},
-    "edge_counter": {"counter_mode": "deterministic"},
-    "dds": {"init_delay_mu": 125_000, "set_delay_mu": 0},
-    "adc": {"channels": 1, "sample_delay_mu": 0},
-}
+from .timeline import TimeManager, round_half_away_from_zero, short_repr
 
 
 class DeviceError(Exception):
@@ -51,12 +39,12 @@ class DeviceDescriptor:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in DEVICE_KINDS:
+        if self.kind not in DRIVER_CLASSES:
             raise DeviceError(
                 f"device {self.name!r}: unknown kind {self.kind!r}; "
-                f"allowed kinds: {', '.join(DEVICE_KINDS)}"
+                f"allowed kinds: {', '.join(DRIVER_CLASSES)}"
             )
-        allowed = _PARAM_DEFAULTS[self.kind]
+        allowed = DRIVER_CLASSES[self.kind].PARAMS
         for key in self.params:
             if key not in allowed:
                 raise DeviceError(
@@ -65,7 +53,7 @@ class DeviceDescriptor:
                 )
 
     def param(self, key: str):
-        return self.params.get(key, _PARAM_DEFAULTS[self.kind][key])
+        return self.params.get(key, DRIVER_CLASSES[self.kind].PARAMS[key])
 
 
 def _delay_param(desc: DeviceDescriptor, key: str) -> int:
@@ -94,11 +82,15 @@ class InputBuffer:
 
 
 class SimDevice:
-    """Common driver state: descriptor, timeline access, signal registration."""
+    """Common driver state: timeline access, signal registration.
+
+    ``PARAMS`` maps each DDB param a kind accepts to its default.
+    """
+
+    PARAMS: dict = {}
 
     def __init__(self, desc: DeviceDescriptor, time: TimeManager, signals: SignalManager, rng: RngPool):
         self.name = desc.name
-        self.desc = desc
         self._time = time
         self._signals = signals
         self._rng = rng.stream(desc.name)
@@ -134,10 +126,12 @@ class TtlOut(SimDevice):
 
     def pulse_mu(self, duration_mu: int) -> None:
         if type(duration_mu) is not int or duration_mu <= 0:
-            raise DeviceError(f"pulse duration must be a positive int, got {duration_mu!r}")
-        self.on()
+            raise DeviceError(f"pulse duration must be a positive int, got {short_repr(duration_mu)}")
+        # Move the cursor before pushing, so an overflow leaves no rising edge behind.
+        t_on = self._time.now_mu()
         self._time.delay_mu(duration_mu)
-        self.off()
+        self.state.push(True, t_on)
+        self.state.push(False, self._time.now_mu())
 
     # Alias matching the common driver surface.
     pulse = pulse_mu
@@ -145,6 +139,8 @@ class TtlOut(SimDevice):
 
 class TtlIn(SimDevice):
     """Digital input sampled against a test-configured probability signal."""
+
+    PARAMS = {"sample_delay_mu": 0}
 
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
@@ -179,6 +175,8 @@ class TtlIn(SimDevice):
 class EdgeCounter(SimDevice):
     """Edge counter gated with a window, counting against an input frequency."""
 
+    PARAMS = {"counter_mode": "deterministic"}
+
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
         mode = desc.param("counter_mode")
@@ -194,16 +192,16 @@ class EdgeCounter(SimDevice):
     def gate_rising_mu(self, duration_mu: int) -> int:
         """Open the gate for ``duration_mu``, enqueue the count, return the close time."""
         if type(duration_mu) is not int or duration_mu <= 0:
-            raise DeviceError(f"gate duration must be a positive int, got {duration_mu!r}")
+            raise DeviceError(f"gate duration must be a positive int, got {short_repr(duration_mu)}")
         t_open = self._time.now_mu()
         f = self.freq.pull(t_open)
         if f is UNKNOWN:
             raise InputUnset(f"{self.name}: input frequency is unset at t={t_open}")
         if f < 0:
             raise DeviceError(f"{self.name}: negative input frequency {f}")
-        self.gate.push(True, t_open)
         self._time.delay_mu(duration_mu)
         t_close = self._time.now_mu()
+        self.gate.push(True, t_open)
         self.gate.push(False, t_close)
         mean = f * duration_mu * self._time.config.ref_period_s
         if self.mode == "deterministic":
@@ -222,6 +220,8 @@ class EdgeCounter(SimDevice):
 class Dds(SimDevice):
     """Direct digital synthesizer channel: frequency, phase, amplitude."""
 
+    PARAMS = {"init_delay_mu": 125_000, "set_delay_mu": 0}
+
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
         self.freq = self._register("freq", SignalKind.REAL)
@@ -238,11 +238,11 @@ class Dds(SimDevice):
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
         if not 0 <= freq_hz <= sys.float_info.max:
-            raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {freq_hz}")
+            raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {short_repr(freq_hz)}")
         if not 0.0 <= phase_turns < 1.0:
-            raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {phase_turns}")
+            raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {short_repr(phase_turns)}")
         if not 0.0 <= amplitude <= 1.0:
-            raise DeviceError(f"{self.name}: amplitude must be in [0, 1], got {amplitude}")
+            raise DeviceError(f"{self.name}: amplitude must be in [0, 1], got {short_repr(amplitude)}")
         cursor = self._time.now_mu()
         self.freq.push(float(freq_hz), cursor)
         self.phase.push(float(phase_turns), cursor)
@@ -252,6 +252,8 @@ class Dds(SimDevice):
 
 class Adc(SimDevice):
     """Multi-channel ADC sampling test-configured input voltage signals."""
+
+    PARAMS = {"channels": 1, "sample_delay_mu": 0}
 
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
@@ -263,10 +265,6 @@ class Adc(SimDevice):
         ]
         self.buffer = InputBuffer()
         self._sample_delay_mu = _delay_param(desc, "sample_delay_mu")
-
-    @property
-    def channels(self) -> int:
-        return len(self.voltages)
 
     def sample_input(self) -> None:
         """Read all channel voltages at the cursor and enqueue the vector."""

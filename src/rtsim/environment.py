@@ -12,7 +12,7 @@ import contextlib
 import json
 import os
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .devices import DeviceDescriptor, DeviceError, SimDevice, make_driver
@@ -114,7 +114,6 @@ class Experiment:
 
     name: str
     body: Callable[["SimulationRun"], None]
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -203,17 +202,11 @@ def _apply_seed_override(config: SimConfig) -> SimConfig:
     if raw is None:
         return config
     try:
-        seed = int(raw, 10)
+        return replace(config, seed=int(raw, 10))
     except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be a decimal integer, got {raw!r}") from None
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{SEED_ENV_VAR} must be an unsigned 64-bit integer, got {raw!r}")
-    return SimConfig(
-        mode=config.mode,
-        sync_slack_mu=config.sync_slack_mu,
-        ref_period_s=config.ref_period_s,
-        seed=seed,
-    )
+        raise ValueError(
+            f"{SEED_ENV_VAR} must be an unsigned 64-bit decimal integer, got {raw!r}"
+        ) from None
 
 
 def run_experiment(exp: Experiment, ddb: DeviceDb, config: Optional[SimConfig] = None) -> SimulationRun:

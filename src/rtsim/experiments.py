@@ -52,7 +52,7 @@ def _demo_body(run: SimulationRun) -> None:
 
 
 def _registry() -> dict[str, Experiment]:
-    reg = {"demo": Experiment("demo", _demo_body, metadata={"ddb": "demo"})}
+    reg = {"demo": Experiment("demo", _demo_body)}
     for name, scenario in bench.PRESETS.items():
         reg[name] = bench.scenario_experiment(scenario)
     return reg

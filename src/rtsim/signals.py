@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional
 
-from .timeline import MU_MAX, MU_MIN
+from .timeline import MU_MAX, MU_MIN, short_repr
 
 MAX_TEXT_BYTES = 64
 
@@ -77,7 +77,7 @@ class SignalKind(enum.Enum):
             if type(value) is bool or not isinstance(value, int):
                 raise SignalKindMismatch(f"expected int, got {value!r}")
             if not MU_MIN <= value <= MU_MAX:
-                raise SignalKindMismatch(f"int value out of signed 64-bit range: {value}")
+                raise SignalKindMismatch(f"int value out of signed 64-bit range: {short_repr(value)}")
             return value
         if self is SignalKind.REAL:
             if type(value) is bool or not isinstance(value, (int, float)):
@@ -123,7 +123,7 @@ class Signal:
     def push(self, value, time: int) -> None:
         """Add an event; appends in O(1) when ``time`` is at or past the last event."""
         if type(time) is not int or not MU_MIN <= time <= MU_MAX:
-            raise SignalError(f"event timestamp must be a signed 64-bit int: {time!r}")
+            raise SignalError(f"event timestamp must be a signed 64-bit int: {short_repr(time)}")
         value = self.kind.coerce(value)
         times = self._times
         if not times or time > times[-1]:
@@ -154,7 +154,7 @@ class Signal:
         if type(t0) is not int or type(t1) is not int:
             raise SignalError(f"event range bounds must be int, got {t0!r}, {t1!r}")
         if t0 > t1:
-            raise ValueError(f"bad event range: {t0} > {t1}")
+            raise ValueError(f"bad event range: {short_repr(t0)} > {short_repr(t1)}")
         times = self._times
         lo = bisect_left(times, t0)
         hi = bisect_right(times, t1, lo)
@@ -199,9 +199,6 @@ class SignalManager:
 
     def __iter__(self) -> Iterator[Signal]:
         return iter(self._signals.values())
-
-    def list(self) -> list[tuple[str, str]]:
-        return list(self._signals.keys())
 
     @property
     def max_event_time(self) -> Optional[int]:

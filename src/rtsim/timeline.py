@@ -27,10 +27,17 @@ class ContextStackError(RuntimeError):
     """Illegal operation on the timing-context stack (e.g. popping the root)."""
 
 
+def short_repr(value) -> str:
+    """``repr(value)``, but an int too long to print whole is shown by its bit length."""
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"<{value.bit_length()}-bit int>"
+    return repr(value)
+
+
 def _checked_mu(value: int, op: str) -> int:
     if not MU_MIN <= value <= MU_MAX:
         raise MachineUnitsOverflow(
-            f"{op}: result {value} exceeds signed 64-bit machine units"
+            f"{op}: result {short_repr(value)} exceeds signed 64-bit machine units"
         )
     return value
 
@@ -86,12 +93,10 @@ class SimConfig:
         _checked_mu(self.sync_slack_mu, "SimConfig.sync_slack_mu")
         if not 0 < self.ref_period_s < math.inf:
             raise ValueError(f"ref_period_s must be positive and finite: {self.ref_period_s}")
+        if type(self.seed) is not int:
+            raise TypeError(f"seed must be int, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer: {self.seed}")
-
-    @classmethod
-    def from_mode_name(cls, name: str, **kwargs) -> "SimConfig":
-        return cls(mode=SyncMode(name.lower()), **kwargs)
+            raise ValueError(f"seed must be an unsigned 64-bit integer: {short_repr(self.seed)}")
 
 
 class ContextKind(enum.Enum):

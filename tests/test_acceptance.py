@@ -20,7 +20,7 @@ from rtsim import (
     TimeManager,
     run_experiment,
 )
-from rtsim.bench import PRESETS, run_scenario_both, scenario_ddb
+from rtsim.bench import PRESETS, run_scenario_both, scenario_ddb, speedup_proxy
 from rtsim.experiments import get_experiment, load_demo_ddb
 from rtsim.trace import export_jsonl, export_vcd
 
@@ -265,10 +265,14 @@ def test_criterion_7_performance_envelope():
 
 def test_criterion_8_speedup_direction():
     reports = {name: run_scenario_both(PRESETS[name]) for name in ("delay_dominated", "event_dominated")}
+
+    def proxy(name, mode):
+        return speedup_proxy(reports[name].results[mode], reports[name].ref_period_s)
+
     ratios = {}
     for mode in SyncMode:
-        delay_proxy = reports["delay_dominated"].results[mode].speedup_proxy
-        event_proxy = reports["event_dominated"].results[mode].speedup_proxy
+        delay_proxy = proxy("delay_dominated", mode)
+        event_proxy = proxy("event_dominated", mode)
         assert delay_proxy >= 10 * event_proxy, (
             f"{mode.value}: delay-dominated {delay_proxy:.3g} vs event-dominated {event_proxy:.3g}"
         )

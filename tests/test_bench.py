@@ -6,7 +6,9 @@ from rtsim.bench import (
     report_rows,
     run_scenario,
     run_scenario_both,
+    speedup_proxy,
 )
+from rtsim.environment import RunStats
 
 
 class TestScenarioShape:
@@ -76,6 +78,13 @@ class TestReports:
         sc = BenchScenario("s", points=1, samples_per_point=2)
         rows = report_rows(run_scenario_both(sc), t_ref_mu=10**6)
         assert all("relative_error" in row for row in rows)
+
+    def test_speedup_proxy_uses_ref_period(self):
+        # 10^6 MU simulated in 1 µs of wall clock.
+        stats = RunStats(event_count=0, sync_count=1, start_cursor_after_first_sync=0,
+                         final_cursor=10**6, wall_clock_ns=1000)
+        assert speedup_proxy(stats, 1e-9) == pytest.approx(1000)
+        assert speedup_proxy(stats, 8e-9) / speedup_proxy(stats, 1e-9) == pytest.approx(8)
 
     def test_optimistic_vs_regular_error_negative(self):
         report = run_scenario_both(BenchScenario("s", points=2, samples_per_point=4))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rtsim.cli import main
 
 
@@ -57,12 +59,29 @@ class TestRun:
         assert "error" in captured.err
 
 
+@pytest.mark.parametrize("argv, seed_env", [
+    (["run", "demo", "--seed", "-1"], None),
+    (["run", "demo"], "abc"),
+    (["bench", "scan", "--points", "0"], None),
+    (["bench", "scan", "--samples", "0"], None),
+    (["bench", "scan", "--pulse-mu", "0"], None),
+    (["bench", "scan", "--delay-mu", "-1"], None),
+    (["bench", "scan", "--points", "1", "--samples", "1", "--seed", "-1"], None),
+    (["bench", "scan", "--points", "1", "--samples", "1"], "abc"),
+])
+def test_bad_inputs_exit_2(argv, seed_env, monkeypatch, capsys):
+    if seed_env is not None:
+        monkeypatch.setenv("RTSIM_SEED", seed_env)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestBench:
     def test_scan_emits_both_configs_and_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "scan.csv"
         assert run_cli(
             "bench", "scan", "--points", "2", "--samples", "5",
-            "--unbuffered", "--csv", str(out_csv),
+            "--csv", str(out_csv),
         ) == 0
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
@@ -76,7 +95,7 @@ class TestBench:
         ref.write_text("scenario,t_ref_mu\nscan,1000000\n")
         assert run_cli(
             "bench", "scan", "--points", "1", "--samples", "2",
-            "--unbuffered", "--ref-csv", str(ref),
+            "--ref-csv", str(ref),
         ) == 0
         assert "relative_error=" in capsys.readouterr().out
 
@@ -85,7 +104,7 @@ class TestBench:
         ref.write_text("scenario,t_ref_mu\nother,5\n")
         assert run_cli(
             "bench", "scan", "--points", "1", "--samples", "2",
-            "--unbuffered", "--ref-csv", str(ref),
+            "--ref-csv", str(ref),
         ) == 2
         assert "no t_ref_mu row" in capsys.readouterr().err
 

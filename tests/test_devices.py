@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsim import (
@@ -10,18 +10,45 @@ from rtsim import (
     Experiment,
     InputBuffer,
     InputUnset,
+    MachineUnitsOverflow,
     SimConfig,
     SimulationRun,
     SyncMode,
     run_experiment,
 )
 from rtsim.devices import DeviceDescriptor
+from rtsim.timeline import MU_MAX
 
 from conftest import FULL_DDB
 
 # Golden sequences generated once with the pinned xoshiro256** streams.
 BERNOULLI_SEED_12345_IN0_P05 = [1, 0, 0, 1, 0, 1, 1, 1]
 POISSON_SEED_7_COUNTER0_MEAN1 = 0
+
+# A cursor ``back`` MU below MU_MAX and a duration ``back + extra`` past it,
+# inside a sequential or a parallel frame.
+overflow_case = dict(
+    kind=st.sampled_from(["sequential", "parallel"]),
+    back=st.integers(0, 1000),
+    extra=st.integers(1, 2**64),
+)
+
+
+def overflow_in_frame(run, kind, back, extra, call):
+    """Run ``call(duration)`` at cursor ``t`` inside the frame; it must overflow.
+
+    Returns ``(t, collapsed)``. ``collapsed`` means the call itself succeeded:
+    in a parallel frame a duration that fits leaves the cursor put, both edges
+    land at ``t`` (the later "off" overwrites the "on") and only leaving the
+    frame overflows.
+    """
+    t = MU_MAX - back
+    run.at_mu(t)
+    with pytest.raises(MachineUnitsOverflow):
+        with getattr(run, kind)():
+            call(back + extra)
+    assert run.now_mu() == t
+    return t, kind == "parallel" and back + extra <= MU_MAX
 
 
 class TestDescriptor:
@@ -107,6 +134,15 @@ class TestTtlOut:
             ttl.pulse(bad)
         assert ttl.state.events() == []
         assert run.now_mu() == 0
+
+    @given(**overflow_case)
+    @example(kind="sequential", back=MU_MAX, extra=1)  # pulse(2**63) at cursor 0
+    @settings(max_examples=50, deadline=None)
+    def test_overflowing_duration_pushes_no_edge(self, kind, back, extra):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        ttl = run.get_device("ttl0")
+        t, collapsed = overflow_in_frame(run, kind, back, extra, ttl.pulse)
+        assert ttl.state.events() == ([(t, False)] if collapsed else [])
 
 
 class TestTtlIn:
@@ -257,6 +293,17 @@ class TestEdgeCounter:
         assert counter.gate.events() == []
         assert len(counter.buffer) == 0
         assert run.now_mu() == 0
+
+    @given(**overflow_case)
+    @example(kind="sequential", back=9, extra=91)  # gate_rising(100) at 2**63 - 10
+    @settings(max_examples=50, deadline=None)
+    def test_overflowing_gate_pushes_no_edge(self, kind, back, extra):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        counter = run.get_device("counter0")
+        counter.freq.push(1.0, 0)
+        t, collapsed = overflow_in_frame(run, kind, back, extra, counter.gate_rising)
+        assert counter.gate.events() == ([(t, False)] if collapsed else [])
+        assert len(counter.buffer) == (1 if collapsed else 0)
 
 
 class TestDds:

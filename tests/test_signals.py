@@ -36,7 +36,7 @@ class TestRegistry:
         sm = SignalManager()
         sm.register("ttl0", "state", SignalKind.BOOL)
         sm.register("dds0", "freq", SignalKind.REAL)
-        assert set(sm.list()) == {("ttl0", "state"), ("dds0", "freq")}
+        assert {(s.device_name, s.signal_name) for s in sm} == {("ttl0", "state"), ("dds0", "freq")}
 
     def test_lookup_unknown_signal(self):
         with pytest.raises(UnknownSignalError):
@@ -103,8 +103,11 @@ class TestValueKinds:
         sig = SignalManager().register("d", "i", SignalKind.INT)
         with pytest.raises(SignalKindMismatch):
             sig.push(True, 0)
-        with pytest.raises(SignalKindMismatch):
-            sig.push(2**63, 0)
+        for bad in (2**63, 10**5000):
+            with pytest.raises(SignalKindMismatch, match="out of signed 64-bit range"):
+                sig.push(bad, 0)
+            with pytest.raises(SignalError, match="signed 64-bit int"):
+                sig.push(0, bad)
         sig.push(-(2**63), 0)
         assert sig.pull(0) == -(2**63)
 

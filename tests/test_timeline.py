@@ -38,17 +38,16 @@ class TestConfig:
         assert SimConfig(mode=SyncMode.REGULAR, sync_slack_mu=7).sync_slack_mu == 7
 
     def test_seed_range(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=-1)
-        with pytest.raises(ValueError):
-            SimConfig(seed=2**64)
+        for bad in (-1, 2**64, 10**5000):
+            with pytest.raises(ValueError, match="unsigned 64-bit"):
+                SimConfig(seed=bad)
+        for bad in (True, 1.5):
+            with pytest.raises(TypeError, match="seed must be int"):
+                SimConfig(seed=bad)
 
     def test_ref_period_positive(self):
         with pytest.raises(ValueError):
             SimConfig(ref_period_s=0.0)
-
-    def test_from_mode_name(self):
-        assert SimConfig.from_mode_name("optimistic").mode is SyncMode.OPTIMISTIC
 
 
 class TestNowAndDelay:
@@ -104,6 +103,8 @@ class TestNowAndDelay:
         tm.delay_mu(2**62)
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             tm.delay_mu(2**62)
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+            tm.delay_mu(10**5000)
 
 
 class TestDelaySeconds:
