@@ -37,6 +37,8 @@ class BenchScenario:
             raise ValueError("pulse_mu must be positive")
         if self.delay_per_sample_mu < 0:
             raise ValueError("delay_per_sample_mu must be >= 0")
+        if self.pulses_per_sample < 0 or self.dds_sets_per_sample < 0:
+            raise ValueError("pulses_per_sample and dds_sets_per_sample must be >= 0")
 
     @property
     def total_samples(self) -> int:

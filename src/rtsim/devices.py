@@ -39,6 +39,11 @@ class DeviceDescriptor:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # The name is a VCD scope identifier and a JSONL string as it stands.
+        if type(self.name) is not str or not self.name or any(ch.isspace() for ch in self.name):
+            raise DeviceError(
+                f"device name must be a non-empty string without whitespace, got {self.name!r}"
+            )
         if self.kind not in DRIVER_CLASSES:
             raise DeviceError(
                 f"device {self.name!r}: unknown kind {self.kind!r}; "

@@ -55,9 +55,15 @@ def seconds_to_mu(seconds: float, ref_period_s: float) -> int:
     Uses round-half-away-from-zero so that symmetric positive and negative
     delays convert symmetrically.
     """
-    if not math.isfinite(seconds):
-        raise ValueError(f"non-finite time cannot be converted: {seconds!r}")
-    return _checked_mu(round_half_away_from_zero(seconds / ref_period_s), "seconds_to_mu")
+    try:
+        if not math.isfinite(seconds):
+            raise ValueError(f"non-finite time cannot be converted: {seconds!r}")
+        mu = round_half_away_from_zero(seconds / ref_period_s)
+    except OverflowError:  # an int too large for a float, or infinite once scaled
+        raise MachineUnitsOverflow(
+            f"seconds_to_mu: {short_repr(seconds)} s exceeds signed 64-bit machine units"
+        ) from None
+    return _checked_mu(mu, "seconds_to_mu")
 
 
 def mu_to_seconds(mu: int, ref_period_s: float) -> float:
@@ -155,8 +161,10 @@ class TimeManager:
             raise TypeError(f"delay_mu: machine units must be int, got {d!r}")
         top = self._top
         if top.kind is ContextKind.SEQUENTIAL:
-            top.t_current = _checked_mu(top.t_current + d, "delay_mu")
+            # Check both sums before moving either, so an overflow changes nothing.
+            t_current = _checked_mu(top.t_current + d, "delay_mu")
             top.t_duration = _checked_mu(top.t_duration + d, "delay_mu")
+            top.t_current = t_current
         else:
             # Parallel: the cursor stays put, only the longest delay is kept.
             if d > top.t_duration:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from itertools import repeat
+from typing import Callable
+from json.encoder import encode_basestring_ascii
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalKind
@@ -34,19 +36,18 @@ def _vcd_id(index: int) -> str:
         index -= 1
 
 
-def _render_real(value: float) -> str:
-    return f"{value:.17g}"
+_VCD_INT_MASK = 0xFFFF_FFFF_FFFF_FFFF  # two's complement of a signed 64-bit int
 
 
-def _vcd_change(kind: SignalKind, value, code: str) -> str:
+def _vcd_renderer(kind: SignalKind, code: str) -> Callable[[object], str]:
+    """One value-change renderer for a signal, with its identifier code bound in."""
     if kind is SignalKind.BOOL:
-        return f"{int(value)}{code}"
+        return (f"0{code}", f"1{code}").__getitem__  # a bool indexes the pair
     if kind is SignalKind.INT:
-        return f"b{value & 0xFFFF_FFFF_FFFF_FFFF:b} {code}"
+        return lambda value: f"b{value & _VCD_INT_MASK:b} {code}"
     if kind is SignalKind.REAL:
-        return f"r{_render_real(value)} {code}"
-    text = "".join("_" if ch.isspace() else ch for ch in value)
-    return f"s{text} {code}"
+        return lambda value: f"r{value:.17g} {code}"
+    return lambda value: f"s{''.join('_' if ch.isspace() else ch for ch in value)} {code}"
 
 
 def _vcd_unknown(kind: SignalKind, code: str) -> str | None:
@@ -76,6 +77,7 @@ def export_vcd(run: SimulationRun, path) -> None:
     """Write the run's timeline as a value-change-dump waveform."""
     signals = list(run.signals)
     codes: dict[Signal, str] = {}
+    render: dict[Signal, Callable[[object], str]] = {}
     lines = ["$timescale 1 ns $end"]
 
     by_device: dict[str, list[Signal]] = {}
@@ -86,6 +88,7 @@ def export_vcd(run: SimulationRun, path) -> None:
         for sig in sigs:
             code = _vcd_id(len(codes))
             codes[sig] = code
+            render[sig] = _vcd_renderer(sig.kind, code)
             var_type, width = _VAR_DECLS[sig.kind]
             lines.append(f"$var {var_type} {width} {code} {sig.signal_name} $end")
         lines.append("$upscope $end")
@@ -95,24 +98,23 @@ def export_vcd(run: SimulationRun, path) -> None:
         # Initial-values block: last pre-time-0 event wins, else unknown.
         lines.append("$dumpvars")
         for sig in signals:
-            code = codes[sig]
             initial = sig.pull(-1)
             if initial is not UNKNOWN:
-                lines.append(_vcd_change(sig.kind, initial, code))
+                lines.append(render[sig](initial))
             else:
-                unknown = _vcd_unknown(sig.kind, code)
+                unknown = _vcd_unknown(sig.kind, codes[sig])
                 if unknown is not None:
                     lines.append(unknown)
         lines.append("$end")
 
         current_time = None
         for time_mu, _, sig, value in records_of(run):
-            if time_mu < 0:
-                continue
             if time_mu != current_time:
+                if time_mu < 0:
+                    continue  # records are time-sorted: negatives come first
                 current_time = time_mu
                 lines.append(f"#{current_time}")
-            lines.append(_vcd_change(sig.kind, value, codes[sig]))
+            lines.append(render[sig](value))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -133,28 +135,51 @@ def _summary_of(run: SimulationRun) -> dict:
     }
 
 
+# The JSON text json.dumps gives a stored value of each kind (REAL is always finite).
+_JSON_VALUE = {
+    SignalKind.BOOL: ("false", "true").__getitem__,
+    SignalKind.INT: int.__repr__,
+    SignalKind.REAL: float.__repr__,
+    SignalKind.TEXT: encode_basestring_ascii,
+}
+
+
 def export_jsonl(run: SimulationRun, path) -> None:
     """Write one JSON object per event plus a final summary object.
 
+    Each line is the text ``json.dumps`` gives the record
+    ``{"time_mu", "device", "signal", "kind", "value"}``; the part between
+    the time and the value, and the value renderer, are built once per signal.
     Wall-clock time is deliberately not exported, so two runs with the same
     seed and configuration produce byte-identical files.
     """
+    parts = {
+        sig: (
+            f', "device": {encode_basestring_ascii(sig.device_name)}'
+            f', "signal": {encode_basestring_ascii(sig.signal_name)}'
+            f', "kind": {encode_basestring_ascii(sig.kind.value)}, "value": ',
+            _JSON_VALUE[sig.kind],
+        )
+        for sig in run.signals
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for time_mu, _, sig, value in records_of(run):
-            fh.write(json.dumps({
-                "time_mu": time_mu,
-                "device": sig.device_name,
-                "signal": sig.signal_name,
-                "kind": sig.kind.value,
-                "value": value,
-            }))
-            fh.write("\n")
+            part, render = parts[sig]
+            fh.write(f'{{"time_mu": {time_mu}{part}{render(value)}}}\n')
         fh.write(json.dumps({"summary": _summary_of(run)}))
         fh.write("\n")
 
 
+_DECODER = json.JSONDecoder()
+
+
 def read_jsonl(path) -> tuple[list[dict], dict | None]:
-    """Parse a JSONL dump into (event records, summary or None)."""
+    """Parse a JSONL dump into (event records, summary or None).
+
+    Blank lines are skipped; every other line must hold exactly one JSON
+    object, else ``ValueError`` (``json.JSONDecodeError`` for bad JSON or
+    anything after the value) is raised.
+    """
     records = []
     summary = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -162,7 +187,11 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            obj, end = _DECODER.raw_decode(line)
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if type(obj) is not dict:
+                raise ValueError(f"expected a JSON object per line, got {line[:40]!r}")
             if "summary" in obj:
                 summary = obj["summary"]
             else:

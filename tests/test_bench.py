@@ -43,6 +43,10 @@ class TestScenarioShape:
             BenchScenario("s", points=0, samples_per_point=1)
         with pytest.raises(ValueError):
             BenchScenario("s", points=1, samples_per_point=1, pulse_mu=0)
+        with pytest.raises(ValueError):
+            BenchScenario("s", points=1, samples_per_point=1, pulses_per_sample=-1)
+        with pytest.raises(ValueError):
+            BenchScenario("s", points=1, samples_per_point=1, dds_sets_per_sample=-1)
 
 
 class TestSyncLaw:

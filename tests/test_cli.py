@@ -68,6 +68,8 @@ class TestRun:
     (["bench", "scan", "--delay-mu", "-1"], None),
     (["bench", "scan", "--points", "1", "--samples", "1", "--seed", "-1"], None),
     (["bench", "scan", "--points", "1", "--samples", "1"], "abc"),
+    (["bench", "scan", "--points", "1", "--samples", "1", "--pulses", "-1"], None),
+    (["bench", "scan", "--points", "1", "--samples", "1", "--dds-sets", "-1"], None),
 ])
 def test_bad_inputs_exit_2(argv, seed_env, monkeypatch, capsys):
     if seed_env is not None:

@@ -67,6 +67,12 @@ class TestLoadDdb:
         with pytest.raises(DeviceDbError, match=r"devices\[0\].*'kind'"):
             load_ddb(write_ddb(tmp_path, data))
 
+    @pytest.mark.parametrize("name", ["my ttl", "ttl\t0", "ttl\u00a0", "", 7, None, ["ttl0"]])
+    def test_name_must_be_nonblank_str_without_whitespace(self, name):
+        data = {"devices": [{"name": "core", "kind": "core"}, {"name": name, "kind": "ttl_out"}]}
+        with pytest.raises(DeviceDbError, match=r"devices\[1\].*device name"):
+            DeviceDb.from_dict(data)
+
     def test_devices_must_be_list(self, tmp_path):
         with pytest.raises(DeviceDbError):
             load_ddb(write_ddb(tmp_path, {"devices": {}}))

@@ -11,7 +11,7 @@ from rtsim import (
     TimeManager,
     seconds_to_mu,
 )
-from rtsim.timeline import round_half_away_from_zero
+from rtsim.timeline import MU_MAX, MU_MIN, round_half_away_from_zero
 
 from oracles import run_tree, tree_duration
 
@@ -106,6 +106,17 @@ class TestNowAndDelay:
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             tm.delay_mu(10**5000)
 
+    def test_frame_duration_overflow_leaves_cursor(self):
+        # The cursor sum fits, only the frame's duration overflows.
+        tm = manager()
+        tm.at_mu(MU_MIN)
+        tm.push_context(SEQ)
+        tm.delay_mu(MU_MAX)
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+            tm.delay_mu(1)
+        assert tm.now_mu() == -1
+        assert tm._top.t_duration == MU_MAX
+
 
 class TestDelaySeconds:
     def test_microsecond_converts_to_thousand_mu(self):
@@ -144,6 +155,17 @@ class TestDelaySeconds:
 
     def test_seconds_to_mu_helper(self):
         assert seconds_to_mu(1.5e-9, 1e-9) == 2
+
+    @pytest.mark.parametrize("seconds", [10**5000, 1e300, -1e300], ids=["10**5000", "1e300", "-1e300"])
+    def test_huge_seconds_overflow(self, seconds):
+        with pytest.raises(MachineUnitsOverflow, match="seconds_to_mu"):
+            seconds_to_mu(seconds, 1e-9)
+
+    def test_huge_delay_overflows_and_leaves_cursor(self):
+        tm = manager()
+        with pytest.raises(MachineUnitsOverflow, match="seconds_to_mu"):
+            tm.delay(1e300)
+        assert tm.now_mu() == 0
 
 
 class TestAtMu:

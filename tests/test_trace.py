@@ -1,8 +1,13 @@
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, SimulationRun, run_experiment, set_input
+from rtsim.cli import main as cli_main
+from rtsim.signals import MAX_TEXT_BYTES, UNKNOWN
+from rtsim.timeline import MU_MAX, MU_MIN
 from rtsim.trace import export_jsonl, export_vcd, read_jsonl, records_of
 
 from conftest import FULL_DDB
@@ -98,6 +103,13 @@ class TestVcd:
         check_vcd(text)
         assert "swarm_up" in text  # whitespace sanitized in string values
         assert "\nb1 " in text
+
+
+    def test_checker_rejects_scope_name_with_space(self):
+        text = "$timescale 1 ns $end\n$scope module my ttl $end\n$upscope $end\n$enddefinitions $end\n"
+        with pytest.raises(AssertionError, match="bad \\$scope"):
+            check_vcd(text)
+        check_vcd(text.replace("my ttl", "my_ttl"))
 
 
 class TestJsonl:
@@ -212,3 +224,150 @@ class TestRecordsOf:
         )
         got = [(t, s.device_name, s.signal_name, v) for t, _, s, v in records_of(run)]
         assert got == expected
+
+
+# Values of each kind, with the edges of what json.dumps and the VCD renderers
+# must agree on drawn often.
+_VALUES = {
+    SignalKind.BOOL: st.booleans(),
+    SignalKind.INT: st.integers(MU_MIN, MU_MAX) | st.sampled_from([MU_MAX, -MU_MAX, MU_MIN, 0]),
+    SignalKind.REAL: (
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([-0.0, 5e-324, 1e16, 0.1, -1.5e300])
+    ),
+    SignalKind.TEXT: st.text(
+        st.sampled_from('"\\\x00\x1f\x7f\n\r\t /\u00e9\u2028\U0001f600') | st.characters(codec="utf-8"),
+        max_size=MAX_TEXT_BYTES,
+    ).filter(lambda text: len(text.encode("utf-8")) <= MAX_TEXT_BYTES),
+}
+
+
+# (index into _RECORD_SIGNALS, time, value) pushes of every kind.
+_RECORD_KINDS = [SignalKind.BOOL, SignalKind.BOOL, SignalKind.REAL, SignalKind.REAL,
+                 SignalKind.TEXT, SignalKind.INT]
+_PUSHES = st.lists(
+    st.integers(0, len(_RECORD_SIGNALS) - 1).flatmap(lambda i: st.tuples(
+        st.just(i), st.integers(MU_MIN, MU_MAX) | st.integers(-3, 3), _VALUES[_RECORD_KINDS[i]],
+    )),
+    max_size=40,
+)
+
+
+def _run_with(pushes):
+    def body(run):
+        for name in ("ttl1", "ttl0", "in0", "dds0", "core"):  # not in name order
+            run.get_device(name)
+        for idx, t, value in pushes:
+            run.signals.signal(*_RECORD_SIGNALS[idx]).push(value, t)
+
+    return run_experiment(Experiment("pushes", body), DeviceDb.from_dict(FULL_DDB), SimConfig())
+
+
+def _sorted_events(run):
+    return sorted(
+        ((t, s.device_name, s.signal_name, s, v) for s in run.signals for t, v in s.events()),
+        key=lambda e: e[:3],
+    )
+
+
+_EDGE_PUSHES = [
+    (0, 0, True), (1, 0, False),
+    (5, MU_MIN, MU_MIN), (5, -1, -MU_MAX), (5, MU_MAX, MU_MAX),
+    (2, 1, -0.0), (2, 2, 5e-324), (2, 3, 1e16), (3, 3, 0.1),
+    (4, 4, 'say "hi" \\ \x00\x1f\x7f\u00e9\u2028\U0001f600'), (4, 5, ""), (4, 6, "\u00e9" * 32),
+]
+
+
+class TestJsonlLines:
+    @given(pushes=_PUSHES)
+    @example(pushes=_EDGE_PUSHES)
+    @settings(max_examples=200, deadline=None)
+    def test_each_line_is_json_dumps_of_its_record(self, pushes, tmp_path_factory):
+        run = _run_with(pushes)
+        path = tmp_path_factory.mktemp("jsonl") / "p.jsonl"
+        export_jsonl(run, path)
+
+        expected = [
+            {"time_mu": t, "device": dev, "signal": name, "kind": sig.kind.value, "value": v}
+            for t, dev, name, sig, v in _sorted_events(run)
+        ]
+        lines = path.read_bytes().decode("ascii").split("\n")
+        assert lines[-1] == ""
+        assert lines[:-2] == [json.dumps(rec) for rec in expected]
+
+        records, summary = read_jsonl(path)
+        assert records == expected
+        assert [(type(r["value"]), repr(r["value"])) for r in records] == [
+            (type(r["value"]), repr(r["value"])) for r in expected
+        ]
+        assert summary["event_count"] == run.stats.event_count
+
+
+def _vcd_line(kind, value, code):
+    """The VCD change line of one value, written out longhand."""
+    if kind is SignalKind.BOOL:
+        return ("1" if value else "0") + code
+    if kind is SignalKind.INT:
+        return f"b{value % 2**64:b} {code}"
+    if kind is SignalKind.REAL:
+        return f"r{value:.17g} {code}"
+    return "s" + "".join("_" if ch.isspace() else ch for ch in value) + " " + code
+
+
+class TestVcdProperty:
+    @given(pushes=_PUSHES)
+    @example(pushes=_EDGE_PUSHES)
+    @settings(max_examples=200, deadline=None)
+    def test_changes_match_events(self, pushes, tmp_path_factory):
+        run = _run_with(pushes)
+        path = tmp_path_factory.mktemp("vcd") / "p.vcd"
+        export_vcd(run, path)
+        parsed = check_vcd(path.read_text(encoding="utf-8"))
+
+        code_of = {(dev, name): code for code, (dev, name, _) in parsed["ids"].items()}
+        initials = []
+        for sig in run.signals:
+            code = code_of[(sig.device_name, sig.signal_name)]
+            value = sig.pull(-1)
+            if value is not UNKNOWN:
+                initials.append((None, code, _vcd_line(sig.kind, value, code)))
+            elif sig.kind in (SignalKind.BOOL, SignalKind.INT):
+                initials.append((None, code, ("x" if sig.kind is SignalKind.BOOL else "bx ") + code))
+        timed = [
+            (t, code_of[(dev, name)], _vcd_line(sig.kind, v, code_of[(dev, name)]))
+            for t, dev, name, sig, v in _sorted_events(run) if t >= 0
+        ]
+        assert parsed["changes"] == initials + timed
+
+
+class TestReadJsonlStrict:
+    @pytest.mark.parametrize("line", ['{"a": 1} {"b": 2}', '{"a": 1}]', '{"a": 1}}', "1 2"])
+    def test_more_than_one_value_on_a_line_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"time_mu": 0}\n' + line + "\n")
+        with pytest.raises(ValueError, match="Extra data"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("line", ["5", '"summary"', '["summary"]', "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            read_jsonl(path)
+
+    def test_blank_lines_skipped_and_crlf_accepted(self, tmp_path):
+        path = tmp_path / "loose.jsonl"
+        path.write_bytes(b'\r\n  {"time_mu": 1}  \r\n \t \n\n{"summary": {"event_count": 1}}\r\n')
+        assert read_jsonl(path) == ([{"time_mu": 1}], {"event_count": 1})
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"time_mu": 0} {"time_mu": 1}', "error: Extra data"),
+        ("5", "error: expected a JSON object"),
+    ])
+    def test_diff_exits_2_on_bad_line(self, tmp_path, capsys, line, message):
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"time_mu": 0}\n')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        assert cli_main(["diff", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(message)

@@ -32,7 +32,7 @@ def check_vcd(text: str) -> dict:
             assert tokens[-1] == "$end", f"unterminated $timescale: {line}"
             timescale = " ".join(tokens[1:-1])
         elif tokens[0] == "$scope":
-            assert tokens[1] == "module" and tokens[-1] == "$end", f"bad $scope: {line}"
+            assert len(tokens) == 4 and tokens[1] == "module" and tokens[3] == "$end", f"bad $scope: {line}"
             scope_stack.append(tokens[2])
             scopes.append(tokens[2])
         elif tokens[0] == "$upscope":
