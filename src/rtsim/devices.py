@@ -30,9 +30,24 @@ class InputUnset(DeviceError):
     """An input signal was sampled before any value was configured for it."""
 
 
+def _non_negative_int(key, value):
+    if type(value) is not int or value < 0:
+        return f"{key} must be a non-negative integer"
+
+
+def _positive_int(key, value):
+    if type(value) is not int or value < 1:
+        return f"{key} must be a positive integer"
+
+
+def _counter_mode(key, value):
+    if value not in ("deterministic", "poisson"):
+        return f"{key} must be 'deterministic' or 'poisson', got {short_repr(value)}"
+
+
 @dataclass(frozen=True)
 class DeviceDescriptor:
-    """Declarative entry for one simulated device."""
+    """Declarative entry for one simulated device; ``params`` ends up checked, defaults filled in."""
 
     name: str
     kind: str
@@ -56,16 +71,12 @@ class DeviceDescriptor:
                     f"device {self.name!r}: unknown param {key!r} for kind {self.kind!r}; "
                     f"allowed: {sorted(allowed) or 'none'}"
                 )
-
-    def param(self, key: str):
-        return self.params.get(key, DRIVER_CLASSES[self.kind].PARAMS[key])
-
-
-def _delay_param(desc: DeviceDescriptor, key: str) -> int:
-    value = desc.param(key)
-    if type(value) is bool or not isinstance(value, int) or value < 0:
-        raise DeviceError(f"device {desc.name!r}: {key} must be a non-negative integer")
-    return value
+        params = {}
+        for key, (default, check) in allowed.items():
+            value = params[key] = self.params.get(key, default)
+            if error := check(key, value):
+                raise DeviceError(f"device {self.name!r}: {error}")
+        object.__setattr__(self, "params", params)
 
 
 class InputBuffer:
@@ -89,7 +100,8 @@ class InputBuffer:
 class SimDevice:
     """Common driver state: timeline access, signal registration.
 
-    ``PARAMS`` maps each DDB param a kind accepts to its default.
+    ``PARAMS`` maps each DDB param a kind accepts to its default and to the
+    check its value must pass, which returns an error text or None.
     """
 
     PARAMS: dict = {}
@@ -145,14 +157,14 @@ class TtlOut(SimDevice):
 class TtlIn(SimDevice):
     """Digital input sampled against a test-configured probability signal."""
 
-    PARAMS = {"sample_delay_mu": 0}
+    PARAMS = {"sample_delay_mu": (0, _non_negative_int)}
 
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
         self.prob = self._register("prob", SignalKind.REAL, is_input=True)
         self.sample = self._register("sample", SignalKind.INT)
         self.buffer = InputBuffer()
-        self._sample_delay_mu = _delay_param(desc, "sample_delay_mu")
+        self._sample_delay_mu = desc.params["sample_delay_mu"]
 
     def sample_input(self) -> None:
         """Draw one Bernoulli sample at the cursor and enqueue it."""
@@ -180,16 +192,11 @@ class TtlIn(SimDevice):
 class EdgeCounter(SimDevice):
     """Edge counter gated with a window, counting against an input frequency."""
 
-    PARAMS = {"counter_mode": "deterministic"}
+    PARAMS = {"counter_mode": ("deterministic", _counter_mode)}
 
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
-        mode = desc.param("counter_mode")
-        if mode not in ("deterministic", "poisson"):
-            raise DeviceError(
-                f"device {desc.name!r}: counter_mode must be 'deterministic' or 'poisson', got {mode!r}"
-            )
-        self.mode = mode
+        self.mode = desc.params["counter_mode"]
         self.freq = self._register("freq", SignalKind.REAL, is_input=True)
         self.gate = self._register("gate", SignalKind.BOOL)
         self.buffer = InputBuffer()
@@ -225,7 +232,7 @@ class EdgeCounter(SimDevice):
 class Dds(SimDevice):
     """Direct digital synthesizer channel: frequency, phase, amplitude."""
 
-    PARAMS = {"init_delay_mu": 125_000, "set_delay_mu": 0}
+    PARAMS = {"init_delay_mu": (125_000, _non_negative_int), "set_delay_mu": (0, _non_negative_int)}
 
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
@@ -233,8 +240,8 @@ class Dds(SimDevice):
         self.phase = self._register("phase", SignalKind.REAL)
         self.amp = self._register("amp", SignalKind.REAL)
         self.init_marker = self._register("init", SignalKind.BOOL)
-        self._init_delay_mu = _delay_param(desc, "init_delay_mu")
-        self._set_delay_mu = _delay_param(desc, "set_delay_mu")
+        self._init_delay_mu = desc.params["init_delay_mu"]
+        self._set_delay_mu = desc.params["set_delay_mu"]
 
     def init(self) -> None:
         """Model device initialization: advance by init_delay_mu, mark done."""
@@ -258,18 +265,16 @@ class Dds(SimDevice):
 class Adc(SimDevice):
     """Multi-channel ADC sampling test-configured input voltage signals."""
 
-    PARAMS = {"channels": 1, "sample_delay_mu": 0}
+    PARAMS = {"channels": (1, _positive_int), "sample_delay_mu": (0, _non_negative_int)}
 
     def __init__(self, desc, time, signals, rng):
         super().__init__(desc, time, signals, rng)
-        channels = desc.param("channels")
-        if type(channels) is bool or not isinstance(channels, int) or channels < 1:
-            raise DeviceError(f"device {desc.name!r}: channels must be a positive integer")
         self.voltages = [
-            self._register(f"v{i}", SignalKind.REAL, is_input=True) for i in range(channels)
+            self._register(f"v{i}", SignalKind.REAL, is_input=True)
+            for i in range(desc.params["channels"])
         ]
         self.buffer = InputBuffer()
-        self._sample_delay_mu = _delay_param(desc, "sample_delay_mu")
+        self._sample_delay_mu = desc.params["sample_delay_mu"]
 
     def sample_input(self) -> None:
         """Read all channel voltages at the cursor and enqueue the vector."""

@@ -103,7 +103,7 @@ def load_ddb(path) -> DeviceDb:
             data = json.load(fh)
     except OSError as exc:
         raise DeviceDbError(f"cannot read device database {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise DeviceDbError(f"device database {path} is not valid JSON: {exc}") from exc
     return DeviceDb.from_dict(data)
 
@@ -137,8 +137,9 @@ class SimulationRun:
     def __init__(self, ddb: DeviceDb, config: SimConfig):
         self.ddb = ddb
         self.config = config
-        self.signals = SignalManager()
-        self.time = TimeManager(config, event_max=lambda: self.signals.max_event_time)
+        # Close over the signals, not the run, so a finished run needs no cyclic GC.
+        signals = self.signals = SignalManager()
+        self.time = TimeManager(config, event_max=lambda: signals.max_event_time)
         self.rng = RngPool(config.seed)
         self._drivers: dict[str, SimDevice] = {}
         self.stats: Optional[RunStats] = None

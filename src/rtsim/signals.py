@@ -64,8 +64,8 @@ class SignalKind(enum.Enum):
         """Validate ``value`` against this kind; returns the stored form.
 
         BOOL accepts bool only, INT accepts signed 64-bit int (bool excluded),
-        REAL accepts finite int/float and stores float, TEXT accepts str up
-        to 64 UTF-8 bytes.
+        REAL accepts finite int/float and stores float, TEXT accepts str that
+        encodes to at most 64 UTF-8 bytes (so no lone surrogate).
         """
         if value is UNKNOWN:
             raise SignalKindMismatch("UNKNOWN cannot be pushed onto a signal")
@@ -91,7 +91,11 @@ class SignalKind(enum.Enum):
             return value
         if type(value) is not str:
             raise SignalKindMismatch(f"expected text, got {value!r}")
-        if len(value.encode("utf-8")) > MAX_TEXT_BYTES:
+        try:
+            size = len(value.encode("utf-8"))
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise SignalKindMismatch(f"text value cannot be encoded as UTF-8: {exc.reason}") from None
+        if size > MAX_TEXT_BYTES:
             raise SignalKindMismatch(f"text value exceeds {MAX_TEXT_BYTES} bytes")
         return value
 

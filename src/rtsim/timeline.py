@@ -1,16 +1,17 @@
 """Timeline cursor simulation.
 
-The cursor is modelled with a stack of timing contexts. Sequential contexts
-accumulate delays, parallel contexts remember only the longest positive delay
-and apply it when the context exits. All times are signed 64-bit machine
-units (MU); 1 MU corresponds to 1 ns at the default reference period.
+The cursor is one signed 64-bit int in machine units (MU); 1 MU corresponds
+to 1 ns at the default reference period. Timing frames nest above a root
+sequential frame. A sequential frame adds its delays to the cursor and keeps
+only its start; a parallel frame leaves the cursor at its start, keeps the
+longest delay seen in it, and advances its parent by that delay on exit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 MU_MIN = -(2**63)
@@ -79,24 +80,18 @@ class SyncMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Synchronization configuration of one simulation instance.
-
-    ``sync_slack_mu`` defaults from the mode: 125 000 MU for REGULAR, 0 MU
-    for OPTIMISTIC. Pass an explicit value to override.
-    """
+    """Synchronization configuration of one simulation instance."""
 
     mode: SyncMode = SyncMode.REGULAR
-    sync_slack_mu: Optional[int] = None
     ref_period_s: float = 1e-9
     seed: int = 0
 
+    @property
+    def sync_slack_mu(self) -> int:
+        """Slack each sync inserts: 125 000 MU for REGULAR, 0 MU for OPTIMISTIC."""
+        return REGULAR_SYNC_SLACK_MU if self.mode is SyncMode.REGULAR else 0
+
     def __post_init__(self):
-        if self.sync_slack_mu is None:
-            slack = REGULAR_SYNC_SLACK_MU if self.mode is SyncMode.REGULAR else 0
-            object.__setattr__(self, "sync_slack_mu", slack)
-        if type(self.sync_slack_mu) is not int:
-            raise TypeError(f"sync_slack_mu must be int, got {self.sync_slack_mu!r}")
-        _checked_mu(self.sync_slack_mu, "SimConfig.sync_slack_mu")
         if not 0 < self.ref_period_s < math.inf:
             raise ValueError(f"ref_period_s must be positive and finite: {self.ref_period_s}")
         if type(self.seed) is not int:
@@ -110,26 +105,20 @@ class ContextKind(enum.Enum):
     PARALLEL = "parallel"
 
 
-@dataclass
-class SimulationContext:
-    """One frame of the timing-context stack."""
-
-    kind: ContextKind
-    t_start: int
-    t_current: int = field(init=False)
-    t_duration: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        self.t_current = self.t_start
-
-
 class TimeManager:
     """Simulates the timeline cursor and the timeline horizon.
 
-    The manager owns a stack of simulation contexts whose root is a
-    sequential frame starting at cursor 0; the root is never popped. The
-    horizon is the maximum of the cursor and every event timestamp recorded
-    so far, and is the counter estimate used by ``sync_to_counter``.
+    The cursor is one int, ``_now``. The root frame is sequential, starts at
+    0 and is never popped; ``_frames`` lists the frames open above it, as
+    ``[start, longest]``. A sequential frame keeps only its start
+    (``longest`` is None): its duration is ``_now - start``. A parallel frame
+    also keeps the longest delay seen in it, and the cursor stays at its
+    start. Popping a frame sets the cursor back to the frame start and then
+    delays by the frame's duration. A delay, jump or sync runs every check
+    before it changes any state, so when it raises the cursor and the frames
+    are as they were. The horizon is the maximum of the cursor and every event
+    timestamp recorded so far, and is the counter estimate used by
+    ``sync_to_counter``.
     """
 
     def __init__(
@@ -139,36 +128,31 @@ class TimeManager:
     ):
         self.config = config if config is not None else SimConfig()
         self._event_max = event_max if event_max is not None else lambda: None
-        self._stack: list[SimulationContext] = [
-            SimulationContext(ContextKind.SEQUENTIAL, 0)
-        ]
+        self._now = 0
+        self._frames: list[list] = []
         self.sync_count = 0
         self.first_sync_cursor: Optional[int] = None
 
     @property
     def depth(self) -> int:
-        return len(self._stack)
-
-    @property
-    def _top(self) -> SimulationContext:
-        return self._stack[-1]
+        return len(self._frames) + 1
 
     def now_mu(self) -> int:
-        return self._top.t_current
+        return self._now
 
     def delay_mu(self, d: int) -> None:
         if type(d) is not int:
             raise TypeError(f"delay_mu: machine units must be int, got {d!r}")
-        top = self._top
-        if top.kind is ContextKind.SEQUENTIAL:
-            # Check both sums before moving either, so an overflow changes nothing.
-            t_current = _checked_mu(top.t_current + d, "delay_mu")
-            top.t_duration = _checked_mu(top.t_duration + d, "delay_mu")
-            top.t_current = t_current
-        else:
+        frames = self._frames
+        if frames and frames[-1][1] is not None:
             # Parallel: the cursor stays put, only the longest delay is kept.
-            if d > top.t_duration:
-                top.t_duration = _checked_mu(d, "delay_mu")
+            if d > frames[-1][1]:
+                frames[-1][1] = _checked_mu(d, "delay_mu")
+            return
+        now = _checked_mu(self._now + d, "delay_mu")
+        if frames:  # an open sequential frame: its duration must fit too
+            _checked_mu(now - frames[-1][0], "delay_mu")
+        self._now = now
 
     def delay(self, d_seconds: float) -> None:
         self.delay_mu(seconds_to_mu(d_seconds, self.config.ref_period_s))
@@ -176,24 +160,23 @@ class TimeManager:
     def at_mu(self, t_new: int) -> None:
         if type(t_new) is not int:
             raise TypeError(f"at_mu: machine units must be int, got {t_new!r}")
-        top = self._top
-        if top.kind is ContextKind.SEQUENTIAL:
-            self.delay_mu(_checked_mu(t_new - top.t_current, "at_mu"))
-        else:
-            self.delay_mu(_checked_mu(t_new - top.t_start, "at_mu"))
+        # In a parallel frame the cursor is the frame start, so one rule serves both kinds.
+        self.delay_mu(_checked_mu(t_new - self._now, "at_mu"))
 
     def push_context(self, kind: ContextKind) -> None:
-        self._stack.append(SimulationContext(kind, self._top.t_current))
+        self._frames.append([self._now, None if kind is ContextKind.SEQUENTIAL else 0])
 
     def pop_context(self) -> None:
-        if len(self._stack) == 1:
+        if not self._frames:
             raise ContextStackError("the root sequential context cannot be popped")
-        frame = self._stack.pop()
-        self.delay_mu(frame.t_duration)
+        start, longest = self._frames.pop()
+        duration = self._now - start if longest is None else longest
+        self._now = start
+        self.delay_mu(duration)
 
     def horizon(self) -> int:
         """Largest of the cursor and all recorded event timestamps."""
-        h = self._top.t_current
+        h = self._now
         ev = self._event_max()
         if ev is not None and ev > h:
             h = ev
@@ -202,14 +185,19 @@ class TimeManager:
     def sync_to_counter(self) -> int:
         """Move the cursor to the horizon, then insert the configured slack.
 
-        Returns the new cursor position. In a parallel context the two steps
-        follow the usual at_mu/delay_mu conversion rules, so the cursor
-        itself does not move until the context exits.
+        Returns the new cursor position. This is ``at_mu(horizon())`` followed
+        by ``delay_mu(sync_slack_mu)``, taken as one delay: in a sequential
+        frame the cursor moves once, to horizon + slack, so a sync that
+        overflows changes nothing. In a parallel frame the jump and the slack
+        are two candidates for the longest delay, and the cursor itself does
+        not move until the frame exits.
         """
-        self.at_mu(self.horizon())
-        self.delay_mu(self.config.sync_slack_mu)
+        jump = _checked_mu(self.horizon() - self._now, "at_mu")
+        slack = self.config.sync_slack_mu
+        parallel = self._frames and self._frames[-1][1] is not None
+        self.delay_mu(max(jump, slack) if parallel else jump + slack)
         self.sync_count += 1
-        cursor = self.now_mu()
+        cursor = self._now
         if self.first_sync_cursor is None:
             self.first_sync_cursor = cursor
         return cursor

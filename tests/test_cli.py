@@ -43,6 +43,28 @@ class TestRun:
         assert run_cli("run", "demo", "--ddb", "/does/not/exist.json") == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("device, param, value", [
+        ("in0", "sample_delay_mu", -5),
+        ("counter0", "counter_mode", "bogus"),
+        ("adc0", "channels", 0),
+        ("dds0", "set_delay_mu", True),
+        ("adc9", "channels", 0),  # an extra device the demo body never asks for
+    ])
+    def test_bad_ddb_param_exits_2(self, tmp_path, capsys, device, param, value):
+        from rtsim.experiments import demo_ddb_path
+
+        data = json.loads(demo_ddb_path().read_text(encoding="utf-8"))
+        if device == "adc9":
+            data["devices"].append({"name": device, "kind": "adc"})
+        entry = next(d for d in data["devices"] if d["name"] == device)
+        entry.setdefault("params", {})[param] = value
+        ddb = tmp_path / "bad.json"
+        ddb.write_text(json.dumps(data))
+        assert run_cli("run", "demo", "--ddb", str(ddb)) == 2
+        captured = capsys.readouterr()
+        assert f"device {device!r}: {param} must be" in captured.err
+        assert captured.out == ""  # refused before the experiment starts
+
     def test_exports_written(self, tmp_path, capsys):
         vcd = tmp_path / "demo.vcd"
         jsonl = tmp_path / "demo.jsonl"

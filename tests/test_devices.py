@@ -6,6 +6,7 @@ from rtsim import (
     UNKNOWN,
     BufferEmpty,
     DeviceDb,
+    DeviceDbError,
     DeviceError,
     Experiment,
     InputBuffer,
@@ -61,20 +62,19 @@ class TestDescriptor:
             DeviceDescriptor("x", "ttl_out", {"bogus": 1})
 
     def test_param_defaults(self):
-        desc = DeviceDescriptor("d", "dds")
-        assert desc.param("init_delay_mu") == 125_000
-        assert desc.param("set_delay_mu") == 0
+        assert DeviceDescriptor("d", "dds").params == {"init_delay_mu": 125_000, "set_delay_mu": 0}
+        given = {"set_delay_mu": 8}
+        assert DeviceDescriptor("d", "dds", given).params == {"init_delay_mu": 125_000, "set_delay_mu": 8}
+        assert given == {"set_delay_mu": 8}
 
-    def test_negative_delay_param_rejected(self, make_run):
-        ddb = DeviceDb.from_dict(
-            {"devices": [
-                {"name": "core", "kind": "core"},
-                {"name": "d", "kind": "dds", "params": {"set_delay_mu": -1}},
-            ]}
-        )
-        run = make_run(ddb=ddb)
-        with pytest.raises(DeviceError, match="set_delay_mu"):
-            run.get_device("d")
+    def test_negative_delay_param_rejected(self):
+        with pytest.raises(DeviceDbError, match=r"devices\[1\]: device 'd': set_delay_mu must be a non-negative integer$"):
+            DeviceDb.from_dict(
+                {"devices": [
+                    {"name": "core", "kind": "core"},
+                    {"name": "d", "kind": "dds", "params": {"set_delay_mu": -1}},
+                ]}
+            )
 
 
 class TestCore:
@@ -254,10 +254,12 @@ class TestEdgeCounter:
         dev.gate_rising(1_000_000)
         assert dev.fetch_count() == POISSON_SEED_7_COUNTER0_MEAN1
 
-    def test_bad_counter_mode_rejected(self, make_run):
-        run = make_run(ddb=counter_ddb("gaussian"))
-        with pytest.raises(DeviceError, match="counter_mode"):
-            run.get_device("counter0")
+    def test_bad_counter_mode_rejected(self):
+        with pytest.raises(
+            DeviceDbError,
+            match=r"devices\[1\]: device 'counter0': counter_mode must be 'deterministic' or 'poisson', got 'gaussian'$",
+        ):
+            counter_ddb("gaussian")
 
     def test_negative_frequency_rejected(self, make_run):
         run = make_run()

@@ -1,4 +1,7 @@
+import gc
 import json
+import re
+import weakref
 
 import pytest
 
@@ -62,6 +65,13 @@ class TestLoadDdb:
         with pytest.raises(DeviceDbError, match="not valid JSON"):
             load_ddb(path)
 
+    def test_int_past_digit_limit_is_invalid_json(self, tmp_path):
+        # json raises a bare ValueError for an int of more than 4 300 digits.
+        path = tmp_path / "big.json"
+        path.write_text('{"devices": [' + "1" * 5000 + "]}")
+        with pytest.raises(DeviceDbError, match="not valid JSON"):
+            load_ddb(path)
+
     def test_missing_field(self, tmp_path):
         data = {"devices": [{"name": "core"}]}
         with pytest.raises(DeviceDbError, match=r"devices\[0\].*'kind'"):
@@ -72,6 +82,25 @@ class TestLoadDdb:
         data = {"devices": [{"name": "core", "kind": "core"}, {"name": name, "kind": "ttl_out"}]}
         with pytest.raises(DeviceDbError, match=r"devices\[1\].*device name"):
             DeviceDb.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "kind,params,message",
+        [
+            ("ttl_in", {"sample_delay_mu": -5}, "sample_delay_mu must be a non-negative integer"),
+            ("edge_counter", {"counter_mode": "bogus"},
+             "counter_mode must be 'deterministic' or 'poisson', got 'bogus'"),
+            ("adc", {"channels": 0}, "channels must be a positive integer"),
+            ("adc", {"channels": 2.0}, "channels must be a positive integer"),
+            ("dds", {"set_delay_mu": True}, "set_delay_mu must be a non-negative integer"),
+            ("dds", {"init_delay_mu": None}, "init_delay_mu must be a non-negative integer"),
+        ],
+    )
+    def test_bad_param_value_rejected_at_load(self, tmp_path, kind, params, message):
+        # No body ever asks for the device: the file itself is refused.
+        data = {"devices": [{"name": "core", "kind": "core"},
+                            {"name": "dev", "kind": kind, "params": params}]}
+        with pytest.raises(DeviceDbError, match=re.escape(f"devices[1]: device 'dev': {message}")):
+            load_ddb(write_ddb(tmp_path, data))
 
     def test_devices_must_be_list(self, tmp_path):
         with pytest.raises(DeviceDbError):
@@ -102,6 +131,20 @@ class TestRunExperiment:
         assert run.stats.event_count == 0
         assert run.stats.sync_count == 0
         assert run.stats.final_cursor == 0
+
+    def test_finished_run_freed_without_cyclic_gc(self, full_ddb):
+        def body(run):
+            with run.kernel("k"), run.parallel():
+                run.get_device("core").reset()
+                run.get_device("ttl0").pulse(1000)
+
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(run_experiment(Experiment("free", body), full_ddb))
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def body_reset_pulse(self, run):
         run.get_device("core").reset()

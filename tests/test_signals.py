@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsim import (
@@ -127,6 +127,31 @@ class TestValueKinds:
         sig = SignalManager().register("d", "t", SignalKind.TEXT)
         with pytest.raises(SignalKindMismatch):
             sig.push(3, 0)
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+            ),
+            max_size=70,
+        )
+    )
+    @example("\ud800")
+    @example("x" * 63 + "\udfff")
+    @example("\U0001f600" * 16)
+    def test_any_str_is_stored_or_raises_kind_mismatch(self, text):
+        sig = SignalManager().register("d", "t", SignalKind.TEXT)
+        try:
+            fits = len(text.encode("utf-8")) <= 64
+        except UnicodeEncodeError:
+            fits = False
+        if fits:
+            sig.push(text, 0)
+            assert sig.pull(0) == text
+        else:
+            with pytest.raises(SignalKindMismatch):
+                sig.push(text, 0)
+            assert len(sig) == 0
 
 
 class TestEventsIn:

@@ -1,5 +1,7 @@
+import contextlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsim import (
@@ -27,6 +29,18 @@ def manager(mode=SyncMode.REGULAR, events=None, **kwargs):
     )
 
 
+mu_values = st.integers(min_value=MU_MIN, max_value=MU_MAX)
+
+
+def pop_outcome(tm):
+    """Pop the open frame; return whether that overflowed, and the cursor after."""
+    try:
+        tm.pop_context()
+    except MachineUnitsOverflow:
+        return "overflow", tm.now_mu()
+    return "ok", tm.now_mu()
+
+
 class TestConfig:
     def test_regular_default_slack(self):
         assert SimConfig(mode=SyncMode.REGULAR).sync_slack_mu == 125_000
@@ -34,8 +48,13 @@ class TestConfig:
     def test_optimistic_default_slack(self):
         assert SimConfig(mode=SyncMode.OPTIMISTIC).sync_slack_mu == 0
 
-    def test_explicit_slack_override(self):
-        assert SimConfig(mode=SyncMode.REGULAR, sync_slack_mu=7).sync_slack_mu == 7
+    def test_slack_is_set_by_mode_only(self):
+        with pytest.raises(TypeError, match="sync_slack_mu"):
+            SimConfig(mode=SyncMode.REGULAR, sync_slack_mu=7)
+        config = SimConfig(mode=SyncMode.OPTIMISTIC)
+        with pytest.raises(AttributeError):
+            config.sync_slack_mu = 7
+        assert config.sync_slack_mu == 0
 
     def test_seed_range(self):
         for bad in (-1, 2**64, 10**5000):
@@ -115,7 +134,8 @@ class TestNowAndDelay:
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             tm.delay_mu(1)
         assert tm.now_mu() == -1
-        assert tm._top.t_duration == MU_MAX
+        tm.pop_context()  # the frame's duration is still MU_MAX
+        assert tm.now_mu() == -1
 
 
 class TestDelaySeconds:
@@ -171,10 +191,16 @@ class TestDelaySeconds:
 class TestAtMu:
     def test_sequential_jump_is_instant(self):
         tm = manager()
+        tm.delay_mu(1000)
+        tm.push_context(PAR)
+        tm.push_context(SEQ)
         tm.delay_mu(100)
-        tm.at_mu(250)
-        assert tm.now_mu() == 250
-        assert tm._top.t_duration == 250
+        tm.at_mu(1250)
+        assert tm.now_mu() == 1250
+        tm.pop_context()
+        assert tm.now_mu() == 1000  # back at the parallel frame's start
+        tm.pop_context()
+        assert tm.now_mu() == 1250  # the sequential frame lasted 250
 
     def test_sequential_duration_gains_difference(self):
         tm = manager()
@@ -197,9 +223,14 @@ class TestAtMu:
     def test_jump_to_current_position_is_noop(self):
         tm = manager()
         tm.delay_mu(77)
+        tm.push_context(PAR)
+        tm.push_context(SEQ)
+        tm.delay_mu(23)
         tm.at_mu(tm.now_mu())
-        assert tm.now_mu() == 77
-        assert tm._top.t_duration == 77
+        assert tm.now_mu() == 100
+        tm.pop_context()
+        tm.pop_context()
+        assert tm.now_mu() == 100
 
     def test_backwards_jump_reduces_propagated_duration(self):
         tm = manager()
@@ -215,9 +246,13 @@ class TestContextStack:
     def test_pushed_frame_inherits_cursor(self):
         tm = manager()
         tm.delay_mu(42)
+        tm.push_context(PAR)
         tm.push_context(SEQ)
         assert tm.now_mu() == 42
-        assert tm._top.t_duration == 0
+        tm.delay_mu(8)
+        tm.pop_context()
+        tm.pop_context()
+        assert tm.now_mu() == 50  # the frame started at 42, with nothing carried in
 
     def test_push_pop_without_delays_keeps_parent(self):
         tm = manager()
@@ -249,9 +284,9 @@ class TestContextStack:
         tm.push_context(SEQ)
         tm.delay_mu(-30)
         tm.pop_context()
-        assert tm._top.t_duration == 20  # max(20, -30)
+        assert tm.now_mu() == 0  # the parallel frame's start
         tm.pop_context()
-        assert tm.now_mu() == 20
+        assert tm.now_mu() == 20  # max(20, -30)
 
     def test_pop_empty_frame_keeps_parent(self):
         tm = manager()
@@ -261,8 +296,22 @@ class TestContextStack:
         assert tm.now_mu() == 5
 
     def test_root_cannot_be_popped(self):
-        with pytest.raises(ContextStackError):
+        with pytest.raises(ContextStackError, match="root sequential context"):
             manager().pop_context()
+
+    def test_depth_counts_open_frames_and_root(self):
+        tm = manager()
+        assert tm.depth == 1
+        tm.push_context(SEQ)
+        tm.push_context(PAR)
+        tm.push_context(SEQ)
+        assert tm.depth == 4
+        for expected in (3, 2, 1):
+            tm.pop_context()
+            assert tm.depth == expected
+        with pytest.raises(ContextStackError):
+            tm.pop_context()
+        assert tm.depth == 1
 
 
 class TestHorizonAndSync:
@@ -318,6 +367,31 @@ class TestHorizonAndSync:
         # at_mu(3000) proposes 2000, delay(125000) proposes max(2000, 125000).
         assert tm.now_mu() == 1000 + 125_000
 
+    @pytest.mark.parametrize(
+        "start,kind,event,match",
+        [
+            (None, None, MU_MAX - 10, "delay_mu"),  # horizon + slack overflows
+            # The first sync leaves the cursor at 125 000, so from there
+            # MU_MIN + 125 000 is the lowest start that at_mu can reach.
+            (MU_MIN + 125_000, SEQ, 0, "delay_mu"),  # only the frame's duration overflows
+            (MU_MIN + 125_000, SEQ, 200_000, "at_mu"),  # the jump to the horizon overflows
+            (MU_MIN + 125_000, PAR, 200_000, "at_mu"),
+        ],
+        ids=["horizon-plus-slack", "frame-duration", "jump-sequential", "jump-parallel"],
+    )
+    def test_failed_sync_changes_nothing(self, start, kind, event, match):
+        events = []
+        tm = manager(events=events)
+        if kind is not None:
+            tm.sync_to_counter()  # so sync_count and first_sync_cursor are set
+            tm.at_mu(start)
+            tm.push_context(kind)
+        events.append(event)
+        before = (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor)
+        with pytest.raises(MachineUnitsOverflow, match=match):
+            tm.sync_to_counter()
+        assert (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor) == before
+
 
 class TestProperties:
     @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=50))
@@ -366,11 +440,12 @@ class TestProperties:
         tm_b.push_context(kind)
 
         tm_a.at_mu(target)
-        ref = tm_b._top.t_current if kind is SEQ else tm_b._top.t_start
-        tm_b.delay_mu(target - ref)
+        tm_b.delay_mu(target - tm_b.now_mu())  # a parallel frame's cursor is its start
 
-        assert tm_a._top.t_current == tm_b._top.t_current
-        assert tm_a._top.t_duration == tm_b._top.t_duration
+        assert tm_a.now_mu() == tm_b.now_mu()
+        tm_a.pop_context()
+        tm_b.pop_context()
+        assert tm_a.now_mu() == tm_b.now_mu()
 
     @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=60))
     def test_horizon_monotone_for_non_negative_delays(self, delays):
@@ -405,15 +480,59 @@ class TestProperties:
         syncs = sum(1 for item in program if item[0] == "sync")
         assert cursors[SyncMode.REGULAR] - cursors[SyncMode.OPTIMISTIC] == 125_000 * syncs
 
+    @given(
+        start=mu_values,
+        kind=st.sampled_from([None, SEQ, PAR]),
+        inside=mu_values,
+        op=st.sampled_from(["delay_mu", "at_mu"]),
+        value=st.one_of(mu_values, st.integers(min_value=-(2**66), max_value=2**66)),
+    )
+    @example(start=MU_MIN, kind=SEQ, inside=MU_MAX, op="delay_mu", value=1)
+    @example(start=MU_MIN, kind=SEQ, inside=MU_MAX, op="at_mu", value=0)
+    @example(start=MU_MIN, kind=PAR, inside=0, op="at_mu", value=0)
+    @example(start=MU_MAX, kind=None, inside=0, op="delay_mu", value=1)
+    @example(start=0, kind=PAR, inside=0, op="delay_mu", value=2**63)
+    def test_raising_op_changes_nothing(self, start, kind, inside, op, value):
+        def build():
+            tm = manager()
+            tm.at_mu(start)
+            if kind is not None:
+                tm.push_context(kind)
+            with contextlib.suppress(MachineUnitsOverflow):
+                tm.delay_mu(inside)
+            return tm
+
+        tm, ref = build(), build()
+        try:
+            getattr(tm, op)(value)
+        except MachineUnitsOverflow:
+            pass
+        else:
+            return
+        assert (tm.now_mu(), tm.depth) == (ref.now_mu(), ref.depth)
+        # The open frame is unchanged too: leaving it gives the same outcome.
+        if kind is not None:
+            assert pop_outcome(tm) == pop_outcome(ref)
+
     def test_sequential_invariant_holds_under_mixed_ops(self):
-        tm = manager()
-        for op, arg in [("d", 10), ("d", -4), ("a", 100), ("d", 7), ("a", 3)]:
-            if op == "d":
-                tm.delay_mu(arg)
-            else:
-                tm.at_mu(arg)
-            top = tm._top
-            assert top.t_current - top.t_start == top.t_duration
+        # After each prefix of ops, a sequential frame inside a parallel one
+        # lasts exactly cursor - start: popping both lands on the cursor.
+        ops = [("d", 10), ("d", -4), ("a", 100), ("d", 7), ("a", 3)]
+        for n in range(1, len(ops) + 1):
+            tm = manager()
+            tm.delay_mu(5)
+            tm.push_context(PAR)
+            tm.push_context(SEQ)
+            for op, arg in ops[:n]:
+                if op == "d":
+                    tm.delay_mu(arg)
+                else:
+                    tm.at_mu(arg)
+            cursor = tm.now_mu()
+            tm.pop_context()
+            assert tm.now_mu() == 5
+            tm.pop_context()
+            assert tm.now_mu() == max(5, cursor)
 
 
 non_int = st.one_of(st.floats(allow_nan=True), st.booleans())
@@ -428,11 +547,6 @@ class TestIntegerUnits:
         for op in (tm.delay_mu, tm.at_mu):
             with pytest.raises(TypeError, match="must be int"):
                 op(bad)
-        assert (tm._top.t_current, tm._top.t_duration) == (7, 0)
+        assert (tm.now_mu(), tm.depth) == (7, 2)
         tm.pop_context()
         assert tm.now_mu() == 7
-
-    @given(bad=non_int, mode=st.sampled_from(list(SyncMode)))
-    def test_non_int_slack_rejected(self, bad, mode):
-        with pytest.raises(TypeError, match="sync_slack_mu"):
-            SimConfig(mode=mode, sync_slack_mu=bad)
