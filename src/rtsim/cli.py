@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from itertools import zip_longest
 from typing import Optional
@@ -18,6 +19,7 @@ from .timeline import SimConfig, SyncMode
 from .trace import export_jsonl, export_vcd, read_jsonl
 
 
+@functools.cache  # built once, on first use: each parser is a web of cycles only the GC frees
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtsim",
@@ -44,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--pulses", type=int, default=3, help="TTL pulses per sample")
     p_scan.add_argument("--dds-sets", type=int, default=1, help="DDS writes per sample")
     p_scan.add_argument("--pulse-mu", type=int, default=1000)
-    p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--csv", default=None, help="write result rows to this CSV file")
     p_scan.add_argument("--ref-csv", default=None,
                         help="CSV with columns scenario,t_ref_mu (hardware reference "
@@ -57,6 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="divergent records to print; the verdict always compares all")
 
     return parser
+
+
+def _bad_input(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _print_summary(run) -> None:
@@ -75,45 +81,40 @@ def _cmd_run(args) -> int:
     try:
         exp = experiments.get_experiment(args.experiment)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        return _bad_input(exc.args[0])
     try:
         ddb = load_ddb(args.ddb) if args.ddb else experiments.load_demo_ddb()
-    except DeviceDbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        config = SimConfig(mode=SyncMode(args.config), seed=args.seed)
+    except (DeviceDbError, ValueError) as exc:  # a bad DDB, or a --seed outside unsigned 64 bits
+        return _bad_input(exc)
     print(f"experiment:      {exp.name}")
     try:
-        run = run_experiment(exp, ddb, SimConfig(mode=SyncMode(args.config), seed=args.seed))
+        run = run_experiment(exp, ddb, config)
     except ExperimentRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _print_summary(exc.run)
         return 1
-    except ValueError as exc:  # a seed from --seed or RTSIM_SEED; body errors are wrapped above
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     _print_summary(run)
-    if args.vcd:
-        export_vcd(run, args.vcd)
-        print(f"wrote VCD:       {args.vcd}")
-    if args.jsonl:
-        export_jsonl(run, args.jsonl)
-        print(f"wrote JSONL:     {args.jsonl}")
+    try:
+        if args.vcd:
+            export_vcd(run, args.vcd)
+            print(f"wrote VCD:       {args.vcd}")
+        if args.jsonl:
+            export_jsonl(run, args.jsonl)
+            print(f"wrote JSONL:     {args.jsonl}")
+    except OSError as exc:  # e.g. an output path in a missing directory
+        return _bad_input(exc)
     return 0
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def _read_reference_mu(path: str, scenario_name: str) -> int:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             if row.get("scenario") == scenario_name:
-                return int(row["t_ref_mu"])
+                raw = (row.get("t_ref_mu") or "").strip()
+                if not raw.isdecimal() or int(raw) < 1:
+                    raise ValueError(f"{path}: t_ref_mu of {scenario_name!r} must be a positive int")
+                return int(raw)
     raise KeyError(f"no t_ref_mu row for scenario {scenario_name!r} in {path}")
 
 
@@ -130,11 +131,9 @@ def _cmd_bench_scan(args) -> int:
             buffered=args.buffered,
         )
         t_ref_mu = _read_reference_mu(args.ref_csv, scenario.name) if args.ref_csv else None
-        # Body errors are wrapped in ExperimentRunError, so a ValueError here is a bad seed.
-        report = bench.run_scenario_both(scenario, seed=args.seed)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(exc)
+    report = bench.run_scenario_both(scenario)
     rows = bench.report_rows(report, t_ref_mu=t_ref_mu)
     for row in rows:
         print("  ".join(f"{k}={v}" for k, v in row.items()))
@@ -142,7 +141,13 @@ def _cmd_bench_scan(args) -> int:
     print(f"regular - optimistic length: {delta} MU "
           f"({report.sync_count} syncs, slack applies to {report.sync_count - 1} in-window)")
     if args.csv:
-        _write_csv(args.csv, rows)
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        except OSError as exc:
+            return _bad_input(exc)
         print(f"wrote CSV: {args.csv}")
     return 0
 
@@ -161,14 +166,12 @@ def _summary_deltas(sa: Optional[dict], sb: Optional[dict]) -> list[str]:
 
 def _cmd_diff(args) -> int:
     if args.max_diffs < 0:
-        print(f"error: --max-diffs must be >= 0, got {args.max_diffs}", file=sys.stderr)
-        return 2
+        return _bad_input(f"--max-diffs must be >= 0, got {args.max_diffs}")
     try:
         recs_a, sum_a = read_jsonl(args.a)
         recs_b, sum_b = read_jsonl(args.b)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(exc)
 
     # The verdict comes from every record; --max-diffs limits only the printout.
     divergences = [

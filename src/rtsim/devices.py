@@ -10,12 +10,13 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
+import math
 import sys
 from dataclasses import dataclass, field
 
 from .rng import RngPool
 from .signals import UNKNOWN, SignalKind, SignalManager
-from .timeline import TimeManager, round_half_away_from_zero, short_repr
+from .timeline import REF_PERIOD_S, MachineUnitsOverflow, TimeManager, round_half_away_from_zero, short_repr
 
 
 class DeviceError(Exception):
@@ -59,9 +60,9 @@ class DeviceDescriptor:
             raise DeviceError(
                 f"device name must be a non-empty string without whitespace, got {self.name!r}"
             )
-        if self.kind not in DRIVER_CLASSES:
+        if type(self.kind) is not str or self.kind not in DRIVER_CLASSES:
             raise DeviceError(
-                f"device {self.name!r}: unknown kind {self.kind!r}; "
+                f"device {self.name!r}: unknown kind {short_repr(self.kind)}; "
                 f"allowed kinds: {', '.join(DRIVER_CLASSES)}"
             )
         allowed = DRIVER_CLASSES[self.kind].PARAMS
@@ -211,11 +212,17 @@ class EdgeCounter(SimDevice):
             raise InputUnset(f"{self.name}: input frequency is unset at t={t_open}")
         if f < 0:
             raise DeviceError(f"{self.name}: negative input frequency {f}")
+        try:  # the mean is checked before the cursor moves, so a bad one leaves no edge behind
+            mean = f * duration_mu * REF_PERIOD_S
+        except OverflowError:  # a duration past the float range is past the 64-bit range too
+            raise MachineUnitsOverflow(
+                f"gate_rising_mu: {short_repr(duration_mu)} MU exceeds signed 64-bit machine units") from None
+        if not math.isfinite(mean):
+            raise DeviceError(f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite")
         self._time.delay_mu(duration_mu)
         t_close = self._time.now_mu()
         self.gate.push(True, t_open)
         self.gate.push(False, t_close)
-        mean = f * duration_mu * self._time.config.ref_period_s
         if self.mode == "deterministic":
             count = round_half_away_from_zero(mean)
         else:

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .devices import DeviceDescriptor, DeviceError, SimDevice, make_driver
 from .rng import RngPool
 from .signals import SignalManager
 from .timeline import ContextKind, SimConfig, TimeManager
-
-SEED_ENV_VAR = "RTSIM_SEED"
 
 
 class DeviceDbError(Exception):
@@ -73,6 +70,10 @@ class DeviceDb:
                 kind = entry["kind"]
             except KeyError as exc:
                 raise DeviceDbError(f"devices[{i}]: missing required field {exc.args[0]!r}") from None
+            extra = [key for key in entry if key not in ("name", "kind", "params")]
+            if extra:
+                raise DeviceDbError(f"devices[{i}]: device {name!r}: unknown field {extra[0]!r}; "
+                                    "allowed: name, kind, params")
             params = entry.get("params", {})
             if not isinstance(params, dict):
                 raise DeviceDbError(f"devices[{i}] ({name!r}): params must be an object")
@@ -166,20 +167,18 @@ class SimulationRun:
         self.time.at_mu(t)
 
     @contextlib.contextmanager
-    def sequential(self):
-        self.time.push_context(ContextKind.SEQUENTIAL)
+    def _frame(self, kind: ContextKind):
+        self.time.push_context(kind)
         try:
             yield
         finally:
             self.time.pop_context()
 
-    @contextlib.contextmanager
+    def sequential(self):
+        return self._frame(ContextKind.SEQUENTIAL)
+
     def parallel(self):
-        self.time.push_context(ContextKind.PARALLEL)
-        try:
-            yield
-        finally:
-            self.time.pop_context()
+        return self._frame(ContextKind.PARALLEL)
 
     @contextlib.contextmanager
     def kernel(self, name: str):
@@ -198,26 +197,13 @@ class SimulationRun:
         )
 
 
-def _apply_seed_override(config: SimConfig) -> SimConfig:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return config
-    try:
-        return replace(config, seed=int(raw, 10))
-    except ValueError:
-        raise ValueError(
-            f"{SEED_ENV_VAR} must be an unsigned 64-bit decimal integer, got {raw!r}"
-        ) from None
-
-
 def run_experiment(exp: Experiment, ddb: DeviceDb, config: Optional[SimConfig] = None) -> SimulationRun:
     """Execute an experiment body inside a fresh simulation instance.
 
     A failing body raises ExperimentRunError carrying the partial run, whose
     timeline remains readable for post-mortem assertions.
     """
-    config = _apply_seed_override(config if config is not None else SimConfig())
-    run = SimulationRun(ddb, config)
+    run = SimulationRun(ddb, config if config is not None else SimConfig())
     t0 = _time.perf_counter_ns()
     try:
         exp.body(run)

@@ -70,9 +70,9 @@ class Xoshiro256StarStar:
         return 1 if self.random() < p else 0
 
     def poisson(self, mean: float) -> int:
-        """Poisson draw via summed exponential arrivals (exact for any mean >= 0)."""
-        if mean < 0:
-            raise ValueError(f"poisson mean must be non-negative: {mean}")
+        """Poisson draw via summed exponential arrivals (exact for any finite mean >= 0)."""
+        if not 0 <= mean < math.inf:  # a nan or infinite mean would never end the loop
+            raise ValueError(f"poisson mean must be finite and non-negative: {mean}")
         if mean == 0:
             return 0
         count = 0

@@ -97,8 +97,8 @@ def assert_events(run: SimulationRun, device: str, signal: str, expected: list) 
             )
     if len(expected) != len(actual):
         i = min(len(expected), len(actual))
-        t = actual[i][0] if i < len(actual) else (expected[i][0] if i < len(expected) else None)
-        before, after = (_nearest_events(sig, t) if t is not None else (None, None))
+        t = (actual if i < len(actual) else expected)[i][0]  # the lengths differ, so one has index i
+        before, after = _nearest_events(sig, t)
         return CheckReport(
             False, device, signal, t,
             f"{len(expected)} events", f"{len(actual)} events", before, after,

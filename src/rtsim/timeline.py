@@ -1,7 +1,7 @@
 """Timeline cursor simulation.
 
-The cursor is one signed 64-bit int in machine units (MU); 1 MU corresponds
-to 1 ns at the default reference period. Timing frames nest above a root
+The cursor is one signed 64-bit int in machine units (MU) of the fixed
+hardware reference period, 1 MU = 1 ns. Timing frames nest above a root
 sequential frame. A sequential frame adds its delays to the cursor and keeps
 only its start; a parallel frame leaves the cursor at its start, keeps the
 longest delay seen in it, and advances its parent by that delay on exit.
@@ -16,6 +16,9 @@ from typing import Callable, Optional
 
 MU_MIN = -(2**63)
 MU_MAX = 2**63 - 1
+
+# Seconds per machine unit. Fixed, so every trace and export reads 1 MU as 1 ns.
+REF_PERIOD_S = 1e-9
 
 REGULAR_SYNC_SLACK_MU = 125_000
 
@@ -50,7 +53,7 @@ def round_half_away_from_zero(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def seconds_to_mu(seconds: float, ref_period_s: float) -> int:
+def seconds_to_mu(seconds: float) -> int:
     """Convert a time in seconds to machine units.
 
     Uses round-half-away-from-zero so that symmetric positive and negative
@@ -59,7 +62,7 @@ def seconds_to_mu(seconds: float, ref_period_s: float) -> int:
     try:
         if not math.isfinite(seconds):
             raise ValueError(f"non-finite time cannot be converted: {seconds!r}")
-        mu = round_half_away_from_zero(seconds / ref_period_s)
+        mu = round_half_away_from_zero(seconds / REF_PERIOD_S)
     except OverflowError:  # an int too large for a float, or infinite once scaled
         raise MachineUnitsOverflow(
             f"seconds_to_mu: {short_repr(seconds)} s exceeds signed 64-bit machine units"
@@ -67,8 +70,8 @@ def seconds_to_mu(seconds: float, ref_period_s: float) -> int:
     return _checked_mu(mu, "seconds_to_mu")
 
 
-def mu_to_seconds(mu: int, ref_period_s: float) -> float:
-    return mu * ref_period_s
+def mu_to_seconds(mu: int) -> float:
+    return mu * REF_PERIOD_S
 
 
 class SyncMode(enum.Enum):
@@ -83,7 +86,6 @@ class SimConfig:
     """Synchronization configuration of one simulation instance."""
 
     mode: SyncMode = SyncMode.REGULAR
-    ref_period_s: float = 1e-9
     seed: int = 0
 
     @property
@@ -92,8 +94,6 @@ class SimConfig:
         return REGULAR_SYNC_SLACK_MU if self.mode is SyncMode.REGULAR else 0
 
     def __post_init__(self):
-        if not 0 < self.ref_period_s < math.inf:
-            raise ValueError(f"ref_period_s must be positive and finite: {self.ref_period_s}")
         if type(self.seed) is not int:
             raise TypeError(f"seed must be int, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
@@ -155,7 +155,7 @@ class TimeManager:
         self._now = now
 
     def delay(self, d_seconds: float) -> None:
-        self.delay_mu(seconds_to_mu(d_seconds, self.config.ref_period_s))
+        self.delay_mu(seconds_to_mu(d_seconds))
 
     def at_mu(self, t_new: int) -> None:
         if type(t_new) is not int:

@@ -7,13 +7,16 @@ clamped into the VCD initial-values block; the JSONL dump keeps them as-is.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from itertools import repeat
 from typing import Callable
 from json.encoder import encode_basestring_ascii
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalKind
+from .timeline import REF_PERIOD_S
 
 _VCD_ID_BASE = 94
 _VCD_ID_FIRST = 33  # '!'
@@ -24,6 +27,22 @@ _VAR_DECLS = {
     SignalKind.REAL: ("real", 64),
     SignalKind.TEXT: ("string", 1),
 }
+
+
+@contextlib.contextmanager
+def _overwrite(path):
+    """Write text over path in place, then cut off what is left of a longer old file.
+
+    Mode "w" truncates to zero first, and ext4 flushes a file rewritten that
+    way on close, so each export waited on the disk.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            yield fh
+        finally:  # also after an error, as mode "w" would leave no old tail either
+            if fh.seekable() and fh.tell() < os.fstat(fd).st_size:
+                fh.truncate()
 
 
 def _vcd_id(index: int) -> str:
@@ -116,7 +135,7 @@ def export_vcd(run: SimulationRun, path) -> None:
                 lines.append(f"#{current_time}")
             lines.append(render[sig](value))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -129,7 +148,7 @@ def _summary_of(run: SimulationRun) -> dict:
         "config": {
             "mode": run.config.mode.value,
             "sync_slack_mu": run.config.sync_slack_mu,
-            "ref_period_s": run.config.ref_period_s,
+            "ref_period_s": REF_PERIOD_S,
             "seed": run.config.seed,
         },
     }
@@ -162,12 +181,11 @@ def export_jsonl(run: SimulationRun, path) -> None:
         )
         for sig in run.signals
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(path) as fh:
         for time_mu, _, sig, value in records_of(run):
             part, render = parts[sig]
             fh.write(f'{{"time_mu": {time_mu}{part}{render(value)}}}\n')
-        fh.write(json.dumps({"summary": _summary_of(run)}))
-        fh.write("\n")
+        fh.write(json.dumps({"summary": _summary_of(run)}) + "\n")
 
 
 _DECODER = json.JSONDecoder()

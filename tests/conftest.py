@@ -29,8 +29,7 @@ def full_ddb() -> DeviceDb:
 def make_run(full_ddb):
     """Factory for bare simulation instances (no experiment wrapper)."""
 
-    def factory(mode=SyncMode.REGULAR, seed=0, ddb=None, **config_kwargs) -> SimulationRun:
-        config = SimConfig(mode=mode, seed=seed, **config_kwargs)
-        return SimulationRun(ddb if ddb is not None else full_ddb, config)
+    def factory(mode=SyncMode.REGULAR, seed=0, ddb=None) -> SimulationRun:
+        return SimulationRun(ddb if ddb is not None else full_ddb, SimConfig(mode=mode, seed=seed))
 
     return factory

@@ -267,7 +267,7 @@ def test_criterion_8_speedup_direction():
     reports = {name: run_scenario_both(PRESETS[name]) for name in ("delay_dominated", "event_dominated")}
 
     def proxy(name, mode):
-        return speedup_proxy(reports[name].results[mode], reports[name].ref_period_s)
+        return speedup_proxy(reports[name].results[mode])
 
     ratios = {}
     for mode in SyncMode:

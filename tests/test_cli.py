@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -17,10 +18,10 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def child_env(**extra):
-    """The current environment with the repo's src on PYTHONPATH, plus ``extra``."""
+def child_env():
+    """The current environment with the repo's src on PYTHONPATH."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path, **extra}
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestRun:
@@ -49,6 +50,8 @@ class TestRun:
         ("adc0", "channels", 0),
         ("dds0", "set_delay_mu", True),
         ("adc9", "channels", 0),  # an extra device the demo body never asks for
+        ("ttl0", "kind", ["ttl_out"]),  # an entry field, not a param
+        ("adc0", "prams", {"channels": 2}),  # a misspelt entry field
     ])
     def test_bad_ddb_param_exits_2(self, tmp_path, capsys, device, param, value):
         from rtsim.experiments import demo_ddb_path
@@ -57,12 +60,16 @@ class TestRun:
         if device == "adc9":
             data["devices"].append({"name": device, "kind": "adc"})
         entry = next(d for d in data["devices"] if d["name"] == device)
-        entry.setdefault("params", {})[param] = value
+        if param in ("kind", "prams"):
+            entry[param] = value
+        else:
+            entry.setdefault("params", {})[param] = value
         ddb = tmp_path / "bad.json"
         ddb.write_text(json.dumps(data))
         assert run_cli("run", "demo", "--ddb", str(ddb)) == 2
         captured = capsys.readouterr()
-        assert f"device {device!r}: {param} must be" in captured.err
+        expected = {"kind": "unknown kind", "prams": "unknown field 'prams'"}.get(param, f"{param} must be")
+        assert f"device {device!r}: {expected}" in captured.err
         assert captured.out == ""  # refused before the experiment starts
 
     def test_exports_written(self, tmp_path, capsys):
@@ -81,26 +88,43 @@ class TestRun:
         assert "error" in captured.err
 
 
-@pytest.mark.parametrize("argv, seed_env", [
+BENCH_1 = ["bench", "scan", "--points", "1", "--samples", "1"]
+
+
+# Cases keep their places in the list, so each keeps its test id.
+@pytest.mark.parametrize("argv, ref_row", [
     (["run", "demo", "--seed", "-1"], None),
-    (["run", "demo"], "abc"),
+    (["run", "demo", "--vcd", "missing/demo.vcd"], None),
     (["bench", "scan", "--points", "0"], None),
     (["bench", "scan", "--samples", "0"], None),
     (["bench", "scan", "--pulse-mu", "0"], None),
     (["bench", "scan", "--delay-mu", "-1"], None),
-    (["bench", "scan", "--points", "1", "--samples", "1", "--seed", "-1"], None),
-    (["bench", "scan", "--points", "1", "--samples", "1"], "abc"),
-    (["bench", "scan", "--points", "1", "--samples", "1", "--pulses", "-1"], None),
-    (["bench", "scan", "--points", "1", "--samples", "1", "--dds-sets", "-1"], None),
+    (BENCH_1, "scan,0"),
+    (BENCH_1, "scan"),  # no t_ref_mu cell at all
+    (BENCH_1 + ["--pulses", "-1"], None),
+    (BENCH_1 + ["--dds-sets", "-1"], None),
+    (["run", "demo", "--jsonl", "missing/demo.jsonl"], None),
+    (BENCH_1 + ["--csv", "missing/scan.csv"], None),
+    (BENCH_1, "scan,-5"),
 ])
-def test_bad_inputs_exit_2(argv, seed_env, monkeypatch, capsys):
-    if seed_env is not None:
-        monkeypatch.setenv("RTSIM_SEED", seed_env)
+def test_bad_inputs_exit_2(argv, ref_row, tmp_path, monkeypatch, capsys):
+    """``ref_row``, if given, is the ``scan`` row of a ``--ref-csv`` table passed to the command."""
+    monkeypatch.chdir(tmp_path)  # so "missing/" names a directory that does not exist
+    if ref_row is not None:
+        Path("ref.csv").write_text(f"scenario,t_ref_mu\n{ref_row}\n")
+        argv = [*argv, "--ref-csv", "ref.csv"]
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBench:
+    def test_scan_has_no_seed_option(self, capsys):
+        # A scan samples no input, so no seed could change its rows.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "scan", "--seed", "1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_scan_emits_both_configs_and_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "scan.csv"
         assert run_cli(
@@ -203,10 +227,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "final cursor:    1126900" in proc.stdout
 
-    def test_seed_env_override(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "rtsim", "run", "demo"],
-            capture_output=True, text=True, env=child_env(RTSIM_SEED="321"),
-        )
-        assert proc.returncode == 0
-        assert "seed 321" in proc.stdout
+    def test_run_and_diff_leave_no_cyclic_garbage(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden" / "demo.jsonl"
+        dump = tmp_path / "demo.jsonl"
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(["run", "demo", "--jsonl", str(dump)]) == 0
+            assert main(["diff", str(dump), str(golden)]) == 0
+            gc.collect()
+            assert len(gc.garbage) == 0
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()

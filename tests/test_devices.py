@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from rtsim import (
     run_experiment,
 )
 from rtsim.devices import DeviceDescriptor
+from rtsim.rng import Xoshiro256StarStar
 from rtsim.timeline import MU_MAX
 
 from conftest import FULL_DDB
@@ -213,6 +217,20 @@ class TestTtlIn:
             dev.fetch_sample()
 
 
+@pytest.fixture
+def draw_limit(monkeypatch):
+    """Make a runaway Poisson loop fail after 10**5 draws instead of hanging."""
+    draw = Xoshiro256StarStar.random
+    count = itertools.count()
+
+    def limited(self):
+        if next(count) > 100_000:
+            raise RuntimeError("more than 10**5 draws")
+        return draw(self)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "random", limited)
+
+
 def counter_ddb(mode):
     return DeviceDb.from_dict(
         {"devices": [
@@ -253,6 +271,31 @@ class TestEdgeCounter:
         dev.freq.push(1.0e3, 0)  # 1 kHz for 1 ms -> mean 1.0
         dev.gate_rising(1_000_000)
         assert dev.fetch_count() == POISSON_SEED_7_COUNTER0_MEAN1
+
+    @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
+    def test_non_finite_count_mean_rejected_before_any_push(self, make_run, draw_limit, mode):
+        run = make_run(ddb=counter_ddb(mode))
+        dev = run.get_device("counter0")
+        dev.freq.push(1e300, 0)  # 1e300 Hz for 10**12 MU: the mean overflows to inf
+        with pytest.raises(DeviceError, match="count mean .* is not finite"):
+            dev.gate_rising(10**12)
+        assert dev.gate.events() == []
+        assert len(dev.buffer) == 0
+        assert run.now_mu() == 0
+
+    def test_gate_past_float_range_overflows_before_any_push(self, make_run):
+        run = make_run()
+        dev = run.get_device("counter0")
+        dev.freq.push(0.0, 0)
+        with pytest.raises(MachineUnitsOverflow, match="gate_rising_mu"):
+            dev.gate_rising(10**400)
+        assert dev.gate.events() == []
+        assert run.now_mu() == 0
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan, -1.0])
+    def test_poisson_rejects_non_finite_or_negative_mean(self, draw_limit, mean):
+        with pytest.raises(ValueError, match="poisson mean must be finite and non-negative"):
+            Xoshiro256StarStar(7).poisson(mean)
 
     def test_bad_counter_mode_rejected(self):
         with pytest.raises(

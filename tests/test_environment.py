@@ -102,6 +102,20 @@ class TestLoadDdb:
         with pytest.raises(DeviceDbError, match=re.escape(f"devices[1]: device 'dev': {message}")):
             load_ddb(write_ddb(tmp_path, data))
 
+    @pytest.mark.parametrize("kind", [["ttl_out"], {"ttl_out": 1}, 7, None])
+    def test_kind_must_be_str(self, tmp_path, kind):
+        data = {"devices": [{"name": "core", "kind": "core"}, {"name": "x", "kind": kind}]}
+        with pytest.raises(DeviceDbError, match=r"devices\[1\].*unknown kind.*allowed kinds"):
+            load_ddb(write_ddb(tmp_path, data))
+
+    def test_unknown_entry_field_rejected(self, tmp_path):
+        # A misspelt "params" must not load the device with its default params.
+        data = {"devices": [{"name": "core", "kind": "core"},
+                            {"name": "adc0", "kind": "adc", "prams": {"channels": 2}}]}
+        with pytest.raises(DeviceDbError,
+                           match=re.escape("devices[1]: device 'adc0': unknown field 'prams'; allowed: name, kind, params")):
+            load_ddb(write_ddb(tmp_path, data))
+
     def test_devices_must_be_list(self, tmp_path):
         with pytest.raises(DeviceDbError):
             load_ddb(write_ddb(tmp_path, {"devices": {}}))
@@ -145,6 +159,19 @@ class TestRunExperiment:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_config_is_used_as_given(self, full_ddb, monkeypatch):
+        # The run takes its seed from the config alone, whatever the environment holds.
+        def body(run):
+            dev = run.get_device("in0")
+            dev.prob.push(0.5, 0)
+            run.draws = [dev.sample_get() for _ in range(8)]
+
+        given = run_experiment(Experiment("seed", body), full_ddb, SimConfig(seed=1))
+        monkeypatch.setenv("RTSIM_SEED", "12345")
+        with_env = run_experiment(Experiment("seed", body), full_ddb, SimConfig(seed=1))
+        assert with_env.config.seed == 1
+        assert with_env.draws == given.draws
 
     def body_reset_pulse(self, run):
         run.get_device("core").reset()
@@ -204,27 +231,6 @@ class TestRunExperiment:
         assert run.stats.wall_clock_ns >= 0
 
 
-class TestSeedOverride:
-    def test_env_var_overrides_config(self, full_ddb, monkeypatch):
-        def body(run):
-            dev = run.get_device("in0")
-            dev.prob.push(0.5, 0)
-            run.draws = [dev.sample_get() for _ in range(8)]
-
-        monkeypatch.setenv("RTSIM_SEED", "12345")
-        overridden = run_experiment(Experiment("seed", body), full_ddb, SimConfig(seed=1))
-        monkeypatch.delenv("RTSIM_SEED")
-        explicit = run_experiment(Experiment("seed", body), full_ddb, SimConfig(seed=12345))
-        assert overridden.draws == explicit.draws
-        assert overridden.config.seed == 12345
-
-    @pytest.mark.parametrize("bad", ["x", "-1", str(2**64)])
-    def test_invalid_env_seed_rejected(self, full_ddb, monkeypatch, bad):
-        monkeypatch.setenv("RTSIM_SEED", bad)
-        with pytest.raises(ValueError, match="RTSIM_SEED"):
-            run_experiment(Experiment("e", lambda run: None), full_ddb)
-
-
 class TestRunHandle:
     def test_context_managers_drive_the_stack(self, make_run):
         run = make_run()
@@ -245,6 +251,6 @@ class TestRunHandle:
         assert run.signals.signal("core", "kernel").events() == [(50, "flash")]
 
     def test_delay_seconds_uses_config_period(self, make_run):
-        run = make_run(ref_period_s=1e-9)
+        run = make_run()
         run.delay(2e-6)
         assert run.now_mu() == 2000

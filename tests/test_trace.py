@@ -1,10 +1,12 @@
 import json
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, SimulationRun, run_experiment, set_input
+from rtsim import trace
 from rtsim.cli import main as cli_main
 from rtsim.signals import MAX_TEXT_BYTES, UNKNOWN
 from rtsim.timeline import MU_MAX, MU_MIN
@@ -110,6 +112,45 @@ class TestVcd:
         with pytest.raises(AssertionError, match="bad \\$scope"):
             check_vcd(text)
         check_vcd(text.replace("my ttl", "my_ttl"))
+
+
+class TestOverwrite:
+    """Exports write over an existing file in place and cut off its old tail."""
+
+    @pytest.mark.parametrize("export", [export_vcd, export_jsonl])
+    @pytest.mark.parametrize("old", ["", "x\n", "x" * 20_000], ids=["empty", "shorter", "longer"])
+    def test_existing_file_ends_as_a_fresh_export(self, pulse_run, tmp_path, export, old):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        export(pulse_run, fresh)
+        reused.write_text(old)
+        export(pulse_run, reused)
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("export", [export_vcd, export_jsonl])
+    def test_device_and_pipe_are_written(self, pulse_run, tmp_path, export):
+        export(pulse_run, tmp_path / "file")
+        export(pulse_run, os.devnull)
+        r, w = os.pipe()
+        try:
+            export(pulse_run, f"/dev/fd/{w}")  # a small export fits in the pipe's buffer
+            assert os.read(r, 1 << 16) == (tmp_path / "file").read_bytes()
+        finally:
+            os.close(r)
+            os.close(w)
+
+    def test_failed_export_leaves_no_old_tail(self, pulse_run, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old\n" * 5000)
+
+        def one_record_then_fail(run):
+            yield records_of(run)[0]
+            raise RuntimeError("renderer failed")
+
+        monkeypatch.setattr(trace, "records_of", one_record_then_fail)
+        with pytest.raises(RuntimeError):
+            export_jsonl(pulse_run, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["device"] == "ttl0"
 
 
 class TestJsonl:
