@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .environment import DeviceDb, Experiment, RunStats, SimulationRun, run_experiment
-from .timeline import SimConfig, SyncMode, mu_to_seconds
+from .timeline import MU_MAX, REGULAR_SYNC_SLACK_MU, SimConfig, SyncMode, mu_to_seconds, short_repr
 
 BUFFER_BATCH = 16
 
@@ -39,6 +39,12 @@ class BenchScenario:
             raise ValueError("delay_per_sample_mu must be >= 0")
         if self.pulses_per_sample < 0 or self.dds_sets_per_sample < 0:
             raise ValueError("pulses_per_sample and dds_sets_per_sample must be >= 0")
+        # The regular run's final cursor; its timeline only grows, so this is its largest time.
+        length_mu = (self.expected_sync_count * REGULAR_SYNC_SLACK_MU + self.total_samples
+                     * (self.pulses_per_sample * self.pulse_mu + self.delay_per_sample_mu))
+        if length_mu > MU_MAX:
+            raise ValueError(f"scenario timeline of {short_repr(length_mu)} MU "
+                             "exceeds signed 64-bit machine units")
 
     @property
     def total_samples(self) -> int:

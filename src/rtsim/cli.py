@@ -131,7 +131,7 @@ def _cmd_bench_scan(args) -> int:
             buffered=args.buffered,
         )
         t_ref_mu = _read_reference_mu(args.ref_csv, scenario.name) if args.ref_csv else None
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, csv.Error) as exc:  # csv.Error: e.g. a field past the size limit
         return _bad_input(exc)
     report = bench.run_scenario_both(scenario)
     rows = bench.report_rows(report, t_ref_mu=t_ref_mu)

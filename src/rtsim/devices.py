@@ -14,9 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .rng import RngPool
-from .signals import UNKNOWN, SignalKind, SignalManager
-from .timeline import REF_PERIOD_S, MachineUnitsOverflow, TimeManager, round_half_away_from_zero, short_repr
+from . import rng
+from .signals import UNKNOWN, SignalKind
+from .timeline import REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
 
 class DeviceError(Exception):
@@ -107,11 +107,11 @@ class SimDevice:
 
     PARAMS: dict = {}
 
-    def __init__(self, desc: DeviceDescriptor, time: TimeManager, signals: SignalManager, rng: RngPool):
+    def __init__(self, desc: DeviceDescriptor, run):
+        # Keep the run's parts, never the run: the run holds its drivers, so that would be a cycle.
         self.name = desc.name
-        self._time = time
-        self._signals = signals
-        self._rng = rng.stream(desc.name)
+        self._time = run.time
+        self._signals = run.signals
 
     def _register(self, signal_name: str, kind: SignalKind, is_input: bool = False):
         return self._signals.register(self.name, signal_name, kind, is_input=is_input)
@@ -120,8 +120,8 @@ class SimDevice:
 class CoreDevice(SimDevice):
     """The core device: owns cursor synchronization and the kernel marker."""
 
-    def __init__(self, desc, time, signals, rng):
-        super().__init__(desc, time, signals, rng)
+    def __init__(self, desc, run):
+        super().__init__(desc, run)
         self.kernel_marker = self._register("kernel", SignalKind.TEXT)
 
     def reset(self) -> int:
@@ -132,8 +132,8 @@ class CoreDevice(SimDevice):
 class TtlOut(SimDevice):
     """Digital output pin with a single boolean state signal."""
 
-    def __init__(self, desc, time, signals, rng):
-        super().__init__(desc, time, signals, rng)
+    def __init__(self, desc, run):
+        super().__init__(desc, run)
         self.state = self._register("state", SignalKind.BOOL)
 
     def on(self) -> None:
@@ -160,12 +160,13 @@ class TtlIn(SimDevice):
 
     PARAMS = {"sample_delay_mu": (0, _non_negative_int)}
 
-    def __init__(self, desc, time, signals, rng):
-        super().__init__(desc, time, signals, rng)
+    def __init__(self, desc, run):
+        super().__init__(desc, run)
         self.prob = self._register("prob", SignalKind.REAL, is_input=True)
         self.sample = self._register("sample", SignalKind.INT)
         self.buffer = InputBuffer()
         self._sample_delay_mu = desc.params["sample_delay_mu"]
+        self._rng = rng.Xoshiro256StarStar(rng.substream_seed(run.config.seed, self.name))
 
     def sample_input(self) -> None:
         """Draw one Bernoulli sample at the cursor and enqueue it."""
@@ -195,12 +196,13 @@ class EdgeCounter(SimDevice):
 
     PARAMS = {"counter_mode": ("deterministic", _counter_mode)}
 
-    def __init__(self, desc, time, signals, rng):
-        super().__init__(desc, time, signals, rng)
+    def __init__(self, desc, run):
+        super().__init__(desc, run)
         self.mode = desc.params["counter_mode"]
         self.freq = self._register("freq", SignalKind.REAL, is_input=True)
         self.gate = self._register("gate", SignalKind.BOOL)
         self.buffer = InputBuffer()
+        self._rng = rng.Xoshiro256StarStar(rng.substream_seed(run.config.seed, self.name))
 
     def gate_rising_mu(self, duration_mu: int) -> int:
         """Open the gate for ``duration_mu``, enqueue the count, return the close time."""
@@ -241,8 +243,8 @@ class Dds(SimDevice):
 
     PARAMS = {"init_delay_mu": (125_000, _non_negative_int), "set_delay_mu": (0, _non_negative_int)}
 
-    def __init__(self, desc, time, signals, rng):
-        super().__init__(desc, time, signals, rng)
+    def __init__(self, desc, run):
+        super().__init__(desc, run)
         self.freq = self._register("freq", SignalKind.REAL)
         self.phase = self._register("phase", SignalKind.REAL)
         self.amp = self._register("amp", SignalKind.REAL)
@@ -274,8 +276,8 @@ class Adc(SimDevice):
 
     PARAMS = {"channels": (1, _positive_int), "sample_delay_mu": (0, _non_negative_int)}
 
-    def __init__(self, desc, time, signals, rng):
-        super().__init__(desc, time, signals, rng)
+    def __init__(self, desc, run):
+        super().__init__(desc, run)
         self.voltages = [
             self._register(f"v{i}", SignalKind.REAL, is_input=True)
             for i in range(desc.params["channels"])
@@ -312,12 +314,3 @@ DRIVER_CLASSES = {
     "dds": Dds,
     "adc": Adc,
 }
-
-
-def make_driver(
-    desc: DeviceDescriptor,
-    time: TimeManager,
-    signals: SignalManager,
-    rng: RngPool,
-) -> SimDevice:
-    return DRIVER_CLASSES[desc.kind](desc, time, signals, rng)

@@ -14,8 +14,7 @@ import time as _time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .devices import DeviceDescriptor, DeviceError, SimDevice, make_driver
-from .rng import RngPool
+from .devices import DRIVER_CLASSES, DeviceDescriptor, DeviceError, SimDevice
 from .signals import SignalManager
 from .timeline import ContextKind, SimConfig, TimeManager
 
@@ -141,7 +140,6 @@ class SimulationRun:
         # Close over the signals, not the run, so a finished run needs no cyclic GC.
         signals = self.signals = SignalManager()
         self.time = TimeManager(config, event_max=lambda: signals.max_event_time)
-        self.rng = RngPool(config.seed)
         self._drivers: dict[str, SimDevice] = {}
         self.stats: Optional[RunStats] = None
         self.error: Optional[BaseException] = None
@@ -150,7 +148,7 @@ class SimulationRun:
         """Memoized driver lookup; instantiation registers the device's signals."""
         if name not in self._drivers:
             desc = self.ddb.descriptor(name)
-            self._drivers[name] = make_driver(desc, self.time, self.signals, self.rng)
+            self._drivers[name] = DRIVER_CLASSES[desc.kind](desc, self)
         return self._drivers[name]
 
     # Cursor API pass-throughs, so experiment bodies read naturally.

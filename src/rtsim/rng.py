@@ -2,8 +2,9 @@
 
 The generator is xoshiro256** seeded through splitmix64, implemented here so
 sampled golden values never depend on a library's stream guarantees. Each
-device gets its own substream derived from (seed, device name), so adding a
-device never perturbs another device's draws.
+driver that draws (``ttl_in`` and ``edge_counter``) seeds its own substream
+from (seed, device name), so adding a device never perturbs another device's
+draws.
 """
 
 from __future__ import annotations
@@ -85,16 +86,3 @@ class Xoshiro256StarStar:
             if acc > mean:
                 return count
             count += 1
-
-
-class RngPool:
-    """Named substreams derived from one base seed."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._streams: dict[str, Xoshiro256StarStar] = {}
-
-    def stream(self, name: str) -> Xoshiro256StarStar:
-        if name not in self._streams:
-            self._streams[name] = Xoshiro256StarStar(substream_seed(self.seed, name))
-        return self._streams[name]

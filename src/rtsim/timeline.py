@@ -94,6 +94,8 @@ class SimConfig:
         return REGULAR_SYNC_SLACK_MU if self.mode is SyncMode.REGULAR else 0
 
     def __post_init__(self):
+        if type(self.mode) is not SyncMode:
+            raise TypeError(f"mode must be a SyncMode, got {short_repr(self.mode)}")
         if type(self.seed) is not int:
             raise TypeError(f"seed must be int, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:

@@ -212,6 +212,8 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
                 raise ValueError(f"expected a JSON object per line, got {line[:40]!r}")
             if "summary" in obj:
                 summary = obj["summary"]
+                if type(summary) is not dict:
+                    raise ValueError(f"summary must be a JSON object, got {line[:40]!r}")
             else:
                 records.append(obj)
     return records, summary

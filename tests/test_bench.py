@@ -9,6 +9,7 @@ from rtsim.bench import (
     speedup_proxy,
 )
 from rtsim.environment import RunStats
+from rtsim.timeline import MU_MAX
 
 
 class TestScenarioShape:
@@ -47,6 +48,15 @@ class TestScenarioShape:
             BenchScenario("s", points=1, samples_per_point=1, pulses_per_sample=-1)
         with pytest.raises(ValueError):
             BenchScenario("s", points=1, samples_per_point=1, dds_sets_per_sample=-1)
+        # Two syncs and three 1000 MU pulses leave room for this delay, and not one MU more.
+        delay_mu = MU_MAX - 2 * 125_000 - 3 * 1000
+        for buffered in (False, True):
+            at_bound = BenchScenario("s", points=1, samples_per_point=1, delay_per_sample_mu=delay_mu,
+                                     buffered=buffered)
+            assert run_scenario(at_bound, SimConfig(mode=SyncMode.REGULAR)).stats.final_cursor == MU_MAX
+            with pytest.raises(ValueError, match="exceeds signed 64-bit"):
+                BenchScenario("s", points=1, samples_per_point=1, delay_per_sample_mu=delay_mu + 1,
+                              buffered=buffered)
 
 
 class TestSyncLaw:

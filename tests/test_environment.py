@@ -147,10 +147,16 @@ class TestRunExperiment:
         assert run.stats.final_cursor == 0
 
     def test_finished_run_freed_without_cyclic_gc(self, full_ddb):
+        # Every driver kind is built, and one draws, so none may keep the run that holds it.
         def body(run):
+            for desc in full_ddb.devices:
+                run.get_device(desc.name)
             with run.kernel("k"), run.parallel():
                 run.get_device("core").reset()
                 run.get_device("ttl0").pulse(1000)
+            in0 = run.get_device("in0")
+            in0.prob.push(0.5, run.now_mu())
+            in0.sample_get()
 
         gc.collect()
         gc.disable()

@@ -58,6 +58,12 @@ class TestConfig:
             config.sync_slack_mu = 7
         assert config.sync_slack_mu == 0
 
+    def test_mode_must_be_sync_mode(self):
+        # A plain string would get the optimistic slack of 0 and fail later, at export.
+        for bad in ("regular", "optimistic", None):
+            with pytest.raises(TypeError, match="mode must be a SyncMode"):
+                SimConfig(mode=bad)
+
     def test_seed_range(self):
         for bad in (-1, 2**64, 10**5000):
             with pytest.raises(ValueError, match="unsigned 64-bit"):

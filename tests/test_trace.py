@@ -396,6 +396,17 @@ class TestReadJsonlStrict:
         with pytest.raises(ValueError, match="expected a JSON object"):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("summary", ["[1, 2]", "5", '"x"', "null"])
+    def test_non_object_summary_rejected(self, tmp_path, capsys, summary):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"time_mu": 0}\n{"summary": %s}\n' % summary)
+        with pytest.raises(ValueError, match="summary must be a JSON object"):
+            read_jsonl(path)
+        good = tmp_path / "good.jsonl"
+        good.write_text('{"time_mu": 0}\n{"summary": {"event_count": 1}}\n')
+        assert cli_main(["diff", str(good), str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: summary must be a JSON object")
+
     def test_blank_lines_skipped_and_crlf_accepted(self, tmp_path):
         path = tmp_path / "loose.jsonl"
         path.write_bytes(b'\r\n  {"time_mu": 1}  \r\n \t \n\n{"summary": {"event_count": 1}}\r\n')
