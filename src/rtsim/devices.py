@@ -10,7 +10,6 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -219,8 +218,9 @@ class EdgeCounter(SimDevice):
         except OverflowError:  # a duration past the float range is past the 64-bit range too
             raise MachineUnitsOverflow(
                 f"gate_rising_mu: {short_repr(duration_mu)} MU exceeds signed 64-bit machine units") from None
-        if not math.isfinite(mean):
-            raise DeviceError(f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite")
+        if not mean < rng.POISSON_MEAN_LIMIT:  # nan, inf, or a count no signed 64-bit counter holds
+            raise DeviceError(
+                f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite or is 2**63 or more")
         self._time.delay_mu(duration_mu)
         t_close = self._time.now_mu()
         self.gate.push(True, t_open)

@@ -5,6 +5,11 @@ sampled golden values never depend on a library's stream guarantees. Each
 driver that draws (``ttl_in`` and ``edge_counter``) seeds its own substream
 from (seed, device name), so adding a device never perturbs another device's
 draws.
+
+A Poisson count below mean 10 sums exponential arrivals; from mean 10 up it
+uses Hormann's PTRS transformed rejection, whose cost does not grow with the
+mean. Either way the mean must be below 2**63, the range of a signed 64-bit
+count.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ import math
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 
+# Every Poisson mean must be below this: no signed 64-bit counter holds a larger count.
+POISSON_MEAN_LIMIT = 2.0**63
+
 
 def _splitmix64(state: int):
     state = (state + 0x9E3779B97F4A7C15) & _U64
@@ -21,10 +29,6 @@ def _splitmix64(state: int):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
     return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _U64
 
 
 def substream_seed(seed: int, name: str) -> int:
@@ -44,19 +48,15 @@ class Xoshiro256StarStar:
         for _ in range(4):
             state, out = _splitmix64(state)
             s.append(out)
-        self._s = s
+        self._s = tuple(s)
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _U64, 7) * 9) & _U64
-        t = (s[1] << 17) & _U64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        s0, s1, s2, s3 = self._s
+        x = (s1 * 5) & _U64
+        s2 ^= s0
+        s3 ^= s1
+        self._s = (s0 ^ s3, s1 ^ s2, s2 ^ ((s1 << 17) & _U64), ((s3 << 45) | (s3 >> 19)) & _U64)
+        return ((x << 7 | x >> 57) * 9) & _U64  # rotl(x, 7) * 9; the bits past 64 vanish in the mask
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53-bit resolution."""
@@ -71,18 +71,46 @@ class Xoshiro256StarStar:
         return 1 if self.random() < p else 0
 
     def poisson(self, mean: float) -> int:
-        """Poisson draw via summed exponential arrivals (exact for any finite mean >= 0)."""
-        if not 0 <= mean < math.inf:  # a nan or infinite mean would never end the loop
-            raise ValueError(f"poisson mean must be finite and non-negative: {mean}")
-        if mean == 0:
-            return 0
-        count = 0
-        acc = 0.0
+        """Poisson draw for a mean in [0, 2**63).
+
+        Below mean 10 it counts exponential arrivals before ``mean`` (about
+        mean + 1 draws). From 10 up it uses PTRS (Hormann 1993, with the
+        constants of NumPy's ``random_poisson_ptrs``): 2.2 to 2.7 draws a call
+        at any mean. Past a mean of about 1e14 its float rejection test loses
+        precision, as NumPy's does, and the variance drifts from the mean.
+        """
+        if not 0 <= mean < POISSON_MEAN_LIMIT:  # nan, inf or a count past 64 bits
+            raise ValueError(f"poisson mean must be finite and non-negative and below 2**63: {mean}")
+        if mean < 10:
+            if mean == 0:
+                return 0
+            count = 0
+            acc = 0.0
+            while True:
+                u = self.random()
+                if u <= 0.0:
+                    u = 5e-324
+                acc += -math.log(u)
+                if acc > mean:
+                    return count
+                count += 1
+        loglam = math.log(mean)
+        b = 0.931 + 2.53 * math.sqrt(mean)
+        a = -0.059 + 0.02483 * b
+        log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+        vr = 0.9277 - 3.6224 / (b - 2)
         while True:
-            u = self.random()
-            if u <= 0.0:
-                u = 5e-324
-            acc += -math.log(u)
-            if acc > mean:
-                return count
-            count += 1
+            u = self.random() - 0.5
+            v = self.random()
+            us = 0.5 - abs(u)
+            if us == 0.0:  # u = -0.5 lies under an unbounded hat: reject it
+                continue
+            k = math.floor((2 * a / us + b) * u + mean + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            # v = 0 would be log(0) = -inf, which accepts
+            if v == 0.0 or (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                            <= -mean + k * loglam - math.lgamma(k + 1)):
+                return k

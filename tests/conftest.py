@@ -1,9 +1,11 @@
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
 
 from rtsim import DeviceDb, SimConfig, SimulationRun, SyncMode
+from rtsim.rng import Xoshiro256StarStar
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -33,3 +35,17 @@ def make_run(full_ddb):
         return SimulationRun(ddb if ddb is not None else full_ddb, SimConfig(mode=mode, seed=seed))
 
     return factory
+
+
+@pytest.fixture
+def draw_limit(monkeypatch):
+    """Make a runaway Poisson loop fail after 10**5 draws instead of hanging."""
+    draw = Xoshiro256StarStar.random
+    count = itertools.count()
+
+    def limited(self):
+        if next(count) > 100_000:
+            raise RuntimeError("more than 10**5 draws")
+        return draw(self)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "random", limited)

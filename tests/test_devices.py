@@ -1,5 +1,5 @@
-import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +22,7 @@ from rtsim import (
 )
 from rtsim.devices import DeviceDescriptor
 from rtsim.rng import Xoshiro256StarStar
-from rtsim.timeline import MU_MAX
+from rtsim.timeline import MU_MAX, REF_PERIOD_S
 
 from conftest import FULL_DDB
 
@@ -217,20 +217,6 @@ class TestTtlIn:
             dev.fetch_sample()
 
 
-@pytest.fixture
-def draw_limit(monkeypatch):
-    """Make a runaway Poisson loop fail after 10**5 draws instead of hanging."""
-    draw = Xoshiro256StarStar.random
-    count = itertools.count()
-
-    def limited(self):
-        if next(count) > 100_000:
-            raise RuntimeError("more than 10**5 draws")
-        return draw(self)
-
-    monkeypatch.setattr(Xoshiro256StarStar, "random", limited)
-
-
 def counter_ddb(mode):
     return DeviceDb.from_dict(
         {"devices": [
@@ -283,6 +269,40 @@ class TestEdgeCounter:
         assert len(dev.buffer) == 0
         assert run.now_mu() == 0
 
+    @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
+    @pytest.mark.parametrize(("freq_hz", "duration_mu"), [(2.0**63, 10**9), (sys.float_info.max, 1)])
+    def test_count_mean_past_64_bits_rejected_before_any_push(self, make_run, draw_limit, mode, freq_hz, duration_mu):
+        run = make_run(ddb=counter_ddb(mode))
+        dev = run.get_device("counter0")
+        dev.freq.push(freq_hz, 0)
+        assert 2.0**63 <= freq_hz * duration_mu * REF_PERIOD_S < math.inf  # exactly 2**63, or about 1.8e299
+        with pytest.raises(DeviceError, match=r"count mean .* is not finite or is 2\*\*63 or more"):
+            dev.gate_rising(duration_mu)
+        assert dev.gate.events() == []
+        assert len(dev.buffer) == 0
+        assert run.now_mu() == 0
+
+    @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
+    def test_largest_count_mean_below_64_bits_counts(self, make_run, draw_limit, mode):
+        below = math.nextafter(2.0**63, 0)
+        run = make_run(ddb=counter_ddb(mode))
+        dev = run.get_device("counter0")
+        dev.freq.push(below, 0)
+        assert below * 10**9 * REF_PERIOD_S == below
+        assert dev.gate_rising(10**9) == 10**9
+        count = dev.fetch_count()
+        assert type(count) is int and count >= 0
+        if mode == "deterministic":
+            assert count == 2**63 - 1024
+
+    def test_poisson_gate_at_1ghz_for_1s_is_bounded(self, make_run, draw_limit):
+        run = make_run(seed=3, ddb=counter_ddb("poisson"))
+        dev = run.get_device("counter0")
+        dev.freq.push(1.0e9, 0)  # mean 1e9: summing exponentials would take about 1e9 draws
+        assert dev.gate_rising(10**9) == 10**9
+        count = dev.fetch_count()
+        assert type(count) is int and abs(count - 1e9) < 5 * math.sqrt(1e9)
+
     def test_gate_past_float_range_overflows_before_any_push(self, make_run):
         run = make_run()
         dev = run.get_device("counter0")
@@ -292,7 +312,7 @@ class TestEdgeCounter:
         assert dev.gate.events() == []
         assert run.now_mu() == 0
 
-    @pytest.mark.parametrize("mean", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("mean", [math.inf, math.nan, -1.0, 2.0**63, sys.float_info.max])
     def test_poisson_rejects_non_finite_or_negative_mean(self, draw_limit, mean):
         with pytest.raises(ValueError, match="poisson mean must be finite and non-negative"):
             Xoshiro256StarStar(7).poisson(mean)

@@ -1,0 +1,135 @@
+"""Distribution, cost and reference tests for the xoshiro256** streams.
+
+Each statistical tolerance is five standard errors of its statistic, set
+before the test was first run. The seeds are fixed, so every test is
+deterministic.
+"""
+
+import math
+import statistics
+
+import pytest
+
+from rtsim.rng import Xoshiro256StarStar
+
+# The first counts at seed 7 and the sum of the first 1000; a change of the
+# PTRS path shows here.
+POISSON_SEED_7_MEAN_10 = [12, 4, 9, 10, 9, 7, 6, 6]
+POISSON_SEED_7_MEAN_10_SUM_1000 = 9759
+POISSON_SEED_7_MEAN_1E6 = [1000592, 997980, 999726, 1000116, 1002014, 999863, 999265, 998855]
+POISSON_SEED_7_MEAN_1E6_SUM_1000 = 999981974
+
+# The PTRS path starts at mean 10 and must cost the same up to the 2**63 bound.
+PTRS_MEANS = [10.0, 10.5, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0] + [10.0**e for e in range(3, 19)]
+
+
+def poisson_pmf(k: int, mean: float) -> float:
+    return math.exp(-mean + k * math.log(mean) - math.lgamma(k + 1))
+
+
+def test_reference_outputs():
+    # xoshiro256**'s published outputs from the state {1, 2, 3, 4}
+    rng = Xoshiro256StarStar(0)
+    rng._s = (1, 2, 3, 4)
+    assert [rng.next_u64() for _ in range(4)] == [11520, 0, 1509978240, 1215971899390074240]
+
+
+@pytest.mark.parametrize("mean", [10.0, 30.0])
+def test_chi_square_against_exact_pmf(mean):
+    n = 20_000
+    rng = Xoshiro256StarStar(1)
+    counts = {}
+    for _ in range(n):
+        k = rng.poisson(mean)
+        counts[k] = counts.get(k, 0) + 1
+    # Bins of k with at least 5 expected; both tails go into the outer bins.
+    lo = 0
+    while n * poisson_pmf(lo, mean) < 5:
+        lo += 1
+    hi = lo
+    while n * poisson_pmf(hi + 1, mean) >= 5:
+        hi += 1
+    expected = [n * poisson_pmf(k, mean) for k in range(lo, hi + 1)]
+    expected[0] += n * sum(poisson_pmf(k, mean) for k in range(lo))
+    expected[-1] = n - sum(expected[:-1])
+    observed = [counts.get(k, 0) for k in range(lo, hi + 1)]
+    observed[0] += sum(c for k, c in counts.items() if k < lo)
+    observed[-1] += sum(c for k, c in counts.items() if k > hi)
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    df = len(expected) - 1
+    assert chi2 < df + 5 * math.sqrt(2 * df)
+
+
+@pytest.mark.parametrize("mean", [10.0, 1e3, 1e6, 1e12])
+def test_sample_mean_and_variance(mean):
+    n = 4000
+    rng = Xoshiro256StarStar(2)
+    draws = [rng.poisson(mean) for _ in range(n)]
+    assert all(type(k) is int and k >= 0 for k in draws)
+    assert abs(statistics.fmean(draws) - mean) < 5 * math.sqrt(mean / n)
+    # The sample variance of a Poisson sample has variance about (2 mean**2 + mean) / n.
+    assert abs(statistics.variance(draws) - mean) < 5 * math.sqrt((2 * mean * mean + mean) / n)
+
+
+@pytest.mark.parametrize(("mean", "first", "total"), [
+    (10.0, POISSON_SEED_7_MEAN_10, POISSON_SEED_7_MEAN_10_SUM_1000),
+    (1e6, POISSON_SEED_7_MEAN_1E6, POISSON_SEED_7_MEAN_1E6_SUM_1000),
+])
+def test_pinned_values(mean, first, total):
+    rng = Xoshiro256StarStar(7)
+    draws = [rng.poisson(mean) for _ in range(1000)]
+    assert draws[:len(first)] == first
+    assert sum(draws) == total
+
+
+def test_below_10_sums_exponential_arrivals():
+    mean = 9.999
+    stream = Xoshiro256StarStar(11)
+
+    def reference():
+        count, acc = 0, 0.0
+        while True:
+            u = (stream.next_u64() >> 11) / 2.0**53
+            acc -= math.log(u if u > 0.0 else 5e-324)
+            if acc > mean:
+                return count
+            count += 1
+
+    rng = Xoshiro256StarStar(11)
+    assert [rng.poisson(mean) for _ in range(1000)] == [reference() for _ in range(1000)]
+
+
+@pytest.mark.parametrize("mean", PTRS_MEANS)
+def test_draws_per_call_bounded(monkeypatch, mean):
+    calls = 2000
+    draws = 0
+    next_u64 = Xoshiro256StarStar.next_u64
+
+    def counted(self):
+        nonlocal draws
+        draws += 1
+        if draws >= 3 * calls:  # fail here, not after the about `mean` draws a summing loop takes
+            raise RuntimeError(f"{draws} draws in fewer than {calls} calls")
+        return next_u64(self)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "next_u64", counted)
+    rng = Xoshiro256StarStar(5)
+    for _ in range(calls):
+        rng.poisson(mean)
+    assert draws < 3 * calls
+
+
+def test_largest_mean_below_bound():
+    mean = math.nextafter(2.0**63, 0)
+    rng = Xoshiro256StarStar(9)
+    for _ in range(100):
+        k = rng.poisson(mean)
+        assert type(k) is int and k >= 0
+
+
+def test_zero_uniforms_never_reach_log(monkeypatch):
+    # u = 0.0 would divide by zero in the hat and v = 0.0 would be log(0): PTRS
+    # rejects the first pair and accepts the second without calling log(v).
+    uniforms = iter([0.0, 0.0, 0.96, 0.0])
+    monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: next(uniforms))
+    assert Xoshiro256StarStar(0).poisson(10.0) == 18  # floor((2a / 0.04 + b) * 0.46 + 10.43)
