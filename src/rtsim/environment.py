@@ -131,6 +131,26 @@ class RunStats:
         return self.final_cursor - (start if start is not None else 0)
 
 
+class _Frame:
+    """``with`` block of one timing-frame kind: push on entry, pop on exit.
+
+    It holds no state of its own, so one object per kind serves every frame
+    of a run, nested ones too. It keeps the run's timeline, never the run.
+    """
+
+    __slots__ = ("_time", "_kind")
+
+    def __init__(self, time: TimeManager, kind: ContextKind):
+        self._time = time
+        self._kind = kind
+
+    def __enter__(self) -> None:
+        self._time.push_context(self._kind)
+
+    def __exit__(self, *exc_info) -> None:
+        self._time.pop_context()  # returns None, so an exception from the block propagates
+
+
 class SimulationRun:
     """One simulation instance: timeline, signals, drivers, and run stats."""
 
@@ -140,6 +160,8 @@ class SimulationRun:
         # Close over the signals, not the run, so a finished run needs no cyclic GC.
         signals = self.signals = SignalManager()
         self.time = TimeManager(config, event_max=lambda: signals.max_event_time)
+        self._sequential = _Frame(self.time, ContextKind.SEQUENTIAL)
+        self._parallel = _Frame(self.time, ContextKind.PARALLEL)
         self._drivers: dict[str, SimDevice] = {}
         self.stats: Optional[RunStats] = None
         self.error: Optional[BaseException] = None
@@ -164,19 +186,11 @@ class SimulationRun:
     def at_mu(self, t: int) -> None:
         self.time.at_mu(t)
 
-    @contextlib.contextmanager
-    def _frame(self, kind: ContextKind):
-        self.time.push_context(kind)
-        try:
-            yield
-        finally:
-            self.time.pop_context()
+    def sequential(self) -> _Frame:
+        return self._sequential
 
-    def sequential(self):
-        return self._frame(ContextKind.SEQUENTIAL)
-
-    def parallel(self):
-        return self._frame(ContextKind.PARALLEL)
+    def parallel(self) -> _Frame:
+        return self._parallel
 
     @contextlib.contextmanager
     def kernel(self, name: str):

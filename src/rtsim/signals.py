@@ -4,6 +4,10 @@ Every signal stores its (timestamp, value) events sorted by timestamp.
 Pulling at time t returns the value of the latest event at or before t;
 before the first event the value is the UNKNOWN sentinel. A push at an
 existing timestamp overwrites that event.
+
+Each kind's value check is one function in the ``_VALIDATORS`` table, keyed
+by ``SignalKind``. A ``Signal`` binds its kind's validator once, when it is
+built; ``SignalKind.coerce`` looks the same function up in the table.
 """
 
 from __future__ import annotations
@@ -63,41 +67,67 @@ class SignalKind(enum.Enum):
     def coerce(self, value):
         """Validate ``value`` against this kind; returns the stored form.
 
-        BOOL accepts bool only, INT accepts signed 64-bit int (bool excluded),
-        REAL accepts finite int/float and stores float, TEXT accepts str that
-        encodes to at most 64 UTF-8 bytes (so no lone surrogate).
+        A lookup in ``_VALIDATORS``, the table ``Signal`` binds its validator
+        from once. BOOL accepts bool only, INT accepts signed 64-bit int (bool
+        excluded), REAL accepts finite int/float and stores float, TEXT accepts
+        str that encodes to at most 64 UTF-8 bytes (so no lone surrogate).
         """
-        if value is UNKNOWN:
-            raise SignalKindMismatch("UNKNOWN cannot be pushed onto a signal")
-        if self is SignalKind.BOOL:
-            if type(value) is not bool:
-                raise SignalKindMismatch(f"expected bool, got {value!r}")
-            return value
-        if self is SignalKind.INT:
-            if type(value) is bool or not isinstance(value, int):
-                raise SignalKindMismatch(f"expected int, got {value!r}")
-            if not MU_MIN <= value <= MU_MAX:
-                raise SignalKindMismatch(f"int value out of signed 64-bit range: {short_repr(value)}")
-            return value
-        if self is SignalKind.REAL:
-            if type(value) is bool or not isinstance(value, (int, float)):
-                raise SignalKindMismatch(f"expected real, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:
-                raise SignalKindMismatch("int value too large for a finite real") from None
-            if not math.isfinite(value):
-                raise SignalKindMismatch(f"expected finite real, got {value!r}")
-            return value
-        if type(value) is not str:
-            raise SignalKindMismatch(f"expected text, got {value!r}")
-        try:
-            size = len(value.encode("utf-8"))
-        except UnicodeEncodeError as exc:  # a lone surrogate
-            raise SignalKindMismatch(f"text value cannot be encoded as UTF-8: {exc.reason}") from None
-        if size > MAX_TEXT_BYTES:
-            raise SignalKindMismatch(f"text value exceeds {MAX_TEXT_BYTES} bytes")
+        return _VALIDATORS[self](value)
+
+
+def _mismatch(value, message: str) -> SignalKindMismatch:
+    # UNKNOWN fails every kind's type check, so each reject branch names it here.
+    if value is UNKNOWN:
+        return SignalKindMismatch("UNKNOWN cannot be pushed onto a signal")
+    return SignalKindMismatch(message)
+
+
+def _coerce_bool(value):
+    if type(value) is not bool:
+        raise _mismatch(value, f"expected bool, got {value!r}")
+    return value
+
+
+def _coerce_int(value):
+    if type(value) is bool or not isinstance(value, int):
+        raise _mismatch(value, f"expected int, got {value!r}")
+    if not MU_MIN <= value <= MU_MAX:
+        raise SignalKindMismatch(f"int value out of signed 64-bit range: {short_repr(value)}")
+    return value
+
+
+def _coerce_real(value):
+    if type(value) is float and value - value == 0.0:  # a finite float: nan and inf give nan
         return value
+    if type(value) is bool or not isinstance(value, (int, float)):
+        raise _mismatch(value, f"expected real, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SignalKindMismatch("int value too large for a finite real") from None
+    if not math.isfinite(value):
+        raise SignalKindMismatch(f"expected finite real, got {value!r}")
+    return value
+
+
+def _coerce_text(value):
+    if type(value) is not str:
+        raise _mismatch(value, f"expected text, got {value!r}")
+    try:
+        size = len(value.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise SignalKindMismatch(f"text value cannot be encoded as UTF-8: {exc.reason}") from None
+    if size > MAX_TEXT_BYTES:
+        raise SignalKindMismatch(f"text value exceeds {MAX_TEXT_BYTES} bytes")
+    return value
+
+
+_VALIDATORS = {
+    SignalKind.BOOL: _coerce_bool,
+    SignalKind.INT: _coerce_int,
+    SignalKind.REAL: _coerce_real,
+    SignalKind.TEXT: _coerce_text,
+}
 
 
 class Signal:
@@ -105,10 +135,11 @@ class Signal:
 
     ``_times`` is strictly increasing and ``_values[i]`` is the value of the
     event at ``_times[i]``. Readers inside the package (the horizon, the
-    exporters, the testkit) read the two lists in place.
+    exporters, the testkit) read the two lists in place. ``_coerce`` is the
+    kind's validator, bound once here so that a push does not look it up.
     """
 
-    __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values")
+    __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values", "_coerce")
 
     def __init__(self, device_name: str, signal_name: str, kind: SignalKind, is_input: bool = False):
         self.device_name = device_name
@@ -117,6 +148,7 @@ class Signal:
         self.is_input = is_input
         self._times: list[int] = []
         self._values: list[object] = []
+        self._coerce = _VALIDATORS[kind]
 
     def __repr__(self):
         return f"Signal({self.device_name}.{self.signal_name}, {self.kind.value})"
@@ -128,7 +160,7 @@ class Signal:
         """Add an event; appends in O(1) when ``time`` is at or past the last event."""
         if type(time) is not int or not MU_MIN <= time <= MU_MAX:
             raise SignalError(f"event timestamp must be a signed 64-bit int: {short_repr(time)}")
-        value = self.kind.coerce(value)
+        value = self._coerce(value)
         times = self._times
         if not times or time > times[-1]:
             times.append(time)

@@ -118,9 +118,11 @@ class TimeManager:
     start. Popping a frame sets the cursor back to the frame start and then
     delays by the frame's duration. A delay, jump or sync runs every check
     before it changes any state, so when it raises the cursor and the frames
-    are as they were. The horizon is the maximum of the cursor and every event
-    timestamp recorded so far, and is the counter estimate used by
-    ``sync_to_counter``.
+    are as they were. In a parallel frame that includes the check that the
+    frame start plus the delay fits, so a delay that would overflow at the
+    frame's exit raises at the delay, before a driver pushes an edge. The
+    horizon is the maximum of the cursor and every event timestamp recorded
+    so far, and is the counter estimate used by ``sync_to_counter``.
     """
 
     def __init__(
@@ -148,7 +150,9 @@ class TimeManager:
         frames = self._frames
         if frames and frames[-1][1] is not None:
             # Parallel: the cursor stays put, only the longest delay is kept.
+            # The cursor is the frame start, so the frame must still end in range.
             if d > frames[-1][1]:
+                _checked_mu(self._now + d, "delay_mu")
                 frames[-1][1] = _checked_mu(d, "delay_mu")
             return
         now = _checked_mu(self._now + d, "delay_mu")

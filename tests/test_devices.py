@@ -40,20 +40,20 @@ overflow_case = dict(
 
 
 def overflow_in_frame(run, kind, back, extra, call):
-    """Run ``call(duration)`` at cursor ``t`` inside the frame; it must overflow.
+    """Run ``call(duration)`` at cursor ``t`` inside the frame; the call itself must overflow.
 
-    Returns ``(t, collapsed)``. ``collapsed`` means the call itself succeeded:
-    in a parallel frame a duration that fits leaves the cursor put, both edges
-    land at ``t`` (the later "off" overwrites the "on") and only leaving the
-    frame overflows.
+    In either kind of frame the call raises before it changes anything, so
+    leaving the frame afterwards is fine and the cursor is back at ``t``.
+    Returns ``t``.
     """
     t = MU_MAX - back
     run.at_mu(t)
-    with pytest.raises(MachineUnitsOverflow):
-        with getattr(run, kind)():
+    with getattr(run, kind)():
+        with pytest.raises(MachineUnitsOverflow):
             call(back + extra)
-    assert run.now_mu() == t
-    return t, kind == "parallel" and back + extra <= MU_MAX
+        assert run.now_mu() == t
+    assert (run.now_mu(), run.time.depth) == (t, 1)
+    return t
 
 
 class TestDescriptor:
@@ -145,8 +145,20 @@ class TestTtlOut:
     def test_overflowing_duration_pushes_no_edge(self, kind, back, extra):
         run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
         ttl = run.get_device("ttl0")
-        t, collapsed = overflow_in_frame(run, kind, back, extra, ttl.pulse)
-        assert ttl.state.events() == ([(t, False)] if collapsed else [])
+        overflow_in_frame(run, kind, back, extra, ttl.pulse)
+        assert ttl.state.events() == []
+
+    @pytest.mark.parametrize("name", ["pulse", "pulse_mu"])
+    def test_parallel_pulse_past_mu_max_raises_at_the_call(self, make_run, name):
+        run = make_run()
+        ttl = run.get_device("ttl0")
+        run.at_mu(MU_MAX - 5)
+        with run.parallel():
+            with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                getattr(ttl, name)(100)
+            assert ttl.state.events() == []
+        assert ttl.state.events() == []
+        assert run.now_mu() == MU_MAX - 5
 
 
 class TestTtlIn:
@@ -366,9 +378,25 @@ class TestEdgeCounter:
         run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
         counter = run.get_device("counter0")
         counter.freq.push(1.0, 0)
-        t, collapsed = overflow_in_frame(run, kind, back, extra, counter.gate_rising)
-        assert counter.gate.events() == ([(t, False)] if collapsed else [])
-        assert len(counter.buffer) == (1 if collapsed else 0)
+        overflow_in_frame(run, kind, back, extra, counter.gate_rising)
+        assert counter.gate.events() == []
+        assert len(counter.buffer) == 0
+
+    @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
+    def test_parallel_gate_past_mu_max_raises_at_the_call(self, mode):
+        ddb = {"devices": [{"name": "core", "kind": "core"},
+                           {"name": "c", "kind": "edge_counter", "params": {"counter_mode": mode}}]}
+        run = SimulationRun(DeviceDb.from_dict(ddb), SimConfig())
+        counter = run.get_device("c")
+        counter.freq.push(1.0e6, 0)
+        run.at_mu(MU_MAX - 5)
+        with run.parallel():
+            with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                counter.gate_rising_mu(100)
+            assert counter.gate.events() == []
+        assert counter.gate.events() == []
+        assert len(counter.buffer) == 0
+        assert run.now_mu() == MU_MAX - 5
 
 
 class TestDds:

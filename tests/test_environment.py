@@ -247,6 +247,47 @@ class TestRunHandle:
             run.delay_mu(5)
         assert run.now_mu() == 30
 
+    @pytest.mark.parametrize("kind", ["sequential", "parallel"])
+    def test_exception_in_frame_propagates_and_pops(self, make_run, kind):
+        run = make_run()
+        run.delay_mu(7)
+        error = ValueError("boom")
+        with pytest.raises(ValueError) as excinfo:
+            with getattr(run, kind)():
+                run.delay_mu(3)
+                raise error
+        assert excinfo.value is error
+        assert run.time.depth == 1
+        assert run.now_mu() == 10
+
+    @pytest.mark.parametrize("kind", ["sequential", "parallel"])
+    def test_frame_binds_none(self, make_run, kind):
+        run = make_run()
+        with getattr(run, kind)() as frame:
+            assert frame is None
+            assert run.time.depth == 2
+
+    def test_frames_reused_and_nested_match_demo_layout(self, make_run):
+        # The demo's parallel{sequential{pulse 500}; sequential{pulse 800}}, with
+        # each frame object entered again, nested in itself and after an error.
+        run = make_run()
+        seq, par = run.sequential(), run.parallel()
+        ttl0, ttl1 = run.get_device("ttl0"), run.get_device("ttl1")
+        for start in (1000, 3000):
+            run.at_mu(start)
+            with par:
+                with seq:
+                    ttl0.pulse(500)
+                with seq:
+                    with seq:
+                        ttl1.pulse(800)
+            assert run.now_mu() == start + 800
+            with pytest.raises(RuntimeError), par:
+                raise RuntimeError
+            assert run.time.depth == 1
+        assert ttl0.state.events() == [(1000, True), (1500, False), (3000, True), (3500, False)]
+        assert ttl1.state.events() == [(1000, True), (1800, False), (3000, True), (3800, False)]
+
     def test_kernel_marker_event(self, full_ddb):
         def body(run):
             run.delay_mu(50)

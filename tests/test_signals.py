@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,121 @@ class TestValueKinds:
             with pytest.raises(SignalKindMismatch):
                 sig.push(text, 0)
             assert len(sig) == 0
+
+
+class _Real(float):
+    pass
+
+
+# (kind, rejected value, error text), the texts as the validators raise them.
+REJECTED = [
+    *[(kind, UNKNOWN, "UNKNOWN cannot be pushed onto a signal") for kind in SignalKind],
+    (SignalKind.BOOL, None, "expected bool, got None"),
+    (SignalKind.BOOL, 1, "expected bool, got 1"),
+    (SignalKind.INT, None, "expected int, got None"),
+    (SignalKind.INT, True, "expected int, got True"),
+    (SignalKind.INT, 1.0, "expected int, got 1.0"),
+    (SignalKind.INT, 2**63, "int value out of signed 64-bit range: 9223372036854775808"),
+    (SignalKind.INT, -(2**63) - 1, "int value out of signed 64-bit range: -9223372036854775809"),
+    (SignalKind.INT, 2**1100, "int value out of signed 64-bit range: <1101-bit int>"),
+    (SignalKind.REAL, None, "expected real, got None"),
+    (SignalKind.REAL, True, "expected real, got True"),
+    (SignalKind.REAL, "1.0", "expected real, got '1.0'"),
+    (SignalKind.REAL, 2**1100, "int value too large for a finite real"),
+    (SignalKind.REAL, math.nan, "expected finite real, got nan"),
+    (SignalKind.REAL, math.inf, "expected finite real, got inf"),
+    (SignalKind.REAL, -math.inf, "expected finite real, got -inf"),
+    (SignalKind.REAL, _Real("nan"), "expected finite real, got nan"),
+    (SignalKind.TEXT, None, "expected text, got None"),
+    (SignalKind.TEXT, 3, "expected text, got 3"),
+    (SignalKind.TEXT, "x" * 65, "text value exceeds 64 bytes"),
+    (SignalKind.TEXT, "\ud800", "text value cannot be encoded as UTF-8: surrogates not allowed"),
+]
+
+
+def stored_or_error(kind, value, via_push):
+    """What one validation gives: ("stored", type, repr) or ("raised", type, text)."""
+    try:
+        if via_push:
+            sig = SignalManager().register("d", "s", kind)
+            sig.push(value, 0)
+            stored = sig.pull(0)
+        else:
+            stored = kind.coerce(value)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "stored", type(stored), repr(stored)
+
+
+values = st.one_of(
+    st.just(UNKNOWN),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**62, max_value=2**1100),
+    st.floats(),
+    st.floats().map(_Real),
+    st.text(
+        alphabet=st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
+        max_size=70,
+    ),
+)
+
+
+class TestValidators:
+    """Each kind's accepted values and exact rejections, through push and coerce alike."""
+
+    @pytest.mark.parametrize("kind,value,text", REJECTED)
+    def test_rejection_type_and_text(self, kind, value, text):
+        sig = SignalManager().register("d", "s", kind)
+        with pytest.raises(SignalKindMismatch) as via_push:
+            sig.push(value, 0)
+        assert str(via_push.value) == text
+        assert len(sig) == 0
+        with pytest.raises(SignalKindMismatch) as via_coerce:
+            kind.coerce(value)
+        assert str(via_coerce.value) == text
+
+    def test_real_keeps_the_sign_of_zero(self):
+        sig = SignalManager().register("d", "r", SignalKind.REAL)
+        sig.push(-0.0, 0)
+        assert math.copysign(1.0, sig.pull(0)) == -1.0
+
+    def test_real_stores_a_float_subclass_as_float(self):
+        sig = SignalManager().register("d", "r", SignalKind.REAL)
+        sig.push(_Real(2.5), 0)
+        assert type(sig.pull(0)) is float
+        assert sig.pull(0) == 2.5
+
+    @pytest.mark.parametrize("value", [0, -7, 2**53 + 1, 2**1000])
+    def test_real_stores_a_finite_int_as_float(self, value):
+        sig = SignalManager().register("d", "r", SignalKind.REAL)
+        sig.push(value, 0)
+        assert type(sig.pull(0)) is float
+        assert sig.pull(0) == float(value)
+
+    @given(kind=st.sampled_from(SignalKind), value=values)
+    @example(kind=SignalKind.REAL, value=-0.0)
+    @example(kind=SignalKind.REAL, value=_Real(-0.0))
+    @example(kind=SignalKind.INT, value=-(2**63))
+    @settings(max_examples=300, deadline=None)
+    def test_push_stores_what_coerce_returns(self, kind, value):
+        assert stored_or_error(kind, value, True) == stored_or_error(kind, value, False)
+
+    def test_push_does_not_go_through_coerce(self, monkeypatch):
+        # Each signal binds its validator when it is built; a push never looks it up again.
+        signals = {kind: SignalManager().register("d", "s", kind) for kind in SignalKind}
+
+        def refuse(self, value):
+            raise AssertionError("SignalKind.coerce called")
+
+        monkeypatch.setattr(SignalKind, "coerce", refuse)
+        for kind, value in [(SignalKind.BOOL, True), (SignalKind.INT, 5),
+                            (SignalKind.REAL, 0.5), (SignalKind.TEXT, "k")]:
+            signals[kind].push(value, 1)
+            assert signals[kind].pull(1) == value
+        with pytest.raises(SignalKindMismatch, match="expected int"):
+            signals[SignalKind.INT].push("5", 2)
 
 
 class TestEventsIn:

@@ -129,6 +129,21 @@ class TestNowAndDelay:
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             tm.delay_mu(10**5000)
 
+    @pytest.mark.parametrize("op", ["delay_mu", "at_mu"])
+    def test_parallel_delay_past_mu_max_raises_at_the_delay(self, op):
+        # The delay itself fits; the frame start plus the delay does not.
+        tm = manager()
+        tm.at_mu(MU_MAX - 5)
+        tm.push_context(SEQ)
+        tm.push_context(PAR)
+        tm.delay_mu(5)
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+            getattr(tm, op)(100 if op == "delay_mu" else MU_MAX + 95)
+        assert tm.now_mu() == MU_MAX - 5
+        assert tm._frames == [[MU_MAX - 5, None], [MU_MAX - 5, 5]]
+        tm.pop_context()
+        assert tm.now_mu() == MU_MAX
+
     def test_frame_duration_overflow_leaves_cursor(self):
         # The cursor sum fits, only the frame's duration overflows.
         tm = manager()
