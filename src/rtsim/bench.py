@@ -18,6 +18,10 @@ from .timeline import MU_MAX, REGULAR_SYNC_SLACK_MU, SimConfig, SyncMode, mu_to_
 
 BUFFER_BATCH = 16
 
+# Most driver calls and delays one scenario may make. A run holds about 60 B of events
+# per call, so this bounds it near 600 MB; the largest preset makes 62 500.
+MAX_SCENARIO_CALLS = 10**7
+
 
 @dataclass(frozen=True)
 class BenchScenario:
@@ -39,6 +43,11 @@ class BenchScenario:
             raise ValueError("delay_per_sample_mu must be >= 0")
         if self.pulses_per_sample < 0 or self.dds_sets_per_sample < 0:
             raise ValueError("pulses_per_sample and dds_sets_per_sample must be >= 0")
+        # A DDS write takes 0 MU by default, so the timeline bound below does not bound the run time.
+        calls = self.total_samples * (self.pulses_per_sample + self.dds_sets_per_sample + 1)
+        if calls > MAX_SCENARIO_CALLS:
+            raise ValueError(f"scenario of {short_repr(calls)} driver calls and delays "
+                             f"exceeds the bound of {MAX_SCENARIO_CALLS}")
         # The regular run's final cursor; its timeline only grows, so this is its largest time.
         length_mu = (self.expected_sync_count * REGULAR_SYNC_SLACK_MU + self.total_samples
                      * (self.pulses_per_sample * self.pulse_mu + self.delay_per_sample_mu))

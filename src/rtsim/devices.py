@@ -229,7 +229,8 @@ class EdgeCounter(SimDevice):
             count = round_half_away_from_zero(mean)
         else:
             count = self._rng.poisson(mean)
-        self.buffer.put(count)
+        # A mean below 2**63 can still draw a count past it: a signed 64-bit counter saturates.
+        self.buffer.put(count if count < 2**63 else 2**63 - 1)
         return t_close
 
     gate_rising = gate_rising_mu

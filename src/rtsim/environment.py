@@ -152,16 +152,20 @@ class _Frame:
 
 
 class SimulationRun:
-    """One simulation instance: timeline, signals, drivers, and run stats."""
+    """One simulation instance: timeline, signals, drivers, and run stats.
+
+    ``now_mu``, ``delay_mu``, ``delay`` and ``at_mu`` are the timeline's own bound methods.
+    """
 
     def __init__(self, ddb: DeviceDb, config: SimConfig):
         self.ddb = ddb
         self.config = config
-        # Close over the signals, not the run, so a finished run needs no cyclic GC.
+        # Close over the signals and bind the timeline, not the run: a finished run needs no cyclic GC.
         signals = self.signals = SignalManager()
-        self.time = TimeManager(config, event_max=lambda: signals.max_event_time)
-        self._sequential = _Frame(self.time, ContextKind.SEQUENTIAL)
-        self._parallel = _Frame(self.time, ContextKind.PARALLEL)
+        time = self.time = TimeManager(config, event_max=lambda: signals.max_event_time)
+        self.now_mu, self.delay_mu, self.delay, self.at_mu = time.now_mu, time.delay_mu, time.delay, time.at_mu
+        self._sequential = _Frame(time, ContextKind.SEQUENTIAL)
+        self._parallel = _Frame(time, ContextKind.PARALLEL)
         self._drivers: dict[str, SimDevice] = {}
         self.stats: Optional[RunStats] = None
         self.error: Optional[BaseException] = None
@@ -172,19 +176,6 @@ class SimulationRun:
             desc = self.ddb.descriptor(name)
             self._drivers[name] = DRIVER_CLASSES[desc.kind](desc, self)
         return self._drivers[name]
-
-    # Cursor API pass-throughs, so experiment bodies read naturally.
-    def now_mu(self) -> int:
-        return self.time.now_mu()
-
-    def delay_mu(self, d: int) -> None:
-        self.time.delay_mu(d)
-
-    def delay(self, d_seconds: float) -> None:
-        self.time.delay(d_seconds)
-
-    def at_mu(self, t: int) -> None:
-        self.time.at_mu(t)
 
     def sequential(self) -> _Frame:
         return self._sequential

@@ -112,17 +112,18 @@ class TimeManager:
 
     The cursor is one int, ``_now``. The root frame is sequential, starts at
     0 and is never popped; ``_frames`` lists the frames open above it, as
-    ``[start, longest]``. A sequential frame keeps only its start
-    (``longest`` is None): its duration is ``_now - start``. A parallel frame
-    also keeps the longest delay seen in it, and the cursor stays at its
-    start. Popping a frame sets the cursor back to the frame start and then
-    delays by the frame's duration. A delay, jump or sync runs every check
-    before it changes any state, so when it raises the cursor and the frames
-    are as they were. In a parallel frame that includes the check that the
-    frame start plus the delay fits, so a delay that would overflow at the
-    frame's exit raises at the delay, before a driver pushes an edge. The
-    horizon is the maximum of the cursor and every event timestamp recorded
-    so far, and is the counter estimate used by ``sync_to_counter``.
+    ``[start, longest]``: a sequential frame's duration is ``_now - start``
+    (``longest`` is None), a parallel frame keeps the cursor at its start and
+    the longest delay seen in it. A pop sets the cursor back to the frame's
+    start and delays by its duration. Each frame has a cursor window: the
+    root's is ``[MU_MIN, MU_MAX]``, a pushed frame's is ``[start + MU_MIN,
+    start + MU_MAX]`` clipped to its parent's, so a time in it keeps every
+    open frame's duration in 64 bits. ``[_lo, _hi]`` is the innermost frame's
+    window and ``_windows`` stacks the enclosing ones. Every delay must end in
+    the innermost window, checked before any state changes, so a delay, jump
+    or sync that raises leaves the cursor and the frames as they were. Windows
+    nest, so the delay a pop re-applies lands in the parent's: a pop cannot
+    overflow. ``horizon()`` is the counter estimate of ``sync_to_counter``.
     """
 
     def __init__(
@@ -134,6 +135,8 @@ class TimeManager:
         self._event_max = event_max if event_max is not None else lambda: None
         self._now = 0
         self._frames: list[list] = []
+        self._windows: list[tuple[int, int]] = []
+        self._lo, self._hi = MU_MIN, MU_MAX
         self.sync_count = 0
         self.first_sync_cursor: Optional[int] = None
 
@@ -147,18 +150,17 @@ class TimeManager:
     def delay_mu(self, d: int) -> None:
         if type(d) is not int:
             raise TypeError(f"delay_mu: machine units must be int, got {d!r}")
+        now = self._now + d
+        if not self._lo <= now <= self._hi:
+            raise MachineUnitsOverflow(f"delay_mu: end time {short_repr(now)} is outside [{self._lo}, {self._hi}], "
+                                       "where every open frame's duration fits in signed 64 bits")
         frames = self._frames
         if frames and frames[-1][1] is not None:
             # Parallel: the cursor stays put, only the longest delay is kept.
-            # The cursor is the frame start, so the frame must still end in range.
             if d > frames[-1][1]:
-                _checked_mu(self._now + d, "delay_mu")
-                frames[-1][1] = _checked_mu(d, "delay_mu")
-            return
-        now = _checked_mu(self._now + d, "delay_mu")
-        if frames:  # an open sequential frame: its duration must fit too
-            _checked_mu(now - frames[-1][0], "delay_mu")
-        self._now = now
+                frames[-1][1] = d
+        else:
+            self._now = now
 
     def delay(self, d_seconds: float) -> None:
         self.delay_mu(seconds_to_mu(d_seconds))
@@ -170,15 +172,22 @@ class TimeManager:
         self.delay_mu(_checked_mu(t_new - self._now, "at_mu"))
 
     def push_context(self, kind: ContextKind) -> None:
-        self._frames.append([self._now, None if kind is ContextKind.SEQUENTIAL else 0])
+        start = self._now
+        self._windows.append((self._lo, self._hi))
+        if start + MU_MIN > self._lo:
+            self._lo = start + MU_MIN
+        if start + MU_MAX < self._hi:
+            self._hi = start + MU_MAX
+        self._frames.append([start, None if kind is ContextKind.SEQUENTIAL else 0])
 
     def pop_context(self) -> None:
         if not self._frames:
             raise ContextStackError("the root sequential context cannot be popped")
         start, longest = self._frames.pop()
+        self._lo, self._hi = self._windows.pop()
         duration = self._now - start if longest is None else longest
         self._now = start
-        self.delay_mu(duration)
+        self.delay_mu(duration)  # lands in the parent's window, so it cannot raise
 
     def horizon(self) -> int:
         """Largest of the cursor and all recorded event timestamps."""

@@ -2,6 +2,7 @@ import pytest
 
 from rtsim import BenchScenario, SimConfig, SyncMode, relative_error
 from rtsim.bench import (
+    MAX_SCENARIO_CALLS,
     PRESETS,
     report_rows,
     run_scenario,
@@ -48,6 +49,13 @@ class TestScenarioShape:
             BenchScenario("s", points=1, samples_per_point=1, pulses_per_sample=-1)
         with pytest.raises(ValueError):
             BenchScenario("s", points=1, samples_per_point=1, dds_sets_per_sample=-1)
+        # A DDS write takes 0 MU, so only the call bound stops this one.
+        with pytest.raises(ValueError, match="driver calls"):
+            BenchScenario("s", points=1, samples_per_point=1, dds_sets_per_sample=10**20)
+        at_calls_bound = BenchScenario("s", points=1000, samples_per_point=2000, pulse_mu=1)
+        assert at_calls_bound.total_samples * (3 + 1 + 1) == MAX_SCENARIO_CALLS
+        with pytest.raises(ValueError, match="driver calls"):
+            BenchScenario("s", points=1001, samples_per_point=2000, pulse_mu=1)
         # Two syncs and three 1000 MU pulses leave room for this delay, and not one MU more.
         delay_mu = MU_MAX - 2 * 125_000 - 3 * 1000
         for buffered in (False, True):

@@ -110,6 +110,7 @@ BENCH_1 = ["bench", "scan", "--points", "1", "--samples", "1"]
     (BENCH_1 + ["--pulse-mu", "99999999999999999999"], None),
     (BENCH_1 + ["--samples", "3", "--delay-mu", "4611686018427387904"], None),  # overflows at sample 2
     pytest.param(BENCH_1, "scan," + "9" * 200_000, id="ref_csv_field_past_csv_limit"),
+    pytest.param(BENCH_1 + ["--dds-sets", "99999999999999999999"], None, id="dds_sets_past_call_bound"),
 ])
 def test_bad_inputs_exit_2(argv, ref_row, tmp_path, monkeypatch, capsys):
     """``ref_row``, if given, is the ``scan`` row of a ``--ref-csv`` table passed to the command."""

@@ -307,6 +307,17 @@ class TestEdgeCounter:
         if mode == "deterministic":
             assert count == 2**63 - 1024
 
+    def test_poisson_count_saturates_at_64_bits(self, make_run, draw_limit):
+        # The mean is below 2**63, but about half the draws at it are not.
+        run = make_run(seed=9, ddb=counter_ddb("poisson"))
+        dev = run.get_device("counter0")
+        dev.freq.push(math.nextafter(2.0**63, 0), 0)
+        counts = []
+        for _ in range(1000):
+            dev.gate_rising(10**9)
+            counts.append(dev.fetch_count())
+        assert min(counts) >= 0 and max(counts) == 2**63 - 1
+
     def test_poisson_gate_at_1ghz_for_1s_is_bounded(self, make_run, draw_limit):
         run = make_run(seed=3, ddb=counter_ddb("poisson"))
         dev = run.get_device("counter0")

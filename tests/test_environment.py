@@ -12,6 +12,7 @@ from rtsim import (
     ExperimentRunError,
     SimConfig,
     SyncMode,
+    TimeManager,
     UnknownDeviceError,
     load_ddb,
     run_experiment,
@@ -145,6 +146,13 @@ class TestRunExperiment:
         assert run.stats.event_count == 0
         assert run.stats.sync_count == 0
         assert run.stats.final_cursor == 0
+
+    def test_cursor_methods_are_the_timelines_own(self, make_run):
+        # No wrapper between an experiment body and its timeline.
+        run = make_run()
+        for name in ("now_mu", "delay_mu", "delay", "at_mu"):
+            method = getattr(run, name)
+            assert method.__self__ is run.time and method.__func__ is getattr(TimeManager, name)
 
     def test_finished_run_freed_without_cyclic_gc(self, full_ddb):
         # Every driver kind is built, and one draws, so none may keep the run that holds it.

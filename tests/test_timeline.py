@@ -41,6 +41,33 @@ def pop_outcome(tm):
     return "ok", tm.now_mu()
 
 
+def state(tm):
+    """Everything a raising op must leave as it was."""
+    frames = [list(frame) for frame in tm._frames]
+    windows = [*tm._windows, (tm._lo, tm._hi)]
+    return tm.now_mu(), tm.depth, frames, windows, tm.sync_count, tm.first_sync_cursor
+
+
+# Times within 200 000 MU of either end of the range or of 0, so a program
+# often lands on a window edge, with or without the 125 000 MU sync slack.
+edge_times = st.one_of(
+    st.integers(min_value=MU_MIN, max_value=MU_MIN + 200_000),
+    st.integers(min_value=-200_000, max_value=200_000),
+    st.integers(min_value=MU_MAX - 200_000, max_value=MU_MAX),
+)
+frame_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([SEQ, PAR])),
+        st.just(("pop",)),
+        st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]))),
+        st.tuples(st.just("at_mu"), edge_times),
+        st.tuples(st.just("event"), edge_times),
+        st.just(("sync",)),
+    ),
+    max_size=30,
+)
+
+
 class TestConfig:
     def test_regular_default_slack(self):
         assert SimConfig(mode=SyncMode.REGULAR).sync_slack_mu == 125_000
@@ -154,6 +181,50 @@ class TestNowAndDelay:
             tm.delay_mu(1)
         assert tm.now_mu() == -1
         tm.pop_context()  # the frame's duration is still MU_MAX
+        assert tm.now_mu() == -1
+
+    @pytest.mark.parametrize("inner", [SEQ, PAR])
+    def test_enclosing_frame_overflow_raises_at_the_delay(self, inner):
+        # The inner frame has room for 1 MU more; the outer one, which started
+        # at MU_MIN and already lasts MU_MAX, has none.
+        tm = manager()
+        tm.at_mu(MU_MIN)
+        tm.push_context(SEQ)
+        tm.at_mu(-1)
+        tm.push_context(inner)
+        frames = [list(frame) for frame in tm._frames]
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+            tm.delay_mu(1)
+        assert (tm.now_mu(), tm.depth, tm._frames) == (-1, 3, frames)
+        tm.pop_context()
+        tm.pop_context()
+        assert (tm.now_mu(), tm.depth) == (-1, 1)
+
+    def test_parallel_negative_delay_below_the_window_raises(self):
+        # Like a sequential frame, a parallel one takes no delay that ends below MU_MIN.
+        tm = manager()
+        tm.at_mu(MU_MIN)
+        tm.push_context(PAR)
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+            tm.delay_mu(-1)
+        assert tm._frames == [[MU_MIN, 0]]
+        tm.pop_context()
+        assert tm.now_mu() == MU_MIN
+
+    def test_excursion_past_an_enclosing_window_raises_at_once(self):
+        # delay_mu(20) then delay_mu(-11) would end inside every frame, but the
+        # first delay alone takes the outer frame's duration past MU_MAX.
+        tm = manager()
+        tm.at_mu(MU_MIN)
+        tm.push_context(SEQ)
+        tm.at_mu(-10)
+        tm.push_context(SEQ)
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+            tm.delay_mu(20)
+        assert tm.now_mu() == -10
+        tm.delay_mu(9)  # up to the outer frame's last MU
+        tm.pop_context()
+        tm.pop_context()
         assert tm.now_mu() == -1
 
 
@@ -527,6 +598,25 @@ class TestProperties:
         # The open frame is unchanged too: leaving it gives the same outcome.
         if kind is not None:
             assert pop_outcome(tm) == pop_outcome(ref)
+
+    @given(frame_programs)
+    @example([("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", SEQ), ("delay_mu", 1), ("pop",)])
+    @example([("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1), ("pop",)])
+    @settings(max_examples=300, deadline=None)
+    def test_no_pop_overflows_and_raising_ops_change_nothing(self, program):
+        events = []
+        tm = manager(events=events)
+        ops = {"push": tm.push_context, "pop": tm.pop_context, "sync": tm.sync_to_counter,
+               "delay_mu": tm.delay_mu, "at_mu": tm.at_mu, "event": events.append}
+        for op, *args in program:
+            before = state(tm)
+            try:
+                ops[op](*args)
+            except (MachineUnitsOverflow, ContextStackError) as exc:
+                assert op != "pop" or type(exc) is ContextStackError
+                assert state(tm) == before
+        while tm.depth > 1:
+            tm.pop_context()
 
     def test_sequential_invariant_holds_under_mixed_ops(self):
         # After each prefix of ops, a sequential frame inside a parallel one
