@@ -175,10 +175,11 @@ class TtlIn(SimDevice):
             raise InputUnset(f"{self.name}: input probability is unset at t={cursor}")
         if not 0.0 <= p <= 1.0:
             raise DeviceError(f"{self.name}: probability {p} outside [0, 1]")
+        # Delay first, as pulse_mu does, so an overflow leaves no event, buffer entry or draw.
+        self._time.delay_mu(self._sample_delay_mu)
         value = self._rng.bernoulli(p)
         self.sample.push(value, cursor)
         self.buffer.put(value)
-        self._time.delay_mu(self._sample_delay_mu)
 
     def fetch_sample(self) -> int:
         """Consume the oldest enqueued sample."""
@@ -259,17 +260,24 @@ class Dds(SimDevice):
         self.init_marker.push(True, self._time.now_mu())
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
-        if not 0 <= freq_hz <= sys.float_info.max:
-            raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {short_repr(freq_hz)}")
-        if not 0.0 <= phase_turns < 1.0:
-            raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {short_repr(phase_turns)}")
-        if not 0.0 <= amplitude <= 1.0:
-            raise DeviceError(f"{self.name}: amplitude must be in [0, 1], got {short_repr(amplitude)}")
+        # Every check, the float conversions and the delay come before the first push,
+        # so a call that raises leaves no event. A REAL signal takes no bool, so neither does this.
+        try:
+            if type(freq_hz) is bool or not 0 <= freq_hz <= sys.float_info.max:
+                raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {short_repr(freq_hz)}")
+            if type(phase_turns) is bool or not 0.0 <= phase_turns < 1.0:
+                raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {short_repr(phase_turns)}")
+            if type(amplitude) is bool or not 0.0 <= amplitude <= 1.0:
+                raise DeviceError(f"{self.name}: amplitude must be in [0, 1], got {short_repr(amplitude)}")
+            freq, phase, amp = float(freq_hz), float(phase_turns), float(amplitude)
+        except TypeError:  # a non-number: it does not compare with a float, or has no float value
+            raise DeviceError(f"{self.name}: frequency, phase and amplitude must be real numbers, got "
+                              f"{short_repr(freq_hz)}, {short_repr(phase_turns)}, {short_repr(amplitude)}") from None
         cursor = self._time.now_mu()
-        self.freq.push(float(freq_hz), cursor)
-        self.phase.push(float(phase_turns), cursor)
-        self.amp.push(float(amplitude), cursor)
         self._time.delay_mu(self._set_delay_mu)
+        self.freq.push(freq, cursor)
+        self.phase.push(phase, cursor)
+        self.amp.push(amp, cursor)
 
 
 class Adc(SimDevice):
@@ -295,8 +303,8 @@ class Adc(SimDevice):
             if v is UNKNOWN:
                 raise InputUnset(f"{self.name}: channel {i} voltage is unset at t={cursor}")
             values.append(v)
-        self.buffer.put(values)
         self._time.delay_mu(self._sample_delay_mu)
+        self.buffer.put(values)
 
     def fetch_sample(self) -> list[float]:
         return self.buffer.take()

@@ -160,9 +160,9 @@ class SimulationRun:
     def __init__(self, ddb: DeviceDb, config: SimConfig):
         self.ddb = ddb
         self.config = config
-        # Close over the signals and bind the timeline, not the run: a finished run needs no cyclic GC.
-        signals = self.signals = SignalManager()
-        time = self.time = TimeManager(config, event_max=lambda: signals.max_event_time)
+        # Share the signals' horizon cell and bind the timeline, not the run: a finished run needs no cyclic GC.
+        self.signals = SignalManager()
+        time = self.time = TimeManager(config, self.signals.event_top)
         self.now_mu, self.delay_mu, self.delay, self.at_mu = time.now_mu, time.delay_mu, time.delay, time.at_mu
         self._sequential = _Frame(time, ContextKind.SEQUENTIAL)
         self._parallel = _Frame(time, ContextKind.PARALLEL)

@@ -76,8 +76,8 @@ class Xoshiro256StarStar:
         Below mean 10 it counts exponential arrivals before ``mean`` (about
         mean + 1 draws). From 10 up it uses PTRS (Hormann 1993, with the
         constants of NumPy's ``random_poisson_ptrs``): 2.2 to 2.7 draws a call
-        at any mean. Past a mean of about 1e14 its float rejection test loses
-        precision, as NumPy's does, and the variance drifts from the mean.
+        at any mean. From k = 10 up its rejection test takes the log pmf by
+        Stirling in k - mean, so it keeps its precision up to the largest mean.
         """
         if not 0 <= mean < POISSON_MEAN_LIMIT:  # nan, inf or a count past 64 bits
             raise ValueError(f"poisson mean must be finite and non-negative and below 2**63: {mean}")
@@ -110,7 +110,12 @@ class Xoshiro256StarStar:
                 return k
             if k < 0 or (us < 0.013 and v > us):
                 continue
+            if k < 10:
+                log_pmf = -mean + k * loglam - math.lgamma(k + 1)
+            else:  # the same, by Stirling in d = k - mean: no terms near k*log(k) that cancel
+                d = k - mean
+                log_pmf = (d - k * math.log1p(d / mean) - 0.5 * math.log(2 * math.pi * k)
+                           - 1 / (12 * k) + 1 / (360 * k**3))
             # v = 0 would be log(0) = -inf, which accepts
-            if v == 0.0 or (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
-                            <= -mean + k * loglam - math.lgamma(k + 1)):
+            if v == 0.0 or math.log(v) + log_invalpha - math.log(a / (us * us) + b) <= log_pmf:
                 return k

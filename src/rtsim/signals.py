@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .timeline import MU_MAX, MU_MIN, short_repr
 
@@ -134,14 +134,15 @@ class Signal:
     """One per-device state channel: events kept as parallel sorted lists.
 
     ``_times`` is strictly increasing and ``_values[i]`` is the value of the
-    event at ``_times[i]``. Readers inside the package (the horizon, the
-    exporters, the testkit) read the two lists in place. ``_coerce`` is the
-    kind's validator, bound once here so that a push does not look it up.
+    event at ``_times[i]``. Readers inside the package (the exporters, the
+    testkit) read the two lists in place. ``_coerce`` is the kind's
+    validator, bound once here so that a push does not look it up.
+    ``_event_top`` is its manager's horizon cell, which an append raises.
     """
 
-    __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values", "_coerce")
+    __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values", "_coerce", "_event_top")
 
-    def __init__(self, device_name: str, signal_name: str, kind: SignalKind, is_input: bool = False):
+    def __init__(self, device_name: str, signal_name: str, kind: SignalKind, is_input: bool, event_top: list[int]):
         self.device_name = device_name
         self.signal_name = signal_name
         self.kind = kind
@@ -149,6 +150,7 @@ class Signal:
         self._times: list[int] = []
         self._values: list[object] = []
         self._coerce = _VALIDATORS[kind]
+        self._event_top = event_top
 
     def __repr__(self):
         return f"Signal({self.device_name}.{self.signal_name}, {self.kind.value})"
@@ -165,6 +167,10 @@ class Signal:
         if not times or time > times[-1]:
             times.append(time)
             self._values.append(value)
+            # Only an append can raise the maximum: an overwrite or insert lands at or below times[-1].
+            top = self._event_top
+            if time > top[0]:
+                top[0] = time
         elif time == times[-1]:
             self._values[-1] = value
         else:
@@ -196,19 +202,18 @@ class Signal:
         hi = bisect_right(times, t1, lo)
         return list(zip(times[lo:hi], self._values[lo:hi]))
 
-    def max_event_time(self) -> Optional[int]:
-        return self._times[-1] if self._times else None
-
 
 class SignalManager:
     """Registry of all signals of one simulation.
 
-    Reports the maximum event timestamp across every signal, which feeds the
-    timeline horizon.
+    ``event_top`` is the horizon cell its signals share: a one-item list of
+    the largest time any of them stores, or MU_MIN before the first event.
+    The run's timeline reads it, so a sync costs one read at any signal count.
     """
 
     def __init__(self):
         self._signals: dict[tuple[str, str], Signal] = {}
+        self.event_top = [MU_MIN]
 
     def register(
         self,
@@ -220,7 +225,7 @@ class SignalManager:
         key = (device_name, signal_name)
         if key in self._signals:
             raise DuplicateSignalError(f"signal already registered: {device_name}.{signal_name}")
-        signal = Signal(device_name, signal_name, kind, is_input)
+        signal = Signal(device_name, signal_name, kind, is_input, self.event_top)
         self._signals[key] = signal
         return signal
 
@@ -235,11 +240,6 @@ class SignalManager:
 
     def __iter__(self) -> Iterator[Signal]:
         return iter(self._signals.values())
-
-    @property
-    def max_event_time(self) -> Optional[int]:
-        # Events are never deleted, so this equals the largest time ever pushed.
-        return max((s._times[-1] for s in self._signals.values() if s._times), default=None)
 
     def event_count(self) -> int:
         return sum(len(s) for s in self._signals.values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 MU_MIN = -(2**63)
 MU_MAX = 2**63 - 1
@@ -123,16 +123,14 @@ class TimeManager:
     the innermost window, checked before any state changes, so a delay, jump
     or sync that raises leaves the cursor and the frames as they were. Windows
     nest, so the delay a pop re-applies lands in the parent's: a pop cannot
-    overflow. ``horizon()`` is the counter estimate of ``sync_to_counter``.
+    overflow. ``horizon()``, the counter estimate of ``sync_to_counter``, is
+    the larger of the cursor and ``event_top[0]``: the largest event time, in
+    the one-item list a ``SignalManager``'s signals share, or MU_MIN.
     """
 
-    def __init__(
-        self,
-        config: Optional[SimConfig] = None,
-        event_max: Optional[Callable[[], Optional[int]]] = None,
-    ):
+    def __init__(self, config: Optional[SimConfig] = None, event_top: Optional[list[int]] = None):
         self.config = config if config is not None else SimConfig()
-        self._event_max = event_max if event_max is not None else lambda: None
+        self._event_top = event_top if event_top is not None else [MU_MIN]
         self._now = 0
         self._frames: list[list] = []
         self._windows: list[tuple[int, int]] = []
@@ -191,11 +189,8 @@ class TimeManager:
 
     def horizon(self) -> int:
         """Largest of the cursor and all recorded event timestamps."""
-        h = self._now
-        ev = self._event_max()
-        if ev is not None and ev > h:
-            h = ev
-        return h
+        top = self._event_top[0]
+        return top if top > self._now else self._now
 
     def sync_to_counter(self) -> int:
         """Move the cursor to the horizon, then insert the configured slack.

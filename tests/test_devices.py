@@ -98,6 +98,28 @@ class TestCore:
         run.at_mu(0)
         assert run.get_device("core").reset() == 9_125_000
 
+    def test_reset_reads_no_signal(self, make_run):
+        # A sync reads the run's one horizon cell: it never walks the registered signals.
+        class Unwalkable(dict):
+            def _refuse(self, *args):
+                raise AssertionError("a sync walked the signal registry")
+
+            __iter__ = values = items = keys = _refuse
+
+        run = make_run(SyncMode.REGULAR)
+        core, ttl, dds = (run.get_device(name) for name in ("core", "ttl0", "dds0"))
+        run.at_mu(7_000)
+        dds.set(1e6)
+        run.at_mu(3_000)
+        ttl.pulse(1_000)
+        run.signals._signals = Unwalkable(run.signals._signals)
+        run.at_mu(0)
+        assert core.reset() == 7_000 + 125_000
+        run.at_mu(-500)
+        ttl.pulse(9_000_000)  # pushes after the swap still reach the cell
+        run.at_mu(0)
+        assert core.reset() == 8_999_500 + 125_000
+
 
 class TestTtlOut:
     def test_pulse_events_and_cursor(self, make_run):
@@ -459,12 +481,15 @@ class TestDds:
             (-1.0, 0.0, 1.0), (1e6, 1.0, 1.0), (1e6, -0.1, 1.0), (1e6, 0.0, 1.1), (1e6, 0.0, -0.1),
             (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0), (float("-inf"), 0.0, 1.0),
             (10**400, 0.0, 1.0),
+            (True, 0.0, 1.0), (1e6, False, 1.0), (1e6, 0.0, True), ("1e6", 0.0, 1.0),
         ],
     )
     def test_parameter_validation(self, make_run, freq, phase, amp):
         run = make_run()
+        dds = run.get_device("dds0")
         with pytest.raises(DeviceError):
-            run.get_device("dds0").set(freq, phase, amp)
+            dds.set(freq, phase, amp)
+        assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
 
 
 class TestAdc:
@@ -517,6 +542,35 @@ class TestAdc:
         adc.voltages[0].push(0.5, 0)
         adc.sample()
         assert run.now_mu() == 30
+
+
+@pytest.mark.parametrize("kind,param,call", [
+    ("ttl_in", "sample_delay_mu", lambda dev: dev.sample_input()),
+    ("adc", "sample_delay_mu", lambda dev: dev.sample_input()),
+    ("dds", "set_delay_mu", lambda dev: dev.set(1e6, 0.25, 0.5)),
+], ids=["ttl_in", "adc", "dds"])
+def test_call_whose_delay_overflows_changes_nothing(kind, param, call):
+    ddb = DeviceDb.from_dict({"devices": [
+        {"name": "core", "kind": "core"},
+        {"name": "dev", "kind": kind, "params": {param: 100}},
+    ]})
+    run = SimulationRun(ddb, SimConfig())
+    dev = run.get_device("dev")
+    for sig in run.signals:
+        if sig.is_input:
+            sig.push(0.5, 0)  # p = 0.5, so a ttl_in sample draws from its stream
+
+    def state():
+        buffer = getattr(dev, "buffer", None)
+        stream = getattr(dev, "_rng", None)
+        return (run.now_mu(), [sig.events() for sig in run.signals],
+                None if buffer is None else len(buffer), None if stream is None else stream._s)
+
+    run.at_mu(MU_MAX - 5)
+    before = state()
+    with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+        call(dev)
+    assert state() == before
 
 
 class TestInputBuffer:

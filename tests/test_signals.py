@@ -299,22 +299,60 @@ class TestManagerCoupling:
         sm = SignalManager()
         sig = sm.register("d", "s", SignalKind.INT)
         other = sm.register("d", "t", SignalKind.INT)
-        assert sm.max_event_time is None
+        assert sm.event_top == [MU_MIN]
         sig.push(1, 500)
         sig.push(2, 100)
-        assert sm.max_event_time == 500
+        assert sm.event_top == [500]
         other.push(3, 800)
         other.push(4, 200)  # out of order: below the maximum
-        assert sm.max_event_time == 800
+        assert sm.event_top == [800]
         other.push(5, 800)  # overwrite at the maximum
-        assert sm.max_event_time == 800
+        assert sm.event_top == [800]
+        sig.push(6, 600)  # an append to one signal below another's maximum
+        assert sm.event_top == [800]
+        assert SignalManager().event_top == [MU_MIN]  # each manager has its own cell
 
     def test_horizon_covers_any_push(self):
         sm = SignalManager()
-        tm = TimeManager(SimConfig(), event_max=lambda: sm.max_event_time)
+        tm = TimeManager(SimConfig(), sm.event_top)
         sig = sm.register("d", "s", SignalKind.INT)
         sig.push(1, 700)
-        assert tm.horizon() >= 700
+        assert tm.horizon() == 700
+        sig.push(2, -50)
+        assert tm.horizon() == 700
+
+    @given(st.lists(st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.integers(0, 2),
+            st.one_of(st.integers(-50, 50), st.sampled_from([MU_MIN, MU_MAX, MU_MIN - 1, MU_MAX + 1, 2**70, 1.5])),
+            st.booleans(),
+        ),
+        st.tuples(st.just("at_mu"), st.integers(-60, 60)),
+    ), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_horizon_is_max_of_cursor_and_stored_times(self, script):
+        # Several signals, out-of-order inserts, overwrites, and pushes that raise for
+        # a value of the wrong kind or a time outside the signed 64-bit range.
+        sm = SignalManager()
+        tm = TimeManager(SimConfig(), sm.event_top)
+        kinds = [(SignalKind.INT, 7), (SignalKind.BOOL, True), (SignalKind.REAL, 0.5)]
+        signals = [(sm.register("d", f"s{i}", kind), good) for i, (kind, good) in enumerate(kinds)]
+        stored = set()
+        for op, *args in script:
+            if op == "at_mu":
+                tm.at_mu(args[0])
+            else:
+                index, time, valid = args
+                sig, good = signals[index]
+                try:
+                    sig.push(good if valid else "x", time)
+                except SignalError:
+                    assert not valid or type(time) is not int or not MU_MIN <= time <= MU_MAX
+                else:
+                    stored.add(time)
+            assert tm.horizon() == max([tm.now_mu(), *stored])
+            assert stored == {t for sig, _ in signals for t in sig._times}
 
     def test_event_count_sums_signals(self):
         sm = SignalManager()
@@ -336,13 +374,14 @@ script = st.lists(
 
 
 def pushed(pushes):
-    """A registered signal and the oracle, both fed the same push script."""
-    sig = SignalManager().register("d", "s", SignalKind.INT)
+    """A registered signal, its manager's horizon cell and the oracle, all fed the same push script."""
+    sm = SignalManager()
+    sig = sm.register("d", "s", SignalKind.INT)
     oracle = PushLogOracle()
     for t, v in pushes:
         sig.push(v, t)
         oracle.push(t, v)
-    return sig, oracle
+    return sig, oracle, sm.event_top
 
 
 def unknown_if_none(value):
@@ -355,20 +394,20 @@ class TestStoreBackends:
     @given(pushes=script, pulls=st.lists(st.integers(-(10**4) - 5, 10**4 + 5), max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_pull_matches_linear_scan_oracle(self, pushes, pulls):
-        sig, oracle = pushed(pushes)
+        sig, oracle, _ = pushed(pushes)
         for t in pulls + [t for t, _ in pushes]:
             assert sig.pull(t) == unknown_if_none(oracle.pull(t))
 
     @given(pushes=script)
     @settings(max_examples=200, deadline=None)
     def test_items_sorted_and_deduplicated(self, pushes):
-        sig, oracle = pushed(pushes)
+        sig, oracle, top = pushed(pushes)
         items = sig.events()
         assert items == oracle.items()
         times = [t for t, _ in items]
         assert times == sorted(set(times))
         assert len(sig) == len(times)
-        assert sig.max_event_time() == (times[-1] if times else None)
+        assert top == [times[-1] if times else MU_MIN]
 
     @given(
         pushes=script,
@@ -377,24 +416,24 @@ class TestStoreBackends:
     )
     @settings(max_examples=100, deadline=None)
     def test_range_items_match_oracle(self, pushes, t0, span):
-        sig, oracle = pushed(pushes)
+        sig, oracle, _ = pushed(pushes)
         assert sig.events_in(t0, t0 + span) == oracle.range_items(t0, t0 + span)
 
     def test_empty_store_behaviour(self):
-        sig, _ = pushed([])
+        sig, _, top = pushed([])
         assert len(sig) == 0
         assert sig.pull(0) is UNKNOWN
-        assert sig.max_event_time() is None
+        assert top == [MU_MIN]
         assert sig.events() == []
         assert sig.events_in(-10, 10) == []
 
     def test_max_time(self):
-        sig, _ = pushed([(5, 1), (-3, 2)])
-        assert sig.max_event_time() == 5
+        sig, _, top = pushed([(5, 1), (-3, 2)])
+        assert top == [5]
         assert len(sig) == 2
 
     def test_pull_outside_64_bit_range(self):
-        sig, _ = pushed([(MU_MIN, 1), (MU_MAX, 2)])
+        sig, _, _ = pushed([(MU_MIN, 1), (MU_MAX, 2)])
         assert sig.pull(MU_MIN - 1) is UNKNOWN
         assert sig.pull(MU_MAX + 1) == 2
         assert sig.events_in(MU_MIN - 10, MU_MAX + 10) == [(MU_MIN, 1), (MU_MAX, 2)]
@@ -404,7 +443,7 @@ class TestIntegerTimes:
     @given(pushes=script, bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
     @settings(max_examples=100, deadline=None)
     def test_non_int_times_raise_and_leave_store(self, pushes, bad):
-        sig, oracle = pushed(pushes)
+        sig, oracle, _ = pushed(pushes)
         with pytest.raises(SignalError):
             sig.push(1, bad)
         with pytest.raises(SignalError):

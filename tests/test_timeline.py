@@ -8,6 +8,8 @@ from rtsim import (
     ContextKind,
     ContextStackError,
     MachineUnitsOverflow,
+    SignalKind,
+    SignalManager,
     SimConfig,
     SyncMode,
     TimeManager,
@@ -21,12 +23,19 @@ SEQ = ContextKind.SEQUENTIAL
 PAR = ContextKind.PARALLEL
 
 
-def manager(mode=SyncMode.REGULAR, events=None):
-    ev = events if events is not None else []
-    return TimeManager(
-        SimConfig(mode=mode),
-        event_max=lambda: max(ev) if ev else None,
-    )
+def timeline_and_signal(mode=SyncMode.REGULAR):
+    """A timeline on a real ``SignalManager``'s horizon cell, and one signal of that manager."""
+    signals = SignalManager()
+    sig = signals.register("d", "s", SignalKind.INT)
+    return TimeManager(SimConfig(mode=mode), signals.event_top), sig
+
+
+def manager(mode=SyncMode.REGULAR, events=()):
+    """A timeline whose signals hold an event at each of ``events``."""
+    tm, sig = timeline_and_signal(mode)
+    for t in events:
+        sig.push(0, t)
+    return tm
 
 
 mu_values = st.integers(min_value=MU_MIN, max_value=MU_MAX)
@@ -465,13 +474,12 @@ class TestHorizonAndSync:
         ids=["horizon-plus-slack", "frame-duration", "jump-sequential", "jump-parallel"],
     )
     def test_failed_sync_changes_nothing(self, start, kind, event, match):
-        events = []
-        tm = manager(events=events)
+        tm, sig = timeline_and_signal()
         if kind is not None:
             tm.sync_to_counter()  # so sync_count and first_sync_cursor are set
             tm.at_mu(start)
             tm.push_context(kind)
-        events.append(event)
+        sig.push(0, event)
         before = (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor)
         with pytest.raises(MachineUnitsOverflow, match=match):
             tm.sync_to_counter()
@@ -604,10 +612,9 @@ class TestProperties:
     @example([("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1), ("pop",)])
     @settings(max_examples=300, deadline=None)
     def test_no_pop_overflows_and_raising_ops_change_nothing(self, program):
-        events = []
-        tm = manager(events=events)
+        tm, sig = timeline_and_signal()
         ops = {"push": tm.push_context, "pop": tm.pop_context, "sync": tm.sync_to_counter,
-               "delay_mu": tm.delay_mu, "at_mu": tm.at_mu, "event": events.append}
+               "delay_mu": tm.delay_mu, "at_mu": tm.at_mu, "event": lambda t: sig.push(0, t)}
         for op, *args in program:
             before = state(tm)
             try:
