@@ -173,23 +173,25 @@ def _cmd_diff(args) -> int:
     except (OSError, ValueError) as exc:
         return _bad_input(exc)
 
-    # The verdict comes from every record; --max-diffs limits only the printout.
-    divergences = [
-        (i, a, b) for i, (a, b) in enumerate(zip_longest(recs_a, recs_b)) if a != b
-    ]
-    for i, a, b in divergences[:args.max_diffs]:
-        print(f"record {i}:")
-        print(f"  A: {a}")
-        print(f"  B: {b}")
-    if len(divergences) > args.max_diffs:
-        print(f"{len(divergences) - args.max_diffs} more divergent records not shown")
+    # The verdict comes from every record; --max-diffs limits only the printout,
+    # so the divergences past it are counted, not kept.
+    divergent = 0
+    for i, (a, b) in enumerate(zip_longest(recs_a, recs_b)):
+        if a != b:
+            if divergent < args.max_diffs:
+                print(f"record {i}:")
+                print(f"  A: {a}")
+                print(f"  B: {b}")
+            divergent += 1
+    if divergent > args.max_diffs:
+        print(f"{divergent - args.max_diffs} more divergent records not shown")
     if len(recs_a) != len(recs_b):
         print(f"record counts: A={len(recs_a)} B={len(recs_b)}")
     deltas = _summary_deltas(sum_a, sum_b)
     for line in deltas:
         print(line)
 
-    identical = not divergences and len(recs_a) == len(recs_b) and not deltas
+    identical = not divergent and len(recs_a) == len(recs_b) and not deltas
     if identical:
         print("identical")
         return 0

@@ -100,6 +100,11 @@ class InputBuffer:
 class SimDevice:
     """Common driver state: timeline access, signal registration.
 
+    Drivers store events with ``Signal._put``, not ``push``: each write's
+    time is a cursor time, which the timeline keeps a signed 64-bit int,
+    and its value is a constant of the signal's kind or one the driver has
+    just checked.
+
     ``PARAMS`` maps each DDB param a kind accepts to its default and to the
     check its value must pass, which returns an error text or None.
     """
@@ -136,10 +141,10 @@ class TtlOut(SimDevice):
         self.state = self._register("state", SignalKind.BOOL)
 
     def on(self) -> None:
-        self.state.push(True, self._time.now_mu())
+        self.state._put(True, self._time.now_mu())
 
     def off(self) -> None:
-        self.state.push(False, self._time.now_mu())
+        self.state._put(False, self._time.now_mu())
 
     def pulse_mu(self, duration_mu: int) -> None:
         if type(duration_mu) is not int or duration_mu <= 0:
@@ -147,8 +152,8 @@ class TtlOut(SimDevice):
         # Move the cursor before pushing, so an overflow leaves no rising edge behind.
         t_on = self._time.now_mu()
         self._time.delay_mu(duration_mu)
-        self.state.push(True, t_on)
-        self.state.push(False, self._time.now_mu())
+        self.state._put(True, t_on)
+        self.state._put(False, self._time.now_mu())
 
     # Alias matching the common driver surface.
     pulse = pulse_mu
@@ -177,8 +182,8 @@ class TtlIn(SimDevice):
             raise DeviceError(f"{self.name}: probability {p} outside [0, 1]")
         # Delay first, as pulse_mu does, so an overflow leaves no event, buffer entry or draw.
         self._time.delay_mu(self._sample_delay_mu)
-        value = self._rng.bernoulli(p)
-        self.sample.push(value, cursor)
+        value = self._rng.bernoulli(p)  # the int 0 or 1
+        self.sample._put(value, cursor)
         self.buffer.put(value)
 
     def fetch_sample(self) -> int:
@@ -224,8 +229,8 @@ class EdgeCounter(SimDevice):
                 f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite or is 2**63 or more")
         self._time.delay_mu(duration_mu)
         t_close = self._time.now_mu()
-        self.gate.push(True, t_open)
-        self.gate.push(False, t_close)
+        self.gate._put(True, t_open)
+        self.gate._put(False, t_close)
         if self.mode == "deterministic":
             count = round_half_away_from_zero(mean)
         else:
@@ -257,10 +262,10 @@ class Dds(SimDevice):
     def init(self) -> None:
         """Model device initialization: advance by init_delay_mu, mark done."""
         self._time.delay_mu(self._init_delay_mu)
-        self.init_marker.push(True, self._time.now_mu())
+        self.init_marker._put(True, self._time.now_mu())
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
-        # Every check, the float conversions and the delay come before the first push,
+        # Every check, the float conversions and the delay come before the first write,
         # so a call that raises leaves no event. A REAL signal takes no bool, so neither does this.
         try:
             if type(freq_hz) is bool or not 0 <= freq_hz <= sys.float_info.max:
@@ -273,11 +278,16 @@ class Dds(SimDevice):
         except TypeError:  # a non-number: it does not compare with a float, or has no float value
             raise DeviceError(f"{self.name}: frequency, phase and amplitude must be real numbers, got "
                               f"{short_repr(freq_hz)}, {short_repr(phase_turns)}, {short_repr(amplitude)}") from None
+        # The floats are stored, so they pass the same bounds: this fails a number whose float value
+        # (nan, say) disagrees with its comparisons, and leaves only finite floats in range to store.
+        if not (0.0 <= freq <= sys.float_info.max and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
+            raise DeviceError(f"{self.name}: frequency, phase and amplitude must have float values in range, got "
+                              f"{freq!r}, {phase!r}, {amp!r}")
         cursor = self._time.now_mu()
         self._time.delay_mu(self._set_delay_mu)
-        self.freq.push(freq, cursor)
-        self.phase.push(phase, cursor)
-        self.amp.push(amp, cursor)
+        self.freq._put(freq, cursor)
+        self.phase._put(phase, cursor)
+        self.amp._put(amp, cursor)
 
 
 class Adc(SimDevice):

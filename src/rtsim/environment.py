@@ -105,6 +105,8 @@ def load_ddb(path) -> DeviceDb:
         raise DeviceDbError(f"cannot read device database {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise DeviceDbError(f"device database {path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # nested past the decoder's limit
+        raise DeviceDbError(f"device database {path} is nested too deeply to decode") from None
     return DeviceDb.from_dict(data)
 
 

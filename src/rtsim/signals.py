@@ -138,6 +138,12 @@ class Signal:
     testkit) read the two lists in place. ``_coerce`` is the kind's
     validator, bound once here so that a push does not look it up.
     ``_event_top`` is its manager's horizon cell, which an append raises.
+
+    ``push`` is the checked entry: it checks the time and validates the
+    value, then hands both to ``_put``, the store. A caller that holds a
+    cursor time (an int the timeline keeps in signed 64 bits) and a value
+    of the signal's kind, such as a driver writing a constant or a value it
+    has just checked, calls ``_put`` itself.
     """
 
     __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values", "_coerce", "_event_top")
@@ -162,7 +168,10 @@ class Signal:
         """Add an event; appends in O(1) when ``time`` is at or past the last event."""
         if type(time) is not int or not MU_MIN <= time <= MU_MAX:
             raise SignalError(f"event timestamp must be a signed 64-bit int: {short_repr(time)}")
-        value = self._coerce(value)
+        self._put(self._coerce(value), time)
+
+    def _put(self, value, time: int) -> None:
+        """Store ``value`` at ``time``, both already valid: ``push`` without its checks."""
         times = self._times
         if not times or time > times[-1]:
             times.append(time)

@@ -196,7 +196,8 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
 
     Blank lines are skipped; every other line must hold exactly one JSON
     object, else ``ValueError`` (``json.JSONDecodeError`` for bad JSON or
-    anything after the value) is raised.
+    anything after the value) is raised. JSON nested past the decoder's
+    recursion limit is a ``ValueError`` too.
     """
     records = []
     summary = None
@@ -205,7 +206,10 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
             line = line.strip()
             if not line:
                 continue
-            obj, end = _DECODER.raw_decode(line)
+            try:
+                obj, end = _DECODER.raw_decode(line)
+            except RecursionError:
+                raise ValueError(f"JSON nested too deeply in line {line[:40]!r}") from None
             if end != len(line):
                 raise json.JSONDecodeError("Extra data", line, end)
             if type(obj) is not dict:

@@ -89,6 +89,7 @@ class TestRun:
 
 
 BENCH_1 = ["bench", "scan", "--points", "1", "--samples", "1"]
+DEEP_JSON = "deep.json"  # 100 000 "[" then as many "]": nested past the JSON decoder's recursion limit
 
 
 # Cases keep their places in the list, so each keeps its test id.
@@ -111,10 +112,14 @@ BENCH_1 = ["bench", "scan", "--points", "1", "--samples", "1"]
     (BENCH_1 + ["--samples", "3", "--delay-mu", "4611686018427387904"], None),  # overflows at sample 2
     pytest.param(BENCH_1, "scan," + "9" * 200_000, id="ref_csv_field_past_csv_limit"),
     pytest.param(BENCH_1 + ["--dds-sets", "99999999999999999999"], None, id="dds_sets_past_call_bound"),
+    pytest.param(["diff", DEEP_JSON, DEEP_JSON], None, id="diff_deeply_nested_json"),
+    pytest.param(["run", "demo", "--ddb", DEEP_JSON], None, id="ddb_deeply_nested_json"),
 ])
 def test_bad_inputs_exit_2(argv, ref_row, tmp_path, monkeypatch, capsys):
     """``ref_row``, if given, is the ``scan`` row of a ``--ref-csv`` table passed to the command."""
     monkeypatch.chdir(tmp_path)  # so "missing/" names a directory that does not exist
+    if DEEP_JSON in argv:
+        Path(DEEP_JSON).write_text("[" * 100_000 + "]" * 100_000 + "\n")
     if ref_row is not None:
         Path("ref.csv").write_text(f"scenario,t_ref_mu\n{ref_row}\n")
         argv = [*argv, "--ref-csv", "ref.csv"]
@@ -216,6 +221,16 @@ class TestDiff:
         assert "1 more divergent records not shown" in out
         assert run_cli("diff", str(golden), str(flipped), "--max-diffs", "1") == 1
         assert "record 5:" in capsys.readouterr().out
+
+    def test_every_record_divergent_counts_the_unshown(self, tmp_path, capsys):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_text("".join(f'{{"time_mu": {i}, "value": true}}\n' for i in range(25)))
+        b.write_text("".join(f'{{"time_mu": {i}, "value": false}}\n' for i in range(25)))
+        assert run_cli("diff", str(a), str(b)) == 1
+        out = capsys.readouterr().out
+        assert out.count("record ") == 10
+        assert "record 9:" in out and "record 10:" not in out
+        assert out.splitlines()[-1] == "15 more divergent records not shown"
 
     def test_negative_max_diffs_rejected(self, tmp_path, capsys):
         a = self.make_dump(tmp_path, "a.jsonl")

@@ -15,6 +15,8 @@ from rtsim import (
     InputBuffer,
     InputUnset,
     MachineUnitsOverflow,
+    Signal,
+    SignalManager,
     SimConfig,
     SimulationRun,
     SyncMode,
@@ -22,9 +24,10 @@ from rtsim import (
 )
 from rtsim.devices import DeviceDescriptor
 from rtsim.rng import Xoshiro256StarStar
-from rtsim.timeline import MU_MAX, REF_PERIOD_S
+from rtsim.timeline import MU_MAX, MU_MIN, REF_PERIOD_S
 
 from conftest import FULL_DDB
+from oracles import PushLogOracle
 
 # Golden sequences generated once with the pinned xoshiro256** streams.
 BERNOULLI_SEED_12345_IN0_P05 = [1, 0, 0, 1, 0, 1, 1, 1]
@@ -491,6 +494,24 @@ class TestDds:
             dds.set(freq, phase, amp)
         assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
 
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["freq", "phase", "amp"])
+    def test_argument_whose_float_value_is_out_of_range(self, make_run, position):
+        class NanValued:
+            """Every comparison says "in range", but the float value is nan."""
+
+            def __float__(self):
+                return math.nan
+
+            __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: True
+
+        args = [1e6, 0.5, 0.5]
+        args[position] = NanValued()
+        run = make_run()
+        dds = run.get_device("dds0")
+        with pytest.raises(DeviceError, match="float values in range"):
+            dds.set(*args)
+        assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
+
 
 class TestAdc:
     def test_sample_returns_configured_voltages(self, make_run):
@@ -571,6 +592,82 @@ def test_call_whose_delay_overflows_changes_nothing(kind, param, call):
     with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
         call(dev)
     assert state() == before
+
+
+TTLS = st.sampled_from(["ttl0", "ttl1"])
+
+# A random driver program: a list of driver calls, delays and nested frames. Small
+# delays of either sign make writes land on, before and after earlier events.
+driver_op = st.recursive(
+    st.one_of(
+        st.tuples(st.just("pulse"), TTLS, st.integers(1, 50)),
+        st.tuples(st.sampled_from(["on", "off"]), TTLS),
+        st.tuples(st.just("dds"), st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
+                  st.floats(0, 1, exclude_max=True), st.floats(0, 1)),
+        st.tuples(st.just("gate"), st.integers(1, 50)),
+        st.tuples(st.just("sample")),
+        st.tuples(st.just("delay"), st.integers(-60, 60)),
+    ),
+    lambda ops: st.tuples(st.sampled_from(["sequential", "parallel"]), st.lists(ops, max_size=5)),
+    max_leaves=30,
+)
+
+
+def run_program(run, program):
+    for op, *args in program:
+        if op in ("sequential", "parallel"):
+            with getattr(run, op)():
+                run_program(run, args[0])
+        elif op == "pulse":
+            run.get_device(args[0]).pulse(args[1])
+        elif op in ("on", "off"):
+            getattr(run.get_device(args[0]), op)()
+        elif op == "dds":
+            run.get_device("dds0").set(*args)
+        elif op == "gate":
+            run.get_device("counter0").gate_rising(args[0])
+        elif op == "sample":
+            run.get_device("in0").sample_get()
+        else:
+            run.delay_mu(args[0])
+
+
+@given(program=st.lists(driver_op, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_driver_writes_store_what_push_would(program):
+    """Drivers write with ``Signal._put``; replaying each write through ``push`` gives the same store."""
+    run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+    for name in ("ttl0", "ttl1", "in0", "counter0", "dds0"):
+        run.get_device(name)
+    writes = []
+    put = Signal._put
+
+    def logged_put(sig, value, time):
+        writes.append((sig.device_name, sig.signal_name, value, time))
+        put(sig, value, time)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Signal, "_put", logged_put)
+        run.signals.signal("in0", "prob").push(0.5, MU_MIN)
+        run.signals.signal("counter0", "freq").push(1e6, MU_MIN)
+        run_program(run, program)
+
+    replay = SignalManager()
+    for sig in run.signals:
+        replay.register(sig.device_name, sig.signal_name, sig.kind, sig.is_input)
+    for device, name, value, time in writes:
+        replay.signal(device, name).push(value, time)  # raises if push would refuse the write
+    for sig in run.signals:
+        twin = replay.signal(sig.device_name, sig.signal_name)
+        assert sig._times == twin._times
+        assert [(type(v), v) for v in sig._values] == [(type(v), v) for v in twin._values]
+    assert run.signals.event_top == replay.event_top
+
+    oracle = PushLogOracle()
+    for device, name, value, time in writes:
+        if (device, name) == ("ttl0", "state"):
+            oracle.push(time, value)
+    assert run.signals.signal("ttl0", "state").events() == oracle.items()
 
 
 class TestInputBuffer:
