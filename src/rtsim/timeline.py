@@ -57,8 +57,10 @@ def seconds_to_mu(seconds: float) -> int:
     """Convert a time in seconds to machine units.
 
     Uses round-half-away-from-zero so that symmetric positive and negative
-    delays convert symmetrically.
+    delays convert symmetrically. A bool raises ``TypeError``, as in ``delay_mu``.
     """
+    if type(seconds) is bool:
+        raise TypeError(f"seconds_to_mu: a bool is not a time in seconds, got {seconds!r}")
     try:
         if not math.isfinite(seconds):
             raise ValueError(f"non-finite time cannot be converted: {seconds!r}")
@@ -110,37 +112,37 @@ class ContextKind(enum.Enum):
 class TimeManager:
     """Simulates the timeline cursor and the timeline horizon.
 
-    The cursor is one int, ``_now``. The root frame is sequential, starts at
-    0 and is never popped; ``_frames`` lists the frames open above it, as
-    ``[start, longest]``: a sequential frame's duration is ``_now - start``
-    (``longest`` is None), a parallel frame keeps the cursor at its start and
-    the longest delay seen in it. A pop sets the cursor back to the frame's
-    start and delays by its duration. Each frame has a cursor window: the
-    root's is ``[MU_MIN, MU_MAX]``, a pushed frame's is ``[start + MU_MIN,
+    The cursor is one int, ``_now``. A timing frame is four fields: start,
+    longest delay (None if sequential) and cursor window ``[lo, hi]``. The
+    innermost frame's are ``_start``, ``_longest``, ``_lo`` and ``_hi``;
+    ``_enclosing`` stacks the frames around it as 4-tuples of the same
+    fields. The root frame, ``(0, None, MU_MIN, MU_MAX)``, is never popped.
+    A sequential frame's duration is ``_now - start``; a parallel frame keeps
+    the cursor at its start and the longest delay seen in it. A pop restores
+    the enclosing frame, sets the cursor back to the popped frame's start and
+    delays by its duration. A pushed frame's window is ``[start + MU_MIN,
     start + MU_MAX]`` clipped to its parent's, so a time in it keeps every
-    open frame's duration in 64 bits. ``[_lo, _hi]`` is the innermost frame's
-    window and ``_windows`` stacks the enclosing ones. Every delay must end in
-    the innermost window, checked before any state changes, so a delay, jump
-    or sync that raises leaves the cursor and the frames as they were. Windows
-    nest, so the delay a pop re-applies lands in the parent's: a pop cannot
-    overflow. ``horizon()``, the counter estimate of ``sync_to_counter``, is
-    the larger of the cursor and ``event_top[0]``: the largest event time, in
-    the one-item list a ``SignalManager``'s signals share, or MU_MIN.
+    open frame's duration in 64 bits. Every delay must end in the innermost
+    window, checked before any state changes, so a delay, jump or sync that
+    raises leaves the cursor and the frames as they were. Windows nest, so
+    the delay a pop re-applies lands in the parent's: a pop cannot overflow.
+    ``horizon()``, the counter estimate of ``sync_to_counter``, is the larger
+    of the cursor and ``event_top[0]``: the largest event time, in the
+    one-item list a ``SignalManager``'s signals share, or MU_MIN.
     """
 
     def __init__(self, config: Optional[SimConfig] = None, event_top: Optional[list[int]] = None):
         self.config = config if config is not None else SimConfig()
         self._event_top = event_top if event_top is not None else [MU_MIN]
         self._now = 0
-        self._frames: list[list] = []
-        self._windows: list[tuple[int, int]] = []
-        self._lo, self._hi = MU_MIN, MU_MAX
+        self._start, self._longest, self._lo, self._hi = 0, None, MU_MIN, MU_MAX
+        self._enclosing: list[tuple[int, Optional[int], int, int]] = []
         self.sync_count = 0
         self.first_sync_cursor: Optional[int] = None
 
     @property
     def depth(self) -> int:
-        return len(self._frames) + 1
+        return len(self._enclosing) + 1
 
     def now_mu(self) -> int:
         return self._now
@@ -152,13 +154,11 @@ class TimeManager:
         if not self._lo <= now <= self._hi:
             raise MachineUnitsOverflow(f"delay_mu: end time {short_repr(now)} is outside [{self._lo}, {self._hi}], "
                                        "where every open frame's duration fits in signed 64 bits")
-        frames = self._frames
-        if frames and frames[-1][1] is not None:
-            # Parallel: the cursor stays put, only the longest delay is kept.
-            if d > frames[-1][1]:
-                frames[-1][1] = d
-        else:
+        if self._longest is None:
             self._now = now
+        elif d > self._longest:
+            # Parallel: the cursor stays put, only the longest delay is kept.
+            self._longest = d
 
     def delay(self, d_seconds: float) -> None:
         self.delay_mu(seconds_to_mu(d_seconds))
@@ -171,20 +171,19 @@ class TimeManager:
 
     def push_context(self, kind: ContextKind) -> None:
         start = self._now
-        self._windows.append((self._lo, self._hi))
+        self._enclosing.append((self._start, self._longest, self._lo, self._hi))
+        self._start, self._longest = start, (None if kind is ContextKind.SEQUENTIAL else 0)
         if start + MU_MIN > self._lo:
             self._lo = start + MU_MIN
         if start + MU_MAX < self._hi:
             self._hi = start + MU_MAX
-        self._frames.append([start, None if kind is ContextKind.SEQUENTIAL else 0])
 
     def pop_context(self) -> None:
-        if not self._frames:
+        if not self._enclosing:
             raise ContextStackError("the root sequential context cannot be popped")
-        start, longest = self._frames.pop()
-        self._lo, self._hi = self._windows.pop()
-        duration = self._now - start if longest is None else longest
-        self._now = start
+        duration = self._now - self._start if self._longest is None else self._longest
+        self._now = self._start
+        self._start, self._longest, self._lo, self._hi = self._enclosing.pop()
         self.delay_mu(duration)  # lands in the parent's window, so it cannot raise
 
     def horizon(self) -> int:
@@ -204,8 +203,7 @@ class TimeManager:
         """
         jump = _checked_mu(self.horizon() - self._now, "at_mu")
         slack = self.config.sync_slack_mu
-        parallel = self._frames and self._frames[-1][1] is not None
-        self.delay_mu(max(jump, slack) if parallel else jump + slack)
+        self.delay_mu(jump + slack if self._longest is None else max(jump, slack))
         self.sync_count += 1
         cursor = self._now
         if self.first_sync_cursor is None:

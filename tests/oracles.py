@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the simulator.
 
 These stay deliberately naive: the nesting oracle evaluates timing trees by
-direct recursion, the signal oracle answers pulls by scanning the full push
-log. Neither shares code with the package.
+direct recursion, the timeline oracle checks each delay against every open
+frame, the signal oracle answers pulls by scanning the full push log. None
+shares code with the package.
 """
 
 from rtsim import ContextKind, TimeManager
@@ -76,3 +77,75 @@ class PushLogOracle:
 
     def range_items(self, t0, t1):
         return [(t, v) for t, v in self.items() if t0 <= t <= t1]
+
+
+class NaiveTimeline:
+    """Cursor and timing frames kept plainly: every delay checks every open frame.
+
+    ``frames`` lists the frames open above the root as ``[kind, start,
+    longest]``, ``kind`` being ``"seq"`` or ``"par"``. A delay is accepted iff
+    its end lies in the signed 64-bit range and its distance from every open
+    frame's start does too. A rejected delay or jump raises ``OverflowError``,
+    popping the root raises ``IndexError``; either leaves the state as it was.
+    """
+
+    LOW, HIGH = -(2**63), 2**63 - 1
+
+    def __init__(self, slack: int):
+        self.slack = slack
+        self.cursor = 0
+        self.frames = []
+        self.event_times = []
+        self.sync_count = 0
+        self.first_sync_cursor = None
+
+    @property
+    def depth(self) -> int:
+        return len(self.frames) + 1
+
+    def fits(self, value: int) -> bool:
+        return self.LOW <= value <= self.HIGH
+
+    def parallel(self) -> bool:
+        return bool(self.frames) and self.frames[-1][0] == "par"
+
+    def delay_mu(self, d: int) -> None:
+        end = self.cursor + d
+        if not self.fits(end) or not all(self.fits(end - start) for _, start, _ in self.frames):
+            raise OverflowError(f"delay of {d} from {self.cursor}")
+        if self.parallel():
+            self.frames[-1][2] = max(self.frames[-1][2], d)
+        else:
+            self.cursor = end
+
+    def jump_to(self, t: int) -> int:
+        if not self.fits(t - self.cursor):
+            raise OverflowError(f"jump from {self.cursor} to {t}")
+        return t - self.cursor
+
+    def at_mu(self, t: int) -> None:
+        self.delay_mu(self.jump_to(t))
+
+    def push(self, kind: str) -> None:
+        self.frames.append([kind, self.cursor, 0 if kind == "par" else None])
+
+    def pop(self) -> None:
+        if not self.frames:
+            raise IndexError("the root frame cannot be popped")
+        kind, start, longest = self.frames.pop()
+        duration = longest if kind == "par" else self.cursor - start
+        self.cursor = start
+        self.delay_mu(duration)
+
+    def event(self, t: int) -> None:
+        self.event_times.append(t)
+
+    def horizon(self) -> int:
+        return max([*self.event_times, self.cursor])
+
+    def sync(self) -> None:
+        jump = self.jump_to(self.horizon())
+        self.delay_mu(max(jump, self.slack) if self.parallel() else jump + self.slack)
+        self.sync_count += 1
+        if self.first_sync_cursor is None:
+            self.first_sync_cursor = self.cursor

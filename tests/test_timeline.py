@@ -17,7 +17,7 @@ from rtsim import (
 )
 from rtsim.timeline import MU_MAX, MU_MIN, round_half_away_from_zero
 
-from oracles import run_tree, tree_duration
+from oracles import NaiveTimeline, run_tree, tree_duration
 
 SEQ = ContextKind.SEQUENTIAL
 PAR = ContextKind.PARALLEL
@@ -50,15 +50,19 @@ def pop_outcome(tm):
     return "ok", tm.now_mu()
 
 
+def frames(tm):
+    """Every open frame, the root first, as ``(start, longest, lo, hi)``."""
+    return [*tm._enclosing, (tm._start, tm._longest, tm._lo, tm._hi)]
+
+
 def state(tm):
     """Everything a raising op must leave as it was."""
-    frames = [list(frame) for frame in tm._frames]
-    windows = [*tm._windows, (tm._lo, tm._hi)]
-    return tm.now_mu(), tm.depth, frames, windows, tm.sync_count, tm.first_sync_cursor
+    return tm.now_mu(), tm.depth, frames(tm), tm.sync_count, tm.first_sync_cursor
 
 
 # Times within 200 000 MU of either end of the range or of 0, so a program
 # often lands on a window edge, with or without the 125 000 MU sync slack.
+# Delays also reach ±2**64, past the signed 64-bit range both ways.
 edge_times = st.one_of(
     st.integers(min_value=MU_MIN, max_value=MU_MIN + 200_000),
     st.integers(min_value=-200_000, max_value=200_000),
@@ -68,13 +72,26 @@ frame_programs = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.sampled_from([SEQ, PAR])),
         st.just(("pop",)),
-        st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]))),
+        st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]),
+                                                 st.integers(min_value=-(2**64), max_value=2**64))),
         st.tuples(st.just("at_mu"), edge_times),
         st.tuples(st.just("event"), edge_times),
         st.just(("sync",)),
     ),
     max_size=30,
 )
+
+# The oracle's error for each of the timeline's.
+ORACLE_ERRORS = {MachineUnitsOverflow: OverflowError, ContextStackError: IndexError}
+
+
+def raised(op, *args):
+    """The type of the exception that ``op(*args)`` raises, or None."""
+    try:
+        op(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
 
 
 class TestConfig:
@@ -176,7 +193,9 @@ class TestNowAndDelay:
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             getattr(tm, op)(100 if op == "delay_mu" else MU_MAX + 95)
         assert tm.now_mu() == MU_MAX - 5
-        assert tm._frames == [[MU_MAX - 5, None], [MU_MAX - 5, 5]]
+        # Both frames start at MU_MAX - 5, so both windows begin at -6.
+        assert frames(tm) == [(0, None, MU_MIN, MU_MAX), (MU_MAX - 5, None, -6, MU_MAX),
+                              (MU_MAX - 5, 5, -6, MU_MAX)]
         tm.pop_context()
         assert tm.now_mu() == MU_MAX
 
@@ -201,10 +220,12 @@ class TestNowAndDelay:
         tm.push_context(SEQ)
         tm.at_mu(-1)
         tm.push_context(inner)
-        frames = [list(frame) for frame in tm._frames]
+        before = frames(tm)
+        assert before == [(0, None, MU_MIN, MU_MAX), (MU_MIN, None, MU_MIN, -1),
+                          (-1, None if inner is SEQ else 0, MU_MIN, -1)]
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             tm.delay_mu(1)
-        assert (tm.now_mu(), tm.depth, tm._frames) == (-1, 3, frames)
+        assert (tm.now_mu(), tm.depth, frames(tm)) == (-1, 3, before)
         tm.pop_context()
         tm.pop_context()
         assert (tm.now_mu(), tm.depth) == (-1, 1)
@@ -216,7 +237,7 @@ class TestNowAndDelay:
         tm.push_context(PAR)
         with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
             tm.delay_mu(-1)
-        assert tm._frames == [[MU_MIN, 0]]
+        assert frames(tm) == [(0, None, MU_MIN, MU_MAX), (MU_MIN, 0, MU_MIN, -1)]
         tm.pop_context()
         assert tm.now_mu() == MU_MIN
 
@@ -274,6 +295,17 @@ class TestDelaySeconds:
     def test_huge_seconds_overflow(self, seconds):
         with pytest.raises(MachineUnitsOverflow, match="seconds_to_mu"):
             seconds_to_mu(seconds)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected_before_the_cursor_moves(self, flag):
+        # seconds_to_mu(True) would be one second, as delay_mu(True) would be 1 MU.
+        tm = manager()
+        tm.delay_mu(7)
+        with pytest.raises(TypeError, match="bool"):
+            tm.delay(flag)
+        assert tm.now_mu() == 7
+        with pytest.raises(TypeError, match="bool"):
+            seconds_to_mu(flag)
 
     def test_huge_delay_overflows_and_leaves_cursor(self):
         tm = manager()
@@ -624,6 +656,27 @@ class TestProperties:
                 assert state(tm) == before
         while tm.depth > 1:
             tm.pop_context()
+
+    @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
+    @given(program=frame_programs)
+    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1)])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_timeline(self, mode, slack, program):
+        tm, sig = timeline_and_signal(mode)
+        naive = NaiveTimeline(slack)
+        ops = {"push": tm.push_context, "pop": tm.pop_context, "sync": tm.sync_to_counter,
+               "delay_mu": tm.delay_mu, "at_mu": tm.at_mu, "event": lambda t: sig.push(0, t)}
+        naive_ops = {"push": lambda kind: naive.push("seq" if kind is SEQ else "par"), "pop": naive.pop,
+                     "sync": naive.sync, "delay_mu": naive.delay_mu, "at_mu": naive.at_mu, "event": naive.event}
+        for op, *args in program:
+            error = raised(ops[op], *args)
+            assert ORACLE_ERRORS.get(error, error) is raised(naive_ops[op], *args), (op, *args)
+            assert (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor, tm.horizon()) == (
+                naive.cursor, naive.depth, naive.sync_count, naive.first_sync_cursor, naive.horizon()), (op, *args)
+        while tm.depth > 1:
+            tm.pop_context()
+            naive.pop()
+            assert tm.now_mu() == naive.cursor
 
     def test_sequential_invariant_holds_under_mixed_ops(self):
         # After each prefix of ops, a sequential frame inside a parallel one
