@@ -14,8 +14,8 @@ import sys
 from dataclasses import dataclass, field
 
 from . import rng
-from .signals import UNKNOWN, SignalKind
-from .timeline import REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
+from .signals import UNKNOWN, SignalKind, _is_plain_name
+from .timeline import MU_MAX, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
 
 class DeviceError(Exception):
@@ -30,9 +30,11 @@ class InputUnset(DeviceError):
     """An input signal was sampled before any value was configured for it."""
 
 
-def _non_negative_int(key, value):
+def _delay_param(key, value):
     if type(value) is not int or value < 0:
         return f"{key} must be a non-negative integer"
+    if value > MU_MAX:  # a duration, like every time, is a signed 64-bit MU value
+        return f"{key} must be at most 2**63 - 1"
 
 
 def _positive_int(key, value):
@@ -55,7 +57,7 @@ class DeviceDescriptor:
 
     def __post_init__(self):
         # The name is a VCD scope identifier and a JSONL string as it stands.
-        if type(self.name) is not str or not self.name or any(ch.isspace() for ch in self.name):
+        if not _is_plain_name(self.name):
             raise DeviceError(
                 f"device name must be a non-empty string without whitespace, got {self.name!r}"
             )
@@ -162,7 +164,7 @@ class TtlOut(SimDevice):
 class TtlIn(SimDevice):
     """Digital input sampled against a test-configured probability signal."""
 
-    PARAMS = {"sample_delay_mu": (0, _non_negative_int)}
+    PARAMS = {"sample_delay_mu": (0, _delay_param)}
 
     def __init__(self, desc, run):
         super().__init__(desc, run)
@@ -248,7 +250,7 @@ class EdgeCounter(SimDevice):
 class Dds(SimDevice):
     """Direct digital synthesizer channel: frequency, phase, amplitude."""
 
-    PARAMS = {"init_delay_mu": (125_000, _non_negative_int), "set_delay_mu": (0, _non_negative_int)}
+    PARAMS = {"init_delay_mu": (125_000, _delay_param), "set_delay_mu": (0, _delay_param)}
 
     def __init__(self, desc, run):
         super().__init__(desc, run)
@@ -293,7 +295,7 @@ class Dds(SimDevice):
 class Adc(SimDevice):
     """Multi-channel ADC sampling test-configured input voltage signals."""
 
-    PARAMS = {"channels": (1, _positive_int), "sample_delay_mu": (0, _non_negative_int)}
+    PARAMS = {"channels": (1, _positive_int), "sample_delay_mu": (0, _delay_param)}
 
     def __init__(self, desc, run):
         super().__init__(desc, run)

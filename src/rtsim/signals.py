@@ -212,6 +212,11 @@ class Signal:
         return list(zip(times[lo:hi], self._values[lo:hi]))
 
 
+def _is_plain_name(name) -> bool:
+    """A non-empty ``str`` without whitespace, which exports can write as it stands."""
+    return type(name) is str and name.split() == [name]
+
+
 class SignalManager:
     """Registry of all signals of one simulation.
 
@@ -231,6 +236,11 @@ class SignalManager:
         kind: SignalKind,
         is_input: bool = False,
     ) -> Signal:
+        if not (_is_plain_name(device_name) and _is_plain_name(signal_name)):
+            raise SignalError(
+                "device and signal names must be non-empty strings without whitespace, "
+                f"got device {short_repr(device_name)}, signal {short_repr(signal_name)}"
+            )
         key = (device_name, signal_name)
         if key in self._signals:
             raise DuplicateSignalError(f"signal already registered: {device_name}.{signal_name}")

@@ -1,8 +1,10 @@
 """Serializes a completed run's event timeline to VCD and JSON-lines files.
 
-Identifier codes and scopes follow signal registration order so exports are
-byte-stable and can be pinned as golden files. Negative-time events are
-clamped into the VCD initial-values block; the JSONL dump keeps them as-is.
+VCD scopes follow the order of each device's first registered signal, and
+identifier codes and the ``$dumpvars`` lines go device by device in
+declaration order, so exports are byte-stable and can be pinned as golden
+files. Negative-time events are clamped into the VCD initial-values block;
+the JSONL dump keeps them as-is.
 """
 
 from __future__ import annotations
@@ -20,14 +22,6 @@ from .timeline import REF_PERIOD_S
 
 _VCD_ID_BASE = 94
 _VCD_ID_FIRST = 33  # '!'
-
-_VAR_DECLS = {
-    SignalKind.BOOL: ("wire", 1),
-    SignalKind.INT: ("reg", 64),
-    SignalKind.REAL: ("real", 64),
-    SignalKind.TEXT: ("string", 1),
-}
-
 
 @contextlib.contextmanager
 def _overwrite(path):
@@ -58,23 +52,17 @@ def _vcd_id(index: int) -> str:
 _VCD_INT_MASK = 0xFFFF_FFFF_FFFF_FFFF  # two's complement of a signed 64-bit int
 
 
-def _vcd_renderer(kind: SignalKind, code: str) -> Callable[[object], str]:
-    """One value-change renderer for a signal, with its identifier code bound in."""
+def _vcd_var(kind: SignalKind, code: str) -> tuple[str, Callable[[object], str], str | None]:
+    """A signal's VCD form: its ``$var`` type and width, its value-change
+    renderer with the identifier code bound in, and its unknown line (None
+    for reals and strings, which have no unknown value)."""
     if kind is SignalKind.BOOL:
-        return (f"0{code}", f"1{code}").__getitem__  # a bool indexes the pair
+        return "wire 1", (f"0{code}", f"1{code}").__getitem__, f"x{code}"  # a bool indexes the pair
     if kind is SignalKind.INT:
-        return lambda value: f"b{value & _VCD_INT_MASK:b} {code}"
+        return "reg 64", lambda value: f"b{value & _VCD_INT_MASK:b} {code}", f"bx {code}"
     if kind is SignalKind.REAL:
-        return lambda value: f"r{value:.17g} {code}"
-    return lambda value: f"s{''.join('_' if ch.isspace() else ch for ch in value)} {code}"
-
-
-def _vcd_unknown(kind: SignalKind, code: str) -> str | None:
-    if kind is SignalKind.BOOL:
-        return f"x{code}"
-    if kind is SignalKind.INT:
-        return f"bx {code}"
-    return None  # reals and strings have no unknown representation
+        return "real 64", lambda value: f"r{value:.17g} {code}", None
+    return "string 1", lambda value: f"s{''.join('_' if ch.isspace() else ch for ch in value)} {code}", None
 
 
 def records_of(run: SimulationRun) -> list[tuple[int, int, Signal, object]]:
@@ -94,46 +82,37 @@ def records_of(run: SimulationRun) -> list[tuple[int, int, Signal, object]]:
 
 def export_vcd(run: SimulationRun, path) -> None:
     """Write the run's timeline as a value-change-dump waveform."""
-    signals = list(run.signals)
-    codes: dict[Signal, str] = {}
+    by_device: dict[str, list[Signal]] = {}
+    for sig in run.signals:
+        by_device.setdefault(sig.device_name, []).append(sig)
+
     render: dict[Signal, Callable[[object], str]] = {}
     lines = ["$timescale 1 ns $end"]
-
-    by_device: dict[str, list[Signal]] = {}
-    for sig in signals:
-        by_device.setdefault(sig.device_name, []).append(sig)
+    initials = []  # the $dumpvars block: last pre-time-0 event wins, else unknown
     for device, sigs in by_device.items():
         lines.append(f"$scope module {device} $end")
         for sig in sigs:
-            code = _vcd_id(len(codes))
-            codes[sig] = code
-            render[sig] = _vcd_renderer(sig.kind, code)
-            var_type, width = _VAR_DECLS[sig.kind]
-            lines.append(f"$var {var_type} {width} {code} {sig.signal_name} $end")
-        lines.append("$upscope $end")
-    lines.append("$enddefinitions $end")
-
-    if signals:
-        # Initial-values block: last pre-time-0 event wins, else unknown.
-        lines.append("$dumpvars")
-        for sig in signals:
+            code = _vcd_id(len(render))
+            decl, render[sig], unknown = _vcd_var(sig.kind, code)
+            lines.append(f"$var {decl} {code} {sig.signal_name} $end")
             initial = sig.pull(-1)
             if initial is not UNKNOWN:
-                lines.append(render[sig](initial))
-            else:
-                unknown = _vcd_unknown(sig.kind, codes[sig])
-                if unknown is not None:
-                    lines.append(unknown)
-        lines.append("$end")
+                initials.append(render[sig](initial))
+            elif unknown is not None:
+                initials.append(unknown)
+        lines.append("$upscope $end")
+    lines.append("$enddefinitions $end")
+    if render:
+        lines += ["$dumpvars", *initials, "$end"]
 
-        current_time = None
-        for time_mu, _, sig, value in records_of(run):
-            if time_mu != current_time:
-                if time_mu < 0:
-                    continue  # records are time-sorted: negatives come first
-                current_time = time_mu
-                lines.append(f"#{current_time}")
-            lines.append(render[sig](value))
+    current_time = None
+    for time_mu, _, sig, value in records_of(run):
+        if time_mu != current_time:
+            if time_mu < 0:
+                continue  # records are time-sorted: negatives come first
+            current_time = time_mu
+            lines.append(f"#{current_time}")
+        lines.append(render[sig](value))
 
     with _overwrite(path) as fh:
         fh.write("\n".join(lines) + "\n")

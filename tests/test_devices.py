@@ -74,6 +74,10 @@ class TestDescriptor:
         assert DeviceDescriptor("d", "dds", given).params == {"init_delay_mu": 125_000, "set_delay_mu": 8}
         assert given == {"set_delay_mu": 8}
 
+    def test_delay_params_up_to_mu_max_accepted(self):
+        params = {"init_delay_mu": MU_MAX, "set_delay_mu": MU_MAX}
+        assert DeviceDescriptor("d", "dds", params).params == params
+
     def test_negative_delay_param_rejected(self):
         with pytest.raises(DeviceDbError, match=r"devices\[1\]: device 'd': set_delay_mu must be a non-negative integer$"):
             DeviceDb.from_dict(

@@ -94,6 +94,10 @@ class TestLoadDdb:
             ("adc", {"channels": 2.0}, "channels must be a positive integer"),
             ("dds", {"set_delay_mu": True}, "set_delay_mu must be a non-negative integer"),
             ("dds", {"init_delay_mu": None}, "init_delay_mu must be a non-negative integer"),
+            ("dds", {"set_delay_mu": 2**64 - 1}, "set_delay_mu must be at most 2**63 - 1"),
+            ("dds", {"init_delay_mu": 2**100}, "init_delay_mu must be at most 2**63 - 1"),
+            ("ttl_in", {"sample_delay_mu": 2**63}, "sample_delay_mu must be at most 2**63 - 1"),
+            ("adc", {"sample_delay_mu": 2**63}, "sample_delay_mu must be at most 2**63 - 1"),
         ],
     )
     def test_bad_param_value_rejected_at_load(self, tmp_path, kind, params, message):

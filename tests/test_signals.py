@@ -40,6 +40,16 @@ class TestRegistry:
         sm.register("dds0", "freq", SignalKind.REAL)
         assert {(s.device_name, s.signal_name) for s in sm} == {("ttl0", "state"), ("dds0", "freq")}
 
+    @pytest.mark.parametrize("name", ["my sig", "sig\t0", "sig\u00a0", " ", "", 7, None, ("sig",)])
+    @pytest.mark.parametrize("part", ["device", "signal"])
+    def test_name_must_be_nonblank_str_without_whitespace(self, part, name):
+        # Both names are written as they stand into the VCD's scope and $var lines.
+        sm = SignalManager()
+        names = {"device": "ttl0", "signal": "state", part: name}
+        with pytest.raises(SignalError, match="names must be non-empty strings without whitespace"):
+            sm.register(names["device"], names["signal"], SignalKind.BOOL)
+        assert list(sm) == []
+
     def test_lookup_unknown_signal(self):
         with pytest.raises(UnknownSignalError):
             SignalManager().signal("nope", "state")

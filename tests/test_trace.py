@@ -106,12 +106,35 @@ class TestVcd:
         assert "swarm_up" in text  # whitespace sanitized in string values
         assert "\nb1 " in text
 
+    def test_interleaved_registration_dumps_in_var_order(self, full_ddb, tmp_path):
+        def body(run):
+            run.signals.register("a", "x", SignalKind.BOOL).push(True, -1)
+            run.signals.register("b", "y", SignalKind.INT)
+            run.signals.register("a", "z", SignalKind.BOOL)
+
+        run = run_body(full_ddb, body)
+        path = tmp_path / "interleaved.vcd"
+        export_vcd(run, path)
+        parsed = check_vcd(path.read_text())
+        assert [(dev, name) for dev, name, _ in parsed["ids"].values()] == [("a", "x"), ("a", "z"), ("b", "y")]
+        initials = [line for t, _, line in parsed["changes"] if t is None]
+        assert initials == ["1!", 'x"', "bx #"]
 
     def test_checker_rejects_scope_name_with_space(self):
         text = "$timescale 1 ns $end\n$scope module my ttl $end\n$upscope $end\n$enddefinitions $end\n"
         with pytest.raises(AssertionError, match="bad \\$scope"):
             check_vcd(text)
         check_vcd(text.replace("my ttl", "my_ttl"))
+
+    @pytest.mark.parametrize(
+        "decl,line", [("wire 1", "b1 !"), ("reg 64", "1!"), ("real 64", "s1 !"), ("string 1", "r1 !")]
+    )
+    def test_checker_rejects_change_of_another_var_type(self, decl, line):
+        text = f"$timescale 1 ns $end\n$scope module d $end\n$var {decl} ! s $end\n$upscope $end\n$enddefinitions $end\n"
+        with pytest.raises(AssertionError, match="change for a"):
+            check_vcd(f"{text}#0\n{line}\n")
+        fits = {"wire": "1!", "reg": "b1 !", "real": "r1 !", "string": "s1 !"}[decl.split()[0]]
+        check_vcd(f"{text}#0\n{fits}\n")
 
 
 class TestOverwrite:

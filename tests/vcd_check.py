@@ -1,16 +1,21 @@
 """Minimal VCD conformance checker used by the trace and acceptance tests.
 
 Validates header structure, scope balance, identifier definitions, change
-syntax, and ascending change times. Returns the parsed structure so tests
-can assert on contents.
+syntax, that each change has the form of its var's declared type, and
+ascending change times. Returns the parsed structure so tests can assert on
+contents.
 """
 
 import re
 
-_SCALAR_RE = re.compile(r"^[01xzXZ](\S+)$")
-_VECTOR_RE = re.compile(r"^b[01xzXZ]+ (\S+)$")
-_REAL_RE = re.compile(r"^r\S+ (\S+)$")
-_STRING_RE = re.compile(r"^s\S* (\S+)$")
+# The one change-line form each var type takes: wire a scalar, reg a b-vector,
+# real an r-value, string an s-value.
+_CHANGE_RES = {
+    "wire": re.compile(r"^[01xzXZ](\S+)$"),
+    "reg": re.compile(r"^b[01xzXZ]+ (\S+)$"),
+    "real": re.compile(r"^r\S+ (\S+)$"),
+    "string": re.compile(r"^s\S* (\S+)$"),
+}
 
 
 def check_vcd(text: str) -> dict:
@@ -41,7 +46,7 @@ def check_vcd(text: str) -> dict:
         elif tokens[0] == "$var":
             assert tokens[-1] == "$end" and len(tokens) == 6, f"bad $var: {line}"
             _, var_type, width, code, name, _ = tokens
-            assert var_type in ("wire", "reg", "real", "string"), f"bad var type: {var_type}"
+            assert var_type in _CHANGE_RES, f"bad var type: {var_type}"
             assert width.isdigit(), f"bad var width: {width}"
             assert code not in ids, f"duplicate id code: {code}"
             assert scope_stack, f"$var outside scope: {line}"
@@ -78,10 +83,14 @@ def check_vcd(text: str) -> dict:
                 assert t > current_time, f"non-ascending time: {t} after {current_time}"
             current_time = t
             continue
-        m = _SCALAR_RE.match(line) or _VECTOR_RE.match(line) or _REAL_RE.match(line) or _STRING_RE.match(line)
-        assert m, f"unparseable change line: {line}"
+        for var_type, regex in _CHANGE_RES.items():  # the forms start with distinct characters
+            if m := regex.match(line):
+                break
+        else:
+            raise AssertionError(f"unparseable change line: {line}")
         code = m.group(1)
         assert code in ids, f"change references undefined id: {code}"
+        assert ids[code][2] == var_type, f"{var_type} change for a {ids[code][2]} var: {line}"
         assert in_dumpvars or current_time is not None, f"change before any time stamp: {line}"
         changes.append((None if in_dumpvars else current_time, code, line))
     assert not in_dumpvars, "unterminated $dumpvars"
