@@ -37,6 +37,14 @@ def _delay_param(key, value):
         return f"{key} must be at most 2**63 - 1"
 
 
+def _bad_duration(call, what, duration_mu):
+    """Raise for a driver duration that failed ``0 < d <= MU_MAX``."""
+    if type(duration_mu) is int and duration_mu > 0:
+        raise MachineUnitsOverflow(
+            f"{call}: duration {short_repr(duration_mu)} exceeds signed 64-bit machine units")
+    raise DeviceError(f"{what} duration must be a positive int, got {short_repr(duration_mu)}")
+
+
 def _positive_int(key, value):
     if type(value) is not int or value < 1:
         return f"{key} must be a positive integer"
@@ -107,6 +115,11 @@ class SimDevice:
     and its value is a constant of the signal's kind or one the driver has
     just checked.
 
+    A driver call is one statement: a call that delays stores its later
+    edge at the end time ``delay_mu`` returns, not at ``now_mu()``, so in a
+    parallel frame, where the cursor stays at the frame start, it stores
+    the same events as in a sequential frame.
+
     ``PARAMS`` maps each DDB param a kind accepts to its default and to the
     check its value must pass, which returns an error text or None.
     """
@@ -149,13 +162,13 @@ class TtlOut(SimDevice):
         self.state._put(False, self._time.now_mu())
 
     def pulse_mu(self, duration_mu: int) -> None:
-        if type(duration_mu) is not int or duration_mu <= 0:
-            raise DeviceError(f"pulse duration must be a positive int, got {short_repr(duration_mu)}")
+        if type(duration_mu) is not int or not 0 < duration_mu <= MU_MAX:
+            _bad_duration("pulse_mu", "pulse", duration_mu)
         # Move the cursor before pushing, so an overflow leaves no rising edge behind.
         t_on = self._time.now_mu()
-        self._time.delay_mu(duration_mu)
+        t_off = self._time.delay_mu(duration_mu)
         self.state._put(True, t_on)
-        self.state._put(False, self._time.now_mu())
+        self.state._put(False, t_off)
 
     # Alias matching the common driver surface.
     pulse = pulse_mu
@@ -213,8 +226,8 @@ class EdgeCounter(SimDevice):
 
     def gate_rising_mu(self, duration_mu: int) -> int:
         """Open the gate for ``duration_mu``, enqueue the count, return the close time."""
-        if type(duration_mu) is not int or duration_mu <= 0:
-            raise DeviceError(f"gate duration must be a positive int, got {short_repr(duration_mu)}")
+        if type(duration_mu) is not int or not 0 < duration_mu <= MU_MAX:
+            _bad_duration("gate_rising_mu", "gate", duration_mu)
         t_open = self._time.now_mu()
         f = self.freq.pull(t_open)
         if f is UNKNOWN:
@@ -229,8 +242,7 @@ class EdgeCounter(SimDevice):
         if not mean < rng.POISSON_MEAN_LIMIT:  # nan, inf, or a count no signed 64-bit counter holds
             raise DeviceError(
                 f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite or is 2**63 or more")
-        self._time.delay_mu(duration_mu)
-        t_close = self._time.now_mu()
+        t_close = self._time.delay_mu(duration_mu)
         self.gate._put(True, t_open)
         self.gate._put(False, t_close)
         if self.mode == "deterministic":
@@ -263,8 +275,7 @@ class Dds(SimDevice):
 
     def init(self) -> None:
         """Model device initialization: advance by init_delay_mu, mark done."""
-        self._time.delay_mu(self._init_delay_mu)
-        self.init_marker._put(True, self._time.now_mu())
+        self.init_marker._put(True, self._time.delay_mu(self._init_delay_mu))
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
         # Every check, the float conversions and the delay come before the first write,

@@ -147,7 +147,13 @@ class TimeManager:
     def now_mu(self) -> int:
         return self._now
 
-    def delay_mu(self, d: int) -> None:
+    def delay_mu(self, d: int) -> int:
+        """Delay by ``d`` MU and return the end time, ``now_mu() + d``, computed and checked.
+
+        In a sequential frame the end time is the new cursor; in a parallel
+        frame the cursor stays at the frame start, so a driver stores its
+        later edge at the returned time.
+        """
         if type(d) is not int:
             raise TypeError(f"delay_mu: machine units must be int, got {d!r}")
         now = self._now + d
@@ -159,6 +165,7 @@ class TimeManager:
         elif d > self._longest:
             # Parallel: the cursor stays put, only the longest delay is kept.
             self._longest = d
+        return now
 
     def delay(self, d_seconds: float) -> None:
         self.delay_mu(seconds_to_mu(d_seconds))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from itertools import repeat
 from typing import Callable
 from json.encoder import encode_basestring_ascii
@@ -169,6 +170,18 @@ def export_jsonl(run: SimulationRun, path) -> None:
 
 _DECODER = json.JSONDecoder()
 
+# export_jsonl's own event line. A string here has no escape and no control
+# character, a time has at most 19 digits, and each value alternative is its
+# own group, so a match reads exactly as json.loads would read the line.
+_PLAIN = r'[^"\\\x00-\x1f]*'
+_EXPORT_LINE = re.compile(
+    r'\{"time_mu": (-?(?:0|[1-9][0-9]{0,18})), '
+    rf'("device": "{_PLAIN}", "signal": "{_PLAIN}", "kind": "{_PLAIN}"), "value": '
+    r'(?:(true)|(false)|(-?(?:0|[1-9][0-9]{0,18}))'
+    r'|(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
+    rf'|"({_PLAIN})")\}}\n?'
+)
+
 
 def read_jsonl(path) -> tuple[list[dict], dict | None]:
     """Parse a JSONL dump into (event records, summary or None).
@@ -177,11 +190,29 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
     object, else ``ValueError`` (``json.JSONDecodeError`` for bad JSON or
     anything after the value) is raised. JSON nested past the decoder's
     recursion limit is a ``ValueError`` too.
+
+    A line in ``export_jsonl``'s own form is read directly: its keys are
+    this module's constants, and records with the same device, signal and
+    kind share those three strings. Every other line goes through the JSON
+    decoder. Both give the same records, value types and key order.
     """
     records = []
     summary = None
+    names = {}  # each distinct device/signal/kind part of a line -> one shared tuple
+    match = _EXPORT_LINE.fullmatch
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
+            m = match(line)
+            if m is not None:
+                time_mu, part, true, false, integer, real, value = m.groups()
+                if value is None:
+                    value = True if true else False if false else int(integer) if integer else float(real)
+                shared = names.get(part)
+                if shared is None:  # the names hold no '"', so they are items 3, 7 and 11
+                    shared = names[part] = tuple(part.split('"')[3::4])
+                records.append({"time_mu": int(time_mu), "device": shared[0], "signal": shared[1],
+                                "kind": shared[2], "value": value})
+                continue
             line = line.strip()
             if not line:
                 continue

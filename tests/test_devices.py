@@ -189,6 +189,16 @@ class TestTtlOut:
         assert ttl.state.events() == []
         assert run.now_mu() == MU_MAX - 5
 
+    @pytest.mark.parametrize("duration", [2**63, 2**64 - 1])
+    def test_duration_past_64_bits_overflows_when_its_end_fits(self, make_run, duration):
+        run = make_run()
+        ttl = run.get_device("ttl0")
+        run.at_mu(MU_MIN)  # the end, MU_MIN + duration, is in the cursor's range
+        with pytest.raises(MachineUnitsOverflow, match="pulse_mu"):
+            ttl.pulse_mu(duration)
+        assert ttl.state.events() == []
+        assert run.now_mu() == MU_MIN
+
 
 class TestTtlIn:
     def set_prob(self, run, p, t=0):
@@ -438,6 +448,18 @@ class TestEdgeCounter:
         assert len(counter.buffer) == 0
         assert run.now_mu() == MU_MAX - 5
 
+    @pytest.mark.parametrize("duration", [2**63, 2**64 - 1])
+    def test_duration_past_64_bits_overflows_when_its_end_fits(self, make_run, duration):
+        run = make_run()
+        counter = run.get_device("counter0")
+        counter.freq.push(0.0, MU_MIN)  # a count mean of 0 at any duration
+        run.at_mu(MU_MIN)
+        with pytest.raises(MachineUnitsOverflow, match="gate_rising_mu"):
+            counter.gate_rising_mu(duration)
+        assert counter.gate.events() == []
+        assert len(counter.buffer) == 0
+        assert run.now_mu() == MU_MIN
+
 
 class TestDds:
     def test_set_pushes_three_events_at_cursor(self, make_run):
@@ -596,6 +618,85 @@ def test_call_whose_delay_overflows_changes_nothing(kind, param, call):
     with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
         call(dev)
     assert state() == before
+
+
+# Every driver call that delays, with a nonzero DDB delay for the calls that take one.
+DELAYING_DDB = {"devices": [
+    {"name": "core", "kind": "core"},
+    {"name": "ttl0", "kind": "ttl_out"},
+    {"name": "ttl1", "kind": "ttl_out"},
+    {"name": "in0", "kind": "ttl_in", "params": {"sample_delay_mu": 30}},
+    {"name": "counter0", "kind": "edge_counter"},
+    {"name": "dds0", "kind": "dds", "params": {"init_delay_mu": 700, "set_delay_mu": 40}},
+    {"name": "adc0", "kind": "adc", "params": {"sample_delay_mu": 50}},
+]}
+DELAYING_CALLS = {  # name -> (call, its delay)
+    "pulse": (lambda run: run.get_device("ttl0").pulse(1000), 1000),
+    "gate_rising": (lambda run: run.get_device("counter0").gate_rising(500), 500),
+    "init": (lambda run: run.get_device("dds0").init(), 700),
+    "set": (lambda run: run.get_device("dds0").set(1e6, 0.25, 0.5), 40),
+    "ttl_in_sample": (lambda run: run.get_device("in0").sample_input(), 30),
+    "adc_sample": (lambda run: run.get_device("adc0").sample_input(), 50),
+}
+
+
+def run_in_frame(kind, calls, start=100):
+    """Make the calls in one frame of ``kind`` at ``start``; return (events, buffers, cursor)."""
+    run = SimulationRun(DeviceDb.from_dict(DELAYING_DDB), SimConfig())
+    devices = [run.get_device(d["name"]) for d in DELAYING_DDB["devices"]]
+    for sig in run.signals:
+        if sig.is_input:
+            sig.push(1.0e6 if sig.signal_name == "freq" else 0.5, 0)
+    run.at_mu(start)
+    with getattr(run, kind)():
+        for call in calls:
+            call(run)
+    events = {(sig.device_name, sig.signal_name): sig.events() for sig in run.signals}
+    buffers = {dev.name: list(dev.buffer._queue) for dev in devices if hasattr(dev, "buffer")}
+    return events, buffers, run.now_mu()
+
+
+class TestParallelFrame:
+    """A driver call is one statement: in a parallel frame it stores what it stores in a sequential one."""
+
+    def test_artiq_two_pulses_start_together(self, make_run):
+        run = make_run()
+        ttl0, ttl1 = run.get_device("ttl0"), run.get_device("ttl1")
+        run.at_mu(100)
+        with run.parallel():
+            ttl0.pulse(2000)
+            ttl1.pulse(4000)
+        assert ttl0.state.events() == [(100, True), (2100, False)]
+        assert ttl1.state.events() == [(100, True), (4100, False)]
+        assert run.now_mu() == 4100
+
+    @pytest.mark.parametrize("name", DELAYING_CALLS)
+    def test_call_stores_what_it_stores_in_a_sequential_frame(self, name):
+        call, delay = DELAYING_CALLS[name]
+        sequential = run_in_frame("sequential", [call])
+        parallel = run_in_frame("parallel", [call])
+        assert parallel == sequential
+        assert parallel[2] == 100 + delay
+
+    def test_calls_in_one_parallel_frame_all_start_at_its_start(self):
+        base_events, base_buffers, _ = run_in_frame("sequential", [])
+        events, buffers = dict(base_events), dict(base_buffers)
+        for call, _ in DELAYING_CALLS.values():  # each call alone, from the frame start
+            alone_events, alone_buffers, _ = run_in_frame("sequential", [call])
+            events.update((k, v) for k, v in alone_events.items() if v != base_events[k])
+            buffers.update((k, v) for k, v in alone_buffers.items() if v != base_buffers[k])
+        calls = [call for call, _ in DELAYING_CALLS.values()]
+        longest = max(delay for _, delay in DELAYING_CALLS.values())
+        assert run_in_frame("parallel", calls) == (events, buffers, 100 + longest)
+
+    def test_gate_returns_its_close_time(self, make_run):
+        run = make_run()
+        counter = run.get_device("counter0")
+        counter.freq.push(1.0, 0)
+        with run.parallel():
+            assert counter.gate_rising(500) == 500
+            assert counter.gate_rising(300) == 300
+        assert run.now_mu() == 500
 
 
 TTLS = st.sampled_from(["ttl0", "ttl1"])

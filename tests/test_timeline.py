@@ -135,6 +135,16 @@ class TestNowAndDelay:
         tm.delay_mu(100)
         assert tm.now_mu() == 100
 
+    def test_delay_returns_the_end_time(self):
+        tm = manager()
+        end = tm.delay_mu(1000)
+        # Sequential: the end time is the cursor object itself, not a second int.
+        assert end == 1000 and end is tm.now_mu()
+        tm.push_context(PAR)
+        assert tm.delay_mu(50) == 1050
+        assert tm.delay_mu(-20) == 980
+        assert tm.now_mu() == 1000
+
     def test_parallel_delay_leaves_cursor(self):
         tm = manager()
         tm.delay_mu(1000)

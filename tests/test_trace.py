@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -365,6 +366,7 @@ class TestJsonlLines:
             (type(r["value"]), repr(r["value"])) for r in expected
         ]
         assert summary["event_count"] == run.stats.event_count
+        assert _shape((records, summary)) == _shape(_oracle_read(path))
 
 
 def _vcd_line(kind, value, code):
@@ -446,3 +448,193 @@ class TestReadJsonlStrict:
         bad.write_text(line + "\n")
         assert cli_main(["diff", str(good), str(bad)]) == 2
         assert capsys.readouterr().err.startswith(message)
+
+
+def _oracle_read(path):
+    """read_jsonl's contract, written plainly: json.loads on each stripped non-blank line.
+
+    ``raw_decode`` plus the end check is json.loads, except that the "Extra
+    data" position is the end of the value, as read_jsonl reports it.
+    """
+    records, summary = [], None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj, end = json.JSONDecoder().raw_decode(line)
+            except RecursionError:
+                raise ValueError(f"JSON nested too deeply in line {line[:40]!r}") from None
+            if end != len(line):
+                raise json.JSONDecodeError("Extra data", line, end)
+            if type(obj) is not dict:
+                raise ValueError(f"expected a JSON object per line, got {line[:40]!r}")
+            if "summary" in obj:
+                summary = obj["summary"]
+                if type(summary) is not dict:
+                    raise ValueError(f"summary must be a JSON object, got {line[:40]!r}")
+            else:
+                records.append(obj)
+    return records, summary
+
+
+def _shape(value):
+    """``value`` with the type and repr of every leaf and the key order of every dict."""
+    if type(value) is dict:
+        return [(key, _shape(item)) for key, item in value.items()]
+    if type(value) in (list, tuple):
+        return [_shape(item) for item in value]
+    return type(value).__name__, repr(value)
+
+
+def _outcome(read, path):
+    try:
+        return "ok", _shape(read(path))
+    except ValueError as err:  # json.JSONDecodeError included
+        return "raised", type(err), str(err)
+
+
+def _line(time="1", device='"ttl0"', signal='"state"', kind='"bool"', value="true"):
+    return f'{{"time_mu": {time}, "device": {device}, "signal": {signal}, "kind": {kind}, "value": {value}}}'
+
+
+# Lines that are, or nearly are, export_jsonl's own line form.
+_NEAR_MISSES = {
+    "export_form": _line(),
+    "false": _line(value="false"),
+    "int": _line(value="-42"),
+    "minus_zero_int": _line(value="-0"),
+    "minus_zero_float": _line(value="-0.0"),
+    "exponent": _line(value="1e5"),
+    "exponent_upper_plus": _line(value="1E+5"),
+    "exponent_minus": _line(value="-2.5e-3"),
+    "float_past_range": _line(value="1e400"),
+    "leading_zero": _line(value="01"),
+    "leading_zero_time": _line(time="007"),
+    "trailing_dot": _line(value="1."),
+    "leading_dot": _line(value=".5"),
+    "plus_sign": _line(value="+1"),
+    "nan": _line(value="NaN"),
+    "infinity": _line(value="Infinity"),
+    "minus_infinity": _line(value="-Infinity"),
+    "null": _line(value="null"),
+    "capital_true": _line(value="True"),
+    "int_of_19_digits": _line(value="-9999999999999999999"),
+    "int_of_20_digits": _line(value="12345678901234567890"),
+    "int_past_digit_limit": _line(value="9" * 5000),
+    "time_of_19_digits": _line(time="9999999999999999999"),
+    "time_of_20_digits": _line(time="12345678901234567890"),
+    "negative_time": _line(time="-9223372036854775808"),
+    "float_time": _line(time="1.5"),
+    "exponent_time": _line(time="1e3"),
+    "unicode_digit_time": _line(time="1١"),
+    "text": _line(kind='"text"', value='"point 7"'),
+    "empty_text": _line(kind='"text"', value='""'),
+    "escaped_quote_in_value": _line(kind='"text"', value=r'"say \"hi\""'),
+    "escaped_backslash_in_value": _line(kind='"text"', value=r'"a\\b"'),
+    "escaped_e_acute_in_value": _line(kind='"text"', value=r'"caf\u00e9"'),
+    "escaped_quote_in_device": _line(device=r'"tt\"l0"'),
+    "escaped_backslash_in_signal": _line(signal=r'"st\\ate"'),
+    "escaped_e_acute_in_kind": _line(kind=r'"b\u00e9ol"'),
+    "raw_non_ascii_value": _line(kind='"text"', value='"café \U0001f600"'),
+    "raw_non_ascii_device": _line(device='"dév"'),
+    "raw_control_in_value": _line(kind='"text"', value='"a\x01b"'),
+    "raw_control_in_signal": _line(signal='"st\x1fate"'),
+    "raw_del_in_value": _line(kind='"text"', value='"a\x7fb"'),
+    "unterminated_value": _line(kind='"text"', value='"abc'),
+    "reordered_keys": '{"device": "ttl0", "time_mu": 1, "signal": "state", "kind": "bool", "value": true}',
+    "duplicate_key": _line(value='true, "value": 5'),
+    "missing_key": '{"time_mu": 1, "device": "ttl0", "signal": "state", "value": true}',
+    "extra_key": _line(value='true, "note": 1'),
+    "no_space_after_colon": _line().replace('"time_mu": ', '"time_mu":'),
+    "leading_space": " " + _line(),
+    "trailing_space": _line() + " ",
+    "trailing_tab": _line() + "\t",
+    "crlf": _line() + "\r",
+    "trailing_object": _line() + ' {"b": 2}',
+    "trailing_bracket": _line() + "]",
+    "trailing_junk": _line() + "x",
+    "summary": '{"summary": {"event_count": 1}}',
+    "non_object": "[1, 2]",
+}
+
+
+class TestReadJsonlOracle:
+    """read_jsonl reads export_jsonl's own lines directly; it must read every line as json.loads does."""
+
+    @pytest.mark.parametrize("line", list(_NEAR_MISSES.values()), ids=list(_NEAR_MISSES))
+    @pytest.mark.parametrize("last", [False, True], ids=["newline", "last_line"])
+    def test_near_miss_line_reads_as_json_loads(self, tmp_path, line, last):
+        path = tmp_path / "near.jsonl"
+        text = _line(time="0") + "\n" + line + ("" if last else "\n")
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_jsonl, path) == _outcome(_oracle_read, path)
+
+    @given(records=st.lists(st.fixed_dictionaries({
+        "time_mu": st.integers(MU_MIN, MU_MAX) | st.integers() | st.floats(),
+        "device": st.text(max_size=8) | st.sampled_from(["ttl0", "core", 'a"b', "a\\b"]),
+        "signal": st.text(max_size=8) | st.sampled_from(["state", "kernel"]),
+        "kind": st.sampled_from(["bool", "int", "real", "text", ""]) | st.text(max_size=4),
+        "value": st.booleans() | st.none() | st.integers() | st.integers(-10, 10)
+                 | st.floats() | st.sampled_from([-0.0, 1e5, 5e-324, 1e300]) | st.text(max_size=12),
+    }), max_size=12), ensure_ascii=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_dumped_record_reads_as_json_loads(self, records, ensure_ascii, tmp_path_factory):
+        path = tmp_path_factory.mktemp("jsonl") / "dumped.jsonl"
+        text = "".join(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n" for rec in records)
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(read_jsonl, path)
+        assert got == _outcome(_oracle_read, path)
+        assert got == ("ok", _shape((records, None)))
+
+
+def _generated_dump(path, n):
+    """Export a run of ``n`` events of all four kinds, one signal of each per device."""
+    kinds = {("ttl0", "state"): lambda i: i % 3 == 0, ("in0", "sample"): lambda i: i % 2,
+             ("dds0", "freq"): lambda i: i * 0.5, ("core", "kernel"): lambda i: f"point{i}"}
+
+    def body(run):
+        for device, _ in kinds:
+            run.get_device(device)
+        signals = [(run.signals.signal(*key), make) for key, make in kinds.items()]
+        for i in range(n):
+            sig, make = signals[i % len(signals)]
+            sig.push(make(i), i)
+
+    run = run_experiment(Experiment("dump", body), DeviceDb.from_dict(FULL_DDB), SimConfig())
+    export_jsonl(run, path)
+
+
+class TestReadJsonlSharing:
+    """Records share their key strings, and one signal's records share its three name strings."""
+
+    @pytest.mark.parametrize("source", ["golden", "generated"])
+    def test_records_share_keys_and_names(self, tmp_path, source):
+        if source == "golden":
+            path = os.path.join(os.path.dirname(__file__), "golden", "demo.jsonl")
+        else:
+            path = tmp_path / "gen.jsonl"
+            _generated_dump(path, 400)
+        records, _ = read_jsonl(path)
+        assert len(records) > 10
+        first = list(records[0])
+        names = {}
+        for rec in records:
+            assert all(key is key0 for key, key0 in zip(rec, first, strict=True))
+            shared = names.setdefault((rec["device"], rec["signal"]), (rec["device"], rec["signal"], rec["kind"]))
+            assert all(a is b for a, b in zip((rec["device"], rec["signal"], rec["kind"]), shared))
+        assert len(names) >= 4
+
+    def test_read_peak_per_record_is_bounded(self, tmp_path):
+        path = tmp_path / "big.jsonl"
+        _generated_dump(path, 10_000)
+        read_jsonl(path)  # warm up: first-call allocations are not per record
+        tracemalloc.start()
+        try:
+            records, _ = read_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 10_000
+        assert peak / len(records) <= 350
