@@ -7,6 +7,7 @@ any host test framework's assert.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,25 +84,54 @@ def expect(
     return CheckReport(passed, device, signal, time, expected, actual, before, after)
 
 
-def assert_events(run: SimulationRun, device: str, signal: str, expected: list) -> CheckReport:
-    """Check a signal's full event list, order and values included."""
+def _validate_rest(pairs, coerce) -> int:
+    """Validate the value of every pair left in ``pairs``; return how many there were."""
+    n = 0
+    for _, value in pairs:
+        coerce(value)
+        n += 1
+    return n
+
+
+def assert_events(run: SimulationRun, device: str, signal: str, expected: Iterable) -> CheckReport:
+    """Check a signal's full event list, order and values included.
+
+    ``expected`` is an iterable of ``(time, value)`` pairs, read once. Every
+    value is validated against the signal's kind, also past a divergence, so
+    a bad value or pair raises wherever it stands. Times and values compare
+    with ``==`` against the store in place. A failing report holds the first
+    divergent ``(time, value)`` pair of each side, or, when one side has
+    events left over, the two counts as ``"N events"``. A passing report
+    holds the counts too; it keeps no copy of either side.
+    """
     sig = run.signals.signal(device, signal)
-    actual = sig.events()
-    expected = [(t, sig.kind.coerce(v)) for t, v in expected]
-    for i, (exp, act) in enumerate(zip(expected, actual)):
-        if exp != act:
-            before, after = _nearest_events(sig, act[0])
+    times, values, coerce = sig._times, sig._values, sig._coerce
+    pairs = iter(expected)
+    count = 0
+    # zip reads the store first, so it takes no pair once the store has run out.
+    for at, av, (t, v) in zip(times, values, pairs):
+        v = coerce(v)
+        if not (t == at and v == av):
+            _validate_rest(pairs, coerce)
+            before, after = _nearest_events(sig, at)
             return CheckReport(
-                False, device, signal, act[0], exp, act, before, after,
-                detail=f"first divergence at event index {i}",
+                False, device, signal, at, (t, v), (at, av), before, after,
+                detail=f"first divergence at event index {count}",
             )
-    if len(expected) != len(actual):
-        i = min(len(expected), len(actual))
-        t = (actual if i < len(actual) else expected)[i][0]  # the lengths differ, so one has index i
-        before, after = _nearest_events(sig, t)
-        return CheckReport(
-            False, device, signal, t,
-            f"{len(expected)} events", f"{len(actual)} events", before, after,
-            detail=f"event count mismatch at index {i}",
-        )
-    return CheckReport(True, device, signal, None, expected, actual, None, None)
+        count += 1
+    n_expected = count
+    if count < len(times):
+        t = times[count]
+    else:
+        for t, v in pairs:  # the first pair past the last event
+            coerce(v)
+            n_expected += 1 + _validate_rest(pairs, coerce)
+            break
+        else:
+            return CheckReport(True, device, signal, None, f"{count} events", f"{count} events", None, None)
+    before, after = _nearest_events(sig, t)
+    return CheckReport(
+        False, device, signal, t,
+        f"{n_expected} events", f"{len(times)} events", before, after,
+        detail=f"event count mismatch at index {count}",
+    )

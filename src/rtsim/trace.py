@@ -213,7 +213,7 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
                 records.append({"time_mu": int(time_mu), "device": shared[0], "signal": shared[1],
                                 "kind": shared[2], "value": value})
                 continue
-            line = line.strip()
+            line = line.strip(" \t\n\r")  # JSON's whitespace, as json.loads skips it
             if not line:
                 continue
             try:

@@ -1,11 +1,16 @@
+import tracemalloc
+from bisect import bisect_right
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtsim import (
     UNKNOWN,
+    CheckReport,
     DeviceDb,
     SignalError,
+    SignalKind,
     SignalKindMismatch,
     SimConfig,
     SimulationRun,
@@ -13,6 +18,7 @@ from rtsim import (
     expect,
     set_input,
 )
+from rtsim.timeline import MU_MAX, MU_MIN
 
 from conftest import FULL_DDB
 
@@ -130,7 +136,9 @@ class TestExpect:
 
 class TestAssertEvents:
     def test_pulse_sequence_passes(self, pulsed):
-        assert assert_events(pulsed, "ttl0", "state", [(100, True), (1100, False)])
+        report = assert_events(pulsed, "ttl0", "state", [(100, True), (1100, False)])
+        assert report
+        assert report.expected == report.actual == "2 events"
 
     def test_extra_event_fails_with_divergence(self, pulsed):
         report = assert_events(pulsed, "ttl0", "state", [(100, True)])
@@ -152,3 +160,102 @@ class TestAssertEvents:
         assert assert_events(pulsed, "ttl0", "state", events)
         for t, v in events:
             assert expect(pulsed, "ttl0", "state", t, v)
+
+    def test_passing_check_retains_no_copy(self, make_run):
+        run = make_run()
+        sig = run.signals.register("probe", "sig", SignalKind.INT)
+        for t in range(10_000):
+            sig.push(t, t)
+        expected = sig.events()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = assert_events(run, "probe", "sig", expected)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report
+        assert retained < 1000
+
+
+def _reference_assert_events(run, device, signal, expected):
+    """assert_events written plainly: a coerced list, a copy of the store, then a zip compare."""
+    sig = run.signals.signal(device, signal)
+    actual = sig.events()
+    expected = [(t, sig.kind.coerce(v)) for t, v in expected]
+
+    def nearest(time):
+        i = bisect_right(sig._times, time)
+        return (sig._times[i - 1] if i else None), (sig._times[i] if i < len(sig._times) else None)
+
+    for i, (exp, act) in enumerate(zip(expected, actual)):
+        if exp != act:
+            return CheckReport(False, device, signal, act[0], exp, act, *nearest(act[0]),
+                               detail=f"first divergence at event index {i}")
+    if len(expected) != len(actual):
+        i = min(len(expected), len(actual))
+        t = (actual if i < len(actual) else expected)[i][0]
+        return CheckReport(False, device, signal, t, f"{len(expected)} events", f"{len(actual)} events",
+                           *nearest(t), detail=f"event count mismatch at index {i}")
+    return CheckReport(True, device, signal, None, expected, actual, None, None)
+
+
+def _check_outcome(check, run, expected):
+    """Everything two checks must agree on; a passing report's copies are left out."""
+    try:
+        r = check(run, "probe", "sig", expected)
+    except Exception as err:
+        return "raised", type(err), str(err)
+    shown = None if r.passed else repr((r.expected, r.actual))
+    return r.passed, r.device, r.signal, r.time, r.detail, r.nearest_before, r.nearest_after, shown
+
+
+_VALID = {
+    SignalKind.BOOL: st.booleans(),
+    SignalKind.INT: st.integers(-2, 2) | st.integers(MU_MIN, MU_MAX),
+    SignalKind.REAL: st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2, 2),
+    SignalKind.TEXT: st.text(max_size=3) | st.just("é" * 32),
+}
+_INVALID_VALUES = st.sampled_from([
+    None, UNKNOWN, True, 1, 1.5, "x", 2**63, -2**63 - 1, 10**400,
+    float("nan"), float("inf"), "é" * 33, "\ud800",
+])
+_BAD_PAIRS = st.sampled_from([5, None, (1,), (1, True, 2), "ab", "abc"])
+_ODD_TIMES = st.sampled_from([None, "t", 1.5, True])
+
+
+class TestAssertEventsReference:
+    """assert_events reads the store in place; it must judge and raise as the list-based reference does."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_list_reference(self, data):
+        kind = data.draw(st.sampled_from(list(SignalKind)), label="kind")
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        sig = run.signals.register("probe", "sig", kind)
+        for t, v in data.draw(st.lists(st.tuples(st.integers(-50, 50), _VALID[kind]), max_size=8), label="pushes"):
+            sig.push(v, t)
+        pairs = sig.events()
+        edit = data.draw(st.sampled_from(["equal", "short", "long", "time", "value"]), label="edit")
+        if edit == "long":
+            pairs += data.draw(st.lists(st.tuples(st.integers(-60, 60) | _ODD_TIMES, _VALID[kind]),
+                                        min_size=1, max_size=3), label="extra")
+        elif pairs and edit != "equal":
+            i = data.draw(st.integers(0, len(pairs) - 1), label="at")
+            t, v = pairs[i]
+            if edit == "short":
+                del pairs[i:]
+            elif edit == "time":
+                pairs[i] = (data.draw(st.sampled_from([t - 1, t + 1, float(t), t + 0.5, str(t)]), label="time"), v)
+            else:
+                pairs[i] = (t, data.draw(_VALID[kind], label="value"))
+        for _ in range(data.draw(st.integers(0, 2), label="bad")):
+            i = data.draw(st.integers(0, len(pairs)), label="bad_at")
+            bad = data.draw(st.tuples(st.integers(-60, 60), _INVALID_VALUES) | _BAD_PAIRS, label="bad_pair")
+            pairs[i:i + 1] = [bad]
+        as_generator = data.draw(st.booleans(), label="generator")
+        got = _check_outcome(assert_events, run, (p for p in pairs) if as_generator else pairs)
+        assert got == _check_outcome(_reference_assert_events, run, list(pairs))
+        if got[0] is True:
+            report = assert_events(run, "probe", "sig", pairs)
+            assert report.expected == report.actual == f"{len(sig)} events"

@@ -451,7 +451,7 @@ class TestReadJsonlStrict:
 
 
 def _oracle_read(path):
-    """read_jsonl's contract, written plainly: json.loads on each stripped non-blank line.
+    """read_jsonl's contract, written plainly: json.loads on each non-blank line, stripped of JSON whitespace.
 
     ``raw_decode`` plus the end check is json.loads, except that the "Extra
     data" position is the end of the value, as read_jsonl reports it.
@@ -459,7 +459,7 @@ def _oracle_read(path):
     records, summary = [], None
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.strip(" \t\n\r")
             if not line:
                 continue
             try:
@@ -552,6 +552,11 @@ _NEAR_MISSES = {
     "trailing_space": _line() + " ",
     "trailing_tab": _line() + "\t",
     "crlf": _line() + "\r",
+    "leading_no_break_space": "\xa0" + _line(),
+    "trailing_unit_separator": _line() + "\x1f",
+    "trailing_next_line": _line() + "\x85",
+    "trailing_line_separator": _line() + "\u2028",
+    "only_no_break_space": "\xa0",
     "trailing_object": _line() + ' {"b": 2}',
     "trailing_bracket": _line() + "]",
     "trailing_junk": _line() + "x",
