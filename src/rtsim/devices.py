@@ -18,6 +18,9 @@ from .signals import UNKNOWN, SignalKind, _is_plain_name
 from .timeline import MU_MAX, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 class DeviceError(Exception):
     """Base class for device configuration and driver usage errors."""
 
@@ -281,7 +284,7 @@ class Dds(SimDevice):
         # Every check, the float conversions and the delay come before the first write,
         # so a call that raises leaves no event. A REAL signal takes no bool, so neither does this.
         try:
-            if type(freq_hz) is bool or not 0 <= freq_hz <= sys.float_info.max:
+            if type(freq_hz) is bool or not 0 <= freq_hz <= _FLOAT_MAX:
                 raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {short_repr(freq_hz)}")
             if type(phase_turns) is bool or not 0.0 <= phase_turns < 1.0:
                 raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {short_repr(phase_turns)}")
@@ -293,11 +296,12 @@ class Dds(SimDevice):
                               f"{short_repr(freq_hz)}, {short_repr(phase_turns)}, {short_repr(amplitude)}") from None
         # The floats are stored, so they pass the same bounds: this fails a number whose float value
         # (nan, say) disagrees with its comparisons, and leaves only finite floats in range to store.
-        if not (0.0 <= freq <= sys.float_info.max and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
+        if not (0.0 <= freq <= _FLOAT_MAX and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
             raise DeviceError(f"{self.name}: frequency, phase and amplitude must have float values in range, got "
                               f"{freq!r}, {phase!r}, {amp!r}")
         cursor = self._time.now_mu()
-        self._time.delay_mu(self._set_delay_mu)
+        if self._set_delay_mu:  # a zero delay cannot raise and changes nothing: the cursor is in its window
+            self._time.delay_mu(self._set_delay_mu)
         self.freq._put(freq, cursor)
         self.phase._put(phase, cursor)
         self.amp._put(amp, cursor)

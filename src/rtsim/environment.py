@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .devices import DRIVER_CLASSES, DeviceDescriptor, DeviceError, SimDevice
 from .signals import SignalManager
-from .timeline import ContextKind, SimConfig, TimeManager
+from .timeline import ContextKind, Frame, SimConfig, TimeManager
 
 
 class DeviceDbError(Exception):
@@ -133,26 +133,6 @@ class RunStats:
         return self.final_cursor - (start if start is not None else 0)
 
 
-class _Frame:
-    """``with`` block of one timing-frame kind: push on entry, pop on exit.
-
-    It holds no state of its own, so one object per kind serves every frame
-    of a run, nested ones too. It keeps the run's timeline, never the run.
-    """
-
-    __slots__ = ("_time", "_kind")
-
-    def __init__(self, time: TimeManager, kind: ContextKind):
-        self._time = time
-        self._kind = kind
-
-    def __enter__(self) -> None:
-        self._time.push_context(self._kind)
-
-    def __exit__(self, *exc_info) -> None:
-        self._time.pop_context()  # returns None, so an exception from the block propagates
-
-
 class SimulationRun:
     """One simulation instance: timeline, signals, drivers, and run stats.
 
@@ -166,8 +146,8 @@ class SimulationRun:
         self.signals = SignalManager()
         time = self.time = TimeManager(config, self.signals.event_top)
         self.now_mu, self.delay_mu, self.delay, self.at_mu = time.now_mu, time.delay_mu, time.delay, time.at_mu
-        self._sequential = _Frame(time, ContextKind.SEQUENTIAL)
-        self._parallel = _Frame(time, ContextKind.PARALLEL)
+        self._sequential = Frame(time, ContextKind.SEQUENTIAL)
+        self._parallel = Frame(time, ContextKind.PARALLEL)
         self._drivers: dict[str, SimDevice] = {}
         self.stats: Optional[RunStats] = None
         self.error: Optional[BaseException] = None
@@ -179,10 +159,10 @@ class SimulationRun:
             self._drivers[name] = DRIVER_CLASSES[desc.kind](desc, self)
         return self._drivers[name]
 
-    def sequential(self) -> _Frame:
+    def sequential(self) -> Frame:
         return self._sequential
 
-    def parallel(self) -> _Frame:
+    def parallel(self) -> Frame:
         return self._parallel
 
     @contextlib.contextmanager

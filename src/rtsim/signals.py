@@ -6,8 +6,10 @@ before the first event the value is the UNKNOWN sentinel. A push at an
 existing timestamp overwrites that event.
 
 Each kind's value check is one function in the ``_VALIDATORS`` table, keyed
-by ``SignalKind``. A ``Signal`` binds its kind's validator once, when it is
-built; ``SignalKind.coerce`` looks the same function up in the table.
+by ``SignalKind``; it returns the stored form. BOOL accepts bool only, INT
+accepts signed 64-bit int (bool excluded), REAL accepts finite int/float and
+stores float, TEXT accepts str that encodes to at most 64 UTF-8 bytes (so no
+lone surrogate). A ``Signal`` binds its kind's validator once, when it is built.
 """
 
 from __future__ import annotations
@@ -63,16 +65,6 @@ class SignalKind(enum.Enum):
     INT = "int"
     REAL = "real"
     TEXT = "text"
-
-    def coerce(self, value):
-        """Validate ``value`` against this kind; returns the stored form.
-
-        A lookup in ``_VALIDATORS``, the table ``Signal`` binds its validator
-        from once. BOOL accepts bool only, INT accepts signed 64-bit int (bool
-        excluded), REAL accepts finite int/float and stores float, TEXT accepts
-        str that encodes to at most 64 UTF-8 bytes (so no lone surrogate).
-        """
-        return _VALIDATORS[self](value)
 
 
 def _mismatch(value, message: str) -> SignalKindMismatch:

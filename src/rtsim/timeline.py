@@ -118,21 +118,22 @@ class TimeManager:
     ``_enclosing`` stacks the frames around it as 4-tuples of the same
     fields. The root frame, ``(0, None, MU_MIN, MU_MAX)``, is never popped.
     A sequential frame's duration is ``_now - start``; a parallel frame keeps
-    the cursor at its start and the longest delay seen in it. A pop restores
-    the enclosing frame, sets the cursor back to the popped frame's start and
-    delays by its duration. A pushed frame's window is ``[start + MU_MIN,
-    start + MU_MAX]`` clipped to its parent's, so a time in it keeps every
-    open frame's duration in 64 bits. Every delay must end in the innermost
-    window, checked before any state changes, so a delay, jump or sync that
-    raises leaves the cursor and the frames as they were. Windows nest, so
-    the delay a pop re-applies lands in the parent's: a pop cannot overflow.
+    the cursor at its start and the longest delay seen in it. ``Frame``
+    pushes and pops frames; ``push_context`` and ``pop_context`` run its
+    code. A pushed frame's window is ``[start + MU_MIN, start + MU_MAX]``
+    clipped to its parent's, so a time in it keeps every open frame's
+    duration in 64 bits. Every delay must end in the innermost window,
+    checked before any state changes, so a delay, jump or sync that raises
+    leaves the cursor and the frames as they were. Windows nest, so the
+    duration a pop re-applies lands in the parent's: a pop cannot overflow.
     ``horizon()``, the counter estimate of ``sync_to_counter``, is the larger
     of the cursor and ``event_top[0]``: the largest event time, in the
-    one-item list a ``SignalManager``'s signals share, or MU_MIN.
+    one-item list a ``SignalManager``'s signals share, or MU_MIN. The sync
+    slack is read from ``config`` once, when the timeline is built.
     """
 
     def __init__(self, config: Optional[SimConfig] = None, event_top: Optional[list[int]] = None):
-        self.config = config if config is not None else SimConfig()
+        self._slack = (config if config is not None else SimConfig()).sync_slack_mu
         self._event_top = event_top if event_top is not None else [MU_MIN]
         self._now = 0
         self._start, self._longest, self._lo, self._hi = 0, None, MU_MIN, MU_MAX
@@ -177,21 +178,10 @@ class TimeManager:
         self.delay_mu(_checked_mu(t_new - self._now, "at_mu"))
 
     def push_context(self, kind: ContextKind) -> None:
-        start = self._now
-        self._enclosing.append((self._start, self._longest, self._lo, self._hi))
-        self._start, self._longest = start, (None if kind is ContextKind.SEQUENTIAL else 0)
-        if start + MU_MIN > self._lo:
-            self._lo = start + MU_MIN
-        if start + MU_MAX < self._hi:
-            self._hi = start + MU_MAX
+        Frame(self, kind).__enter__()
 
     def pop_context(self) -> None:
-        if not self._enclosing:
-            raise ContextStackError("the root sequential context cannot be popped")
-        duration = self._now - self._start if self._longest is None else self._longest
-        self._now = self._start
-        self._start, self._longest, self._lo, self._hi = self._enclosing.pop()
-        self.delay_mu(duration)  # lands in the parent's window, so it cannot raise
+        Frame(self, ContextKind.SEQUENTIAL).__exit__(None, None, None)  # a pop does not depend on the kind
 
     def horizon(self) -> int:
         """Largest of the cursor and all recorded event timestamps."""
@@ -208,11 +198,60 @@ class TimeManager:
         are two candidates for the longest delay, and the cursor itself does
         not move until the frame exits.
         """
-        jump = _checked_mu(self.horizon() - self._now, "at_mu")
-        slack = self.config.sync_slack_mu
-        self.delay_mu(jump + slack if self._longest is None else max(jump, slack))
+        now, top, slack = self._now, self._event_top[0], self._slack
+        jump = top - now if top > now else 0
+        d = jump + slack if self._longest is None else (jump if jump > slack else slack)
+        if jump > MU_MAX or not self._lo <= now + d <= self._hi:
+            _checked_mu(jump, "at_mu")
+            self.delay_mu(d)  # raises: the end is outside the window
+        if self._longest is None:
+            self._now = now + d
+        elif d > self._longest:
+            self._longest = d
         self.sync_count += 1
-        cursor = self._now
         if self.first_sync_cursor is None:
-            self.first_sync_cursor = cursor
-        return cursor
+            self.first_sync_cursor = self._now
+        return self._now
+
+
+class Frame:
+    """``with`` block of one timing-frame kind: push on entry, pop on exit.
+
+    It holds no state of its own, so one object per kind serves every frame
+    of a timeline, nested ones too; the timeline keeps none, so no reference
+    cycle forms. A pop re-applies the popped duration with no window check,
+    as windows nest. ``__exit__`` returns None, so an exception from the
+    block propagates, after the pop.
+    """
+
+    __slots__ = ("_time", "_longest")
+
+    def __init__(self, time: TimeManager, kind: ContextKind):
+        if type(kind) is not ContextKind:
+            raise TypeError(f"frame kind must be a ContextKind, got {short_repr(kind)}")
+        self._time = time
+        self._longest = None if kind is ContextKind.SEQUENTIAL else 0  # a new frame's longest delay
+
+    def __enter__(self) -> None:
+        time = self._time
+        start = time._now
+        time._enclosing.append((time._start, time._longest, time._lo, time._hi))
+        time._start, time._longest = start, self._longest
+        if start + MU_MIN > time._lo:
+            time._lo = start + MU_MIN
+        if start + MU_MAX < time._hi:
+            time._hi = start + MU_MAX
+
+    def __exit__(self, typ, value, tb) -> None:
+        time = self._time
+        if not time._enclosing:
+            raise ContextStackError("the root sequential context cannot be popped")
+        start, longest = time._start, time._longest
+        duration = time._now - start if longest is None else longest
+        time._start, time._longest, time._lo, time._hi = time._enclosing.pop()
+        if time._longest is None:
+            time._now = start + duration
+        else:
+            time._now = start
+            if duration > time._longest:
+                time._longest = duration

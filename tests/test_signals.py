@@ -16,6 +16,7 @@ from rtsim import (
     UnknownSignalError,
 )
 
+from rtsim.signals import _VALIDATORS
 from rtsim.timeline import MU_MAX, MU_MIN
 
 from oracles import PushLogOracle
@@ -204,7 +205,7 @@ def stored_or_error(kind, value, via_push):
             sig.push(value, 0)
             stored = sig.pull(0)
         else:
-            stored = kind.coerce(value)
+            stored = _VALIDATORS[kind](value)
     except Exception as exc:
         return "raised", type(exc), str(exc)
     return "stored", type(stored), repr(stored)
@@ -226,7 +227,7 @@ values = st.one_of(
 
 
 class TestValidators:
-    """Each kind's accepted values and exact rejections, through push and coerce alike."""
+    """Each kind's accepted values and exact rejections, through push and the validator table alike."""
 
     @pytest.mark.parametrize("kind,value,text", REJECTED)
     def test_rejection_type_and_text(self, kind, value, text):
@@ -236,7 +237,7 @@ class TestValidators:
         assert str(via_push.value) == text
         assert len(sig) == 0
         with pytest.raises(SignalKindMismatch) as via_coerce:
-            kind.coerce(value)
+            _VALIDATORS[kind](value)
         assert str(via_coerce.value) == text
 
     def test_real_keeps_the_sign_of_zero(self):
@@ -269,10 +270,11 @@ class TestValidators:
         # Each signal binds its validator when it is built; a push never looks it up again.
         signals = {kind: SignalManager().register("d", "s", kind) for kind in SignalKind}
 
-        def refuse(self, value):
-            raise AssertionError("SignalKind.coerce called")
+        def refuse(value):
+            raise AssertionError("validator table read after the signal was built")
 
-        monkeypatch.setattr(SignalKind, "coerce", refuse)
+        for kind in SignalKind:
+            monkeypatch.setitem(_VALIDATORS, kind, refuse)
         for kind, value in [(SignalKind.BOOL, True), (SignalKind.INT, 5),
                             (SignalKind.REAL, 0.5), (SignalKind.TEXT, "k")]:
             signals[kind].push(value, 1)

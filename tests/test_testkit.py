@@ -18,6 +18,7 @@ from rtsim import (
     expect,
     set_input,
 )
+from rtsim.signals import _VALIDATORS
 from rtsim.timeline import MU_MAX, MU_MIN
 
 from conftest import FULL_DDB
@@ -182,7 +183,7 @@ def _reference_assert_events(run, device, signal, expected):
     """assert_events written plainly: a coerced list, a copy of the store, then a zip compare."""
     sig = run.signals.signal(device, signal)
     actual = sig.events()
-    expected = [(t, sig.kind.coerce(v)) for t, v in expected]
+    expected = [(t, _VALIDATORS[sig.kind](v)) for t, v in expected]
 
     def nearest(time):
         i = bisect_right(sig._times, time)

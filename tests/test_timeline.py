@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 from rtsim import (
     ContextKind,
     ContextStackError,
+    DeviceDb,
     MachineUnitsOverflow,
     SignalKind,
     SignalManager,
     SimConfig,
+    SimulationRun,
     SyncMode,
     TimeManager,
     seconds_to_mu,
 )
-from rtsim.timeline import MU_MAX, MU_MIN, round_half_away_from_zero
+from rtsim.timeline import MU_MAX, MU_MIN, Frame, round_half_away_from_zero
 
 from oracles import NaiveTimeline, run_tree, tree_duration
 
@@ -68,18 +70,24 @@ edge_times = st.one_of(
     st.integers(min_value=-200_000, max_value=200_000),
     st.integers(min_value=MU_MAX - 200_000, max_value=MU_MAX),
 )
-frame_programs = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), st.sampled_from([SEQ, PAR])),
-        st.just(("pop",)),
-        st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]),
-                                                 st.integers(min_value=-(2**64), max_value=2**64))),
-        st.tuples(st.just("at_mu"), edge_times),
-        st.tuples(st.just("event"), edge_times),
-        st.just(("sync",)),
-    ),
-    max_size=30,
+frame_ops = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from([SEQ, PAR])),
+    st.just(("pop",)),
+    st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]),
+                                             st.integers(min_value=-(2**64), max_value=2**64))),
+    st.tuples(st.just("at_mu"), edge_times),
+    st.tuples(st.just("event"), edge_times),
+    st.just(("sync",)),
 )
+frame_programs = st.lists(frame_ops, max_size=30)
+# As above, plus a raise, which leaves the innermost ``with`` block by an exception.
+block_programs = st.lists(st.one_of(frame_ops, st.just(("raise",))), max_size=30)
+CORE_DDB = DeviceDb.from_dict({"devices": [{"name": "core", "kind": "core"}]})
+
+
+class BlockError(Exception):
+    """Raised by a program's body to leave the innermost ``with`` block."""
+
 
 # The oracle's error for each of the timeline's.
 ORACLE_ERRORS = {MachineUnitsOverflow: OverflowError, ContextStackError: IndexError}
@@ -435,6 +443,16 @@ class TestContextStack:
         with pytest.raises(ContextStackError, match="root sequential context"):
             manager().pop_context()
 
+    @pytest.mark.parametrize("kind", ["sequential", "parallel", None, 0, SyncMode.REGULAR])
+    def test_kind_that_is_not_a_context_kind_raises(self, kind):
+        # A kind checked only by ``is SEQUENTIAL`` takes "sequential" as parallel: delays of 10 and 20 end at 20.
+        tm = manager()
+        with pytest.raises(TypeError, match="must be a ContextKind"):
+            tm.push_context(kind)
+        with pytest.raises(TypeError, match="must be a ContextKind"):
+            Frame(tm, kind)
+        assert state(tm) == (0, 1, [(0, None, MU_MIN, MU_MAX)], 0, None)
+
     def test_depth_counts_open_frames_and_root(self):
         tm = manager()
         assert tm.depth == 1
@@ -687,6 +705,54 @@ class TestProperties:
             tm.pop_context()
             naive.pop()
             assert tm.now_mu() == naive.cursor
+
+    @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
+    @given(program=block_programs)
+    @example(program=[("at_mu", -1), ("push", SEQ), ("pop",), ("delay_mu", MU_MAX + 1)])
+    @example(program=[("push", PAR), ("delay_mu", 5), ("pop",), ("delay_mu", 1)])
+    @example(program=[("push", PAR), ("push", SEQ), ("delay_mu", 7), ("raise",), ("delay_mu", 1), ("pop",),
+                      ("delay_mu", 3), ("pop",)])
+    @settings(max_examples=300, deadline=None)
+    def test_with_blocks_match_naive_timeline(self, mode, slack, program):
+        # The same programs as above, but a push opens a ``with run.sequential()`` or ``with run.parallel()``
+        # block that the matching pop (or the program's end) closes, and a raise leaves the innermost block
+        # by an exception. A pop outside every block pops the root, which raises.
+        run = SimulationRun(CORE_DDB, SimConfig(mode=mode))
+        tm, sig = run.time, run.signals.register("d", "s", SignalKind.INT)
+        naive = NaiveTimeline(slack)
+        ops = {"sync": tm.sync_to_counter, "delay_mu": tm.delay_mu, "at_mu": tm.at_mu,
+               "event": lambda t: sig.push(0, t), "pop": tm.pop_context}
+        naive_ops = {"sync": naive.sync, "delay_mu": naive.delay_mu, "at_mu": naive.at_mu,
+                     "event": naive.event, "pop": naive.pop}
+        steps = iter(program)
+
+        def check(what):
+            assert (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor, tm.horizon()) == (
+                naive.cursor, naive.depth, naive.sync_count, naive.first_sync_cursor, naive.horizon()), what
+
+        def block(depth):
+            """Run steps until this block's pop or a raise, or until the program ends."""
+            for op, *args in steps:
+                if op == "pop" and depth:
+                    return
+                if op == "raise":
+                    if depth:
+                        raise BlockError
+                elif op == "push":
+                    naive.push("seq" if args[0] is SEQ else "par")
+                    with contextlib.suppress(BlockError):
+                        with run.sequential() if args[0] is SEQ else run.parallel():
+                            check(("push", *args))
+                            block(depth + 1)
+                    naive.pop()
+                    check(("close", *args))
+                else:
+                    error = raised(ops[op], *args)
+                    assert ORACLE_ERRORS.get(error, error) is raised(naive_ops[op], *args), (op, *args)
+                    check((op, *args))
+
+        block(0)
+        assert tm.depth == 1
 
     def test_sequential_invariant_holds_under_mixed_ops(self):
         # After each prefix of ops, a sequential frame inside a parallel one
