@@ -153,10 +153,6 @@ class BenchReport:
     def sync_count(self) -> int:
         return self.results[SyncMode.REGULAR].sync_count
 
-    @property
-    def event_count(self) -> int:
-        return self.results[SyncMode.REGULAR].event_count
-
     def sync_law_delta(self) -> int:
         return self.timeline_length_regular_mu - self.timeline_length_optimistic_mu
 

@@ -10,15 +10,11 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
-import sys
 from dataclasses import dataclass, field
 
 from . import rng
-from .signals import UNKNOWN, SignalKind, _is_plain_name
+from .signals import UNKNOWN, SignalKind, SignalKindMismatch, _coerce_real, _is_plain_name
 from .timeline import MU_MAX, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
-
-
-_FLOAT_MAX = sys.float_info.max
 
 
 class DeviceError(Exception):
@@ -237,11 +233,8 @@ class EdgeCounter(SimDevice):
             raise InputUnset(f"{self.name}: input frequency is unset at t={t_open}")
         if f < 0:
             raise DeviceError(f"{self.name}: negative input frequency {f}")
-        try:  # the mean is checked before the cursor moves, so a bad one leaves no edge behind
-            mean = f * duration_mu * REF_PERIOD_S
-        except OverflowError:  # a duration past the float range is past the 64-bit range too
-            raise MachineUnitsOverflow(
-                f"gate_rising_mu: {short_repr(duration_mu)} MU exceeds signed 64-bit machine units") from None
+        # The mean is checked before the cursor moves, so a bad one leaves no edge behind.
+        mean = f * duration_mu * REF_PERIOD_S
         if not mean < rng.POISSON_MEAN_LIMIT:  # nan, inf, or a count no signed 64-bit counter holds
             raise DeviceError(
                 f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite or is 2**63 or more")
@@ -281,24 +274,19 @@ class Dds(SimDevice):
         self.init_marker._put(True, self._time.delay_mu(self._init_delay_mu))
 
     def set(self, freq_hz: float, phase_turns: float = 0.0, amplitude: float = 1.0) -> None:
-        # Every check, the float conversions and the delay come before the first write,
-        # so a call that raises leaves no event. A REAL signal takes no bool, so neither does this.
+        """Set frequency (Hz, >= 0), phase (turns, in [0, 1)) and amplitude (in [0, 1]) at the cursor.
+
+        Each argument must be a value its REAL signal stores, a finite int or
+        float (no bool), and is stored as a float. Every check and the delay
+        come before the first write, so a call that raises leaves no event.
+        """
         try:
-            if type(freq_hz) is bool or not 0 <= freq_hz <= _FLOAT_MAX:
-                raise DeviceError(f"{self.name}: frequency must be a finite float >= 0, got {short_repr(freq_hz)}")
-            if type(phase_turns) is bool or not 0.0 <= phase_turns < 1.0:
-                raise DeviceError(f"{self.name}: phase must be in [0, 1) turns, got {short_repr(phase_turns)}")
-            if type(amplitude) is bool or not 0.0 <= amplitude <= 1.0:
-                raise DeviceError(f"{self.name}: amplitude must be in [0, 1], got {short_repr(amplitude)}")
-            freq, phase, amp = float(freq_hz), float(phase_turns), float(amplitude)
-        except TypeError:  # a non-number: it does not compare with a float, or has no float value
-            raise DeviceError(f"{self.name}: frequency, phase and amplitude must be real numbers, got "
-                              f"{short_repr(freq_hz)}, {short_repr(phase_turns)}, {short_repr(amplitude)}") from None
-        # The floats are stored, so they pass the same bounds: this fails a number whose float value
-        # (nan, say) disagrees with its comparisons, and leaves only finite floats in range to store.
-        if not (0.0 <= freq <= _FLOAT_MAX and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
-            raise DeviceError(f"{self.name}: frequency, phase and amplitude must have float values in range, got "
-                              f"{freq!r}, {phase!r}, {amp!r}")
+            freq, phase, amp = _coerce_real(freq_hz), _coerce_real(phase_turns), _coerce_real(amplitude)
+        except SignalKindMismatch as exc:
+            raise DeviceError(f"{self.name}: frequency, phase and amplitude must be finite reals: {exc}") from None
+        if not (freq >= 0.0 and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
+            raise DeviceError(f"{self.name}: need frequency >= 0, phase in [0, 1) turns and amplitude in [0, 1], "
+                              f"got {freq!r}, {phase!r}, {amp!r}")
         cursor = self._time.now_mu()
         if self._set_delay_mu:  # a zero delay cannot raise and changes nothing: the cursor is in its window
             self._time.delay_mu(self._set_delay_mu)

@@ -10,6 +10,7 @@ by ``SignalKind``; it returns the stored form. BOOL accepts bool only, INT
 accepts signed 64-bit int (bool excluded), REAL accepts finite int/float and
 stores float, TEXT accepts str that encodes to at most 64 UTF-8 bytes (so no
 lone surrogate). A ``Signal`` binds its kind's validator once, when it is built.
+``Dds.set``, ``expect`` and ``assert_events`` validate with the same functions.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _mismatch(value, message: str) -> SignalKindMismatch:
 
 def _coerce_bool(value):
     if type(value) is not bool:
-        raise _mismatch(value, f"expected bool, got {value!r}")
+        raise _mismatch(value, f"expected bool, got {short_repr(value)}")
     return value
 
 
@@ -104,7 +105,7 @@ def _coerce_real(value):
 
 def _coerce_text(value):
     if type(value) is not str:
-        raise _mismatch(value, f"expected text, got {value!r}")
+        raise _mismatch(value, f"expected text, got {short_repr(value)}")
     try:
         size = len(value.encode("utf-8"))
     except UnicodeEncodeError as exc:  # a lone surrogate
@@ -228,6 +229,8 @@ class SignalManager:
         kind: SignalKind,
         is_input: bool = False,
     ) -> Signal:
+        if type(kind) is not SignalKind:
+            raise TypeError(f"signal kind must be a SignalKind, got {short_repr(kind)}")
         if not (_is_plain_name(device_name) and _is_plain_name(signal_name)):
             raise SignalError(
                 "device and signal names must be non-empty strings without whitespace, "

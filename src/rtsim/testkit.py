@@ -13,6 +13,7 @@ from typing import Optional
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalError, SignalKind
+from .timeline import short_repr
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,23 @@ def expect(
     """Check the pulled signal value at ``time`` against ``expected``.
 
     Pass UNKNOWN as ``expected`` to require that no event exists at or
-    before the queried time. Real signals compare with ``abs_tol``
-    (default exact).
+    before the queried time. Any other ``expected`` is validated against the
+    signal's kind, as ``assert_events`` does, so a value of the wrong kind
+    raises ``SignalKindMismatch``. Real signals compare within ``abs_tol``,
+    an int or float >= 0 (default exact); other kinds compare with ``==``.
     """
+    if type(abs_tol) is bool or not isinstance(abs_tol, (int, float)) or not abs_tol >= 0:
+        raise ValueError(f"abs_tol must be an int or float >= 0, got {short_repr(abs_tol)}")
     sig = run.signals.signal(device, signal)
+    if expected is not UNKNOWN:
+        expected = sig._coerce(expected)
     actual = sig.pull(time)
     if expected is UNKNOWN or actual is UNKNOWN:
         passed = actual is expected
     elif sig.kind is SignalKind.REAL:
         passed = abs(actual - expected) <= abs_tol
     else:
-        passed = actual == expected and type(actual) is type(expected)
+        passed = actual == expected
     before, after = _nearest_events(sig, time)
     return CheckReport(passed, device, signal, time, expected, actual, before, after)
 

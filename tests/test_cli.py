@@ -204,6 +204,27 @@ class TestDiff:
         assert run_cli("diff", str(a), str(b)) == 1
         assert "summary.sync_count" in capsys.readouterr().out
 
+    def test_record_count_difference(self, tmp_path, capsys):
+        a = self.make_dump(tmp_path, "a.jsonl")
+        b = tmp_path / "b.jsonl"
+        lines = a.read_text().splitlines()
+        b.write_text("\n".join(lines[:-2] + lines[-1:]) + "\n")  # the last record dropped
+        n = len(lines) - 1
+        assert run_cli("diff", str(a), str(b)) == 1
+        out = capsys.readouterr().out
+        assert f"record counts: A={n} B={n - 1}" in out
+        assert f"record {n - 1}:" in out
+        assert "identical" not in out
+
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_summary_present_in_one_dump_only(self, tmp_path, capsys, which):
+        full = self.make_dump(tmp_path, "full.jsonl")
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text("\n".join(full.read_text().splitlines()[:-1]) + "\n")  # the summary line dropped
+        a, b = (full, bare) if which == "A" else (bare, full)
+        assert run_cli("diff", str(a), str(b)) == 1
+        assert capsys.readouterr().out.splitlines() == [f"summary present only in {which}"]
+
     def test_missing_file(self, tmp_path, capsys):
         a = self.make_dump(tmp_path, "a.jsonl")
         assert run_cli("diff", str(a), str(tmp_path / "nope.jsonl")) == 2

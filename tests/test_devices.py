@@ -1,5 +1,7 @@
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -511,6 +513,7 @@ class TestDds:
             (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0), (float("-inf"), 0.0, 1.0),
             (10**400, 0.0, 1.0),
             (True, 0.0, 1.0), (1e6, False, 1.0), (1e6, 0.0, True), ("1e6", 0.0, 1.0),
+            (Fraction(1, 3), 0.0, 1.0), (1e6, Decimal("0.25"), 1.0), (1e6, 0.0, Fraction(1, 2)),
         ],
     )
     def test_parameter_validation(self, make_run, freq, phase, amp):
@@ -519,6 +522,22 @@ class TestDds:
         with pytest.raises(DeviceError):
             dds.set(freq, phase, amp)
         assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
+
+    @given(
+        freq=st.floats(0.0, allow_infinity=False) | st.integers(0, 2**1000),
+        phase=st.floats(0.0, 1.0, exclude_max=True) | st.just(0),
+        amp=st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
+    )
+    @example(freq=-0.0, phase=-0.0, amp=-0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_in_range_int_or_float_stored_as_its_float(self, freq, phase, amp):
+        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+        dds = run.get_device("dds0")
+        dds.set(freq, phase, amp)
+        stored = [sig.events() for sig in (dds.freq, dds.phase, dds.amp)]
+        assert [[(t, type(v), repr(v)) for t, v in events] for events in stored] == [
+            [(0, float, repr(float(x)))] for x in (freq, phase, amp)
+        ]
 
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["freq", "phase", "amp"])
     def test_argument_whose_float_value_is_out_of_range(self, make_run, position):
@@ -534,7 +553,7 @@ class TestDds:
         args[position] = NanValued()
         run = make_run()
         dds = run.get_device("dds0")
-        with pytest.raises(DeviceError, match="float values in range"):
+        with pytest.raises(DeviceError, match="must be finite reals"):
             dds.set(*args)
         assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
 

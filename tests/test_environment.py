@@ -125,6 +125,23 @@ class TestLoadDdb:
         with pytest.raises(DeviceDbError):
             load_ddb(write_ddb(tmp_path, {"devices": {}}))
 
+    @pytest.mark.parametrize("data,message", [
+        ([], "must be an object with a 'devices' list"),
+        ("devices", "must be an object with a 'devices' list"),
+        (None, "must be an object with a 'devices' list"),
+        ({"devices": [{"name": "core", "kind": "core"}, "ttl0"]}, r"devices\[1\]: entry must be an object"),
+        ({"devices": [{"name": "core", "kind": "core"}, ["ttl0", "ttl_out"]]}, r"devices\[1\]: entry must be an object"),
+        ({"devices": [{"name": "core", "kind": "core"}, {"name": "a", "kind": "adc", "params": [2]}]},
+         r"devices\[1\] \('a'\): params must be an object"),
+        ({"devices": [{"name": "core", "kind": "core", "params": None}]},
+         r"devices\[0\] \('core'\): params must be an object"),
+    ], ids=["list", "str", "null", "str_entry", "list_entry", "list_params", "null_params"])
+    def test_non_object_rejected(self, tmp_path, data, message):
+        with pytest.raises(DeviceDbError, match=message):
+            DeviceDb.from_dict(data)
+        with pytest.raises(DeviceDbError, match=message):
+            load_ddb(write_ddb(tmp_path, data))
+
 
 class TestGetDevice:
     def test_memoized(self, make_run):

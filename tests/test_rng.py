@@ -133,3 +133,16 @@ def test_zero_uniforms_never_reach_log(monkeypatch):
     uniforms = iter([0.0, 0.0, 0.96, 0.0])
     monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: next(uniforms))
     assert Xoshiro256StarStar(0).poisson(10.0) == 18  # floor((2a / 0.04 + b) * 0.46 + 10.43)
+
+
+def test_zero_mean_draws_nothing():
+    rng = Xoshiro256StarStar(3)
+    state = rng._s
+    assert rng.poisson(0.0) == 0
+    assert rng._s == state
+
+
+def test_zero_uniform_below_10_never_reaches_log(monkeypatch):
+    # A 0.0 uniform stands for the smallest float: -log(5e-324) is about 744, past a mean of 1.
+    monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: 0.0)
+    assert Xoshiro256StarStar(0).poisson(1.0) == 0

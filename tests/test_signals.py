@@ -41,6 +41,14 @@ class TestRegistry:
         sm.register("dds0", "freq", SignalKind.REAL)
         assert {(s.device_name, s.signal_name) for s in sm} == {("ttl0", "state"), ("dds0", "freq")}
 
+    @pytest.mark.parametrize("kind", ["bool", "BOOL", None, 1, SignalKind])
+    def test_kind_must_be_a_signal_kind(self, kind):
+        sm = SignalManager()
+        with pytest.raises(TypeError, match="signal kind must be a SignalKind"):
+            sm.register("d", "s", kind)
+        assert ("d", "s") not in sm
+        assert list(sm) == []
+
     @pytest.mark.parametrize("name", ["my sig", "sig\t0", "sig\u00a0", " ", "", 7, None, ("sig",)])
     @pytest.mark.parametrize("part", ["device", "signal"])
     def test_name_must_be_nonblank_str_without_whitespace(self, part, name):
@@ -85,6 +93,13 @@ class TestPushPull:
         sig = self.make()
         sig.push(1, 100)
         assert sig.pull(99) is UNKNOWN
+
+    def test_unknown_has_no_truth_value(self):
+        with pytest.raises(TypeError, match="UNKNOWN has no truth value"):
+            bool(self.make().pull(0))
+
+    def test_repr_names_signal_and_kind(self):
+        assert repr(self.make(SignalKind.REAL)) == "Signal(dev.sig, real)"
 
     def test_pull_at_event_time_is_inclusive(self):
         sig = self.make()
@@ -176,6 +191,7 @@ REJECTED = [
     *[(kind, UNKNOWN, "UNKNOWN cannot be pushed onto a signal") for kind in SignalKind],
     (SignalKind.BOOL, None, "expected bool, got None"),
     (SignalKind.BOOL, 1, "expected bool, got 1"),
+    pytest.param(SignalKind.BOOL, 10**5000, "expected bool, got <16610-bit int>", id="BOOL-10**5000"),
     (SignalKind.INT, None, "expected int, got None"),
     (SignalKind.INT, True, "expected int, got True"),
     (SignalKind.INT, 1.0, "expected int, got 1.0"),
@@ -192,6 +208,7 @@ REJECTED = [
     (SignalKind.REAL, _Real("nan"), "expected finite real, got nan"),
     (SignalKind.TEXT, None, "expected text, got None"),
     (SignalKind.TEXT, 3, "expected text, got 3"),
+    pytest.param(SignalKind.TEXT, 10**5000, "expected text, got <16610-bit int>", id="TEXT-10**5000"),
     (SignalKind.TEXT, "x" * 65, "text value exceeds 64 bytes"),
     (SignalKind.TEXT, "\ud800", "text value cannot be encoded as UTF-8: surrogates not allowed"),
 ]

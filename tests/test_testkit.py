@@ -115,6 +115,20 @@ class TestExpect:
         with pytest.raises(UnknownSignalError):
             expect(make_run(), "ghost", "x", 0, True)
 
+    @pytest.mark.parametrize("abs_tol", [-1, -0.5, float("nan"), True, "0", None, 1j])
+    def test_bad_abs_tol_rejected(self, make_run, abs_tol):
+        run = make_run()
+        run.get_device("dds0").set(1e8)
+        with pytest.raises(ValueError, match="abs_tol must be an int or float >= 0"):
+            expect(run, "dds0", "freq", 0, 1e8, abs_tol=abs_tol)
+
+    @pytest.mark.parametrize("abs_tol", [0, 0.0, 2, float("inf"), pytest.param(10**400, id="10**400")])
+    def test_abs_tol_accepts_any_non_negative_number(self, make_run, abs_tol):
+        run = make_run()
+        run.get_device("dds0").set(1e8)
+        assert expect(run, "dds0", "freq", 0, 1e8, abs_tol=abs_tol)
+        assert expect(run, "dds0", "freq", 0, 1e8 + 3.0, abs_tol=abs_tol).passed is (abs_tol >= 3)
+
     @given(
         times=st.lists(st.integers(min_value=-100, max_value=100), max_size=30),
         queries=st.lists(st.integers(min_value=-110, max_value=110), max_size=10),
@@ -150,6 +164,11 @@ class TestAssertEvents:
         report = assert_events(pulsed, "ttl0", "state", [(100, False), (1100, False)])
         assert not report
         assert "index 0" in report.detail
+
+    def test_failing_report_prints_its_detail(self, pulsed):
+        report = assert_events(pulsed, "ttl0", "state", [(100, False)])
+        assert str(report) == ("FAIL ttl0.state @ 100: expected (100, False), actual (100, True) "
+                               "(nearest events: <= 100, > 1100) [first divergence at event index 0]")
 
     def test_empty_expected_on_untouched_signal(self, make_run):
         run = make_run()
@@ -223,6 +242,48 @@ _INVALID_VALUES = st.sampled_from([
 ])
 _BAD_PAIRS = st.sampled_from([5, None, (1,), (1, True, 2), "ab", "abc"])
 _ODD_TIMES = st.sampled_from([None, "t", 1.5, True])
+
+
+def _judge_both(kind, stored, value):
+    """What expect and assert_events each make of ``value`` against one stored event at time 0."""
+    run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
+    run.signals.register("probe", "sig", kind).push(stored, 0)
+    outcomes = []
+    for check in (lambda: expect(run, "probe", "sig", 0, value),
+                  lambda: assert_events(run, "probe", "sig", [(0, value)])):
+        try:
+            outcomes.append(check().passed)
+        except SignalKindMismatch as err:
+            outcomes.append(("raised", str(err)))
+    return outcomes
+
+
+class TestOneValueRule:
+    """expect and assert_events validate with the signal's own validator, so they judge a value alike."""
+
+    @pytest.mark.parametrize("kind,stored,value", [
+        (SignalKind.REAL, 1.0, True),
+        (SignalKind.REAL, 1.0, "x"),
+        (SignalKind.REAL, 1.0, 10**400),
+        (SignalKind.BOOL, True, 1),
+        (SignalKind.INT, 1, True),
+        (SignalKind.INT, 1, 2**63),
+        (SignalKind.TEXT, "x", "é" * 33),
+    ], ids=["real_bool", "real_str", "real_huge_int", "bool_int", "int_bool", "int_past_64_bits", "text_66_bytes"])
+    def test_wrong_kind_raises_in_both(self, kind, stored, value):
+        by_expect, by_events = _judge_both(kind, stored, value)
+        assert by_expect[0] == "raised"
+        assert by_expect == by_events
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_expect_judges_as_assert_events(self, data):
+        kind = data.draw(st.sampled_from(list(SignalKind)), label="kind")
+        stored = data.draw(_VALID[kind], label="stored")
+        value = data.draw(st.one_of(*_VALID.values()) | _INVALID_VALUES.filter(lambda v: v is not UNKNOWN),
+                          label="value")
+        by_expect, by_events = _judge_both(kind, stored, value)
+        assert by_expect == by_events
 
 
 class TestAssertEventsReference:

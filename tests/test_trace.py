@@ -121,6 +121,30 @@ class TestVcd:
         initials = [line for t, _, line in parsed["changes"] if t is None]
         assert initials == ["1!", 'x"', "bx #"]
 
+    def test_multi_character_id_codes(self, full_ddb, tmp_path):
+        # 94 one-character codes exist, so the signals past them need two characters.
+        def body(run):
+            for i in range(200):
+                run.signals.register("many", f"s{i:03}", SignalKind.BOOL).push(True, i)
+
+        run = run_body(full_ddb, body)
+        path = tmp_path / "many.vcd"
+        export_vcd(run, path)
+        parsed = check_vcd(path.read_text())
+        assert len(parsed["ids"]) == len(list(run.signals)) >= 200
+        assert {len(code) for code in parsed["ids"]} == {1, 2}
+        code_of = {name: code for code, (dev, name, _) in parsed["ids"].items() if dev == "many"}
+        assert [(t, line) for t, _, line in parsed["changes"] if t is not None and line[1:] in code_of.values()] == [
+            (i, f"1{code_of[f's{i:03}']}") for i in range(200)
+        ]
+
+    @pytest.mark.parametrize("code", ["\u00e9", "a\x7f", "\x01"])
+    def test_checker_rejects_id_code_past_printable_ascii(self, code):
+        text = f"$timescale 1 ns $end\n$scope module d $end\n$var wire 1 {code} s $end\n$upscope $end\n$enddefinitions $end\n"
+        with pytest.raises(AssertionError, match="not printable ASCII"):
+            check_vcd(text)
+        check_vcd(text.replace(code, "!"))
+
     def test_checker_rejects_scope_name_with_space(self):
         text = "$timescale 1 ns $end\n$scope module my ttl $end\n$upscope $end\n$enddefinitions $end\n"
         with pytest.raises(AssertionError, match="bad \\$scope"):

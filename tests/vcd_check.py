@@ -1,7 +1,7 @@
 """Minimal VCD conformance checker used by the trace and acceptance tests.
 
-Validates header structure, scope balance, identifier definitions, change
-syntax, that each change has the form of its var's declared type, and
+Validates header structure, scope balance, identifier definitions (each
+code made of printable ASCII ``!``-``~`` only), change syntax, that each change has the form of its var's declared type, and
 ascending change times. Returns the parsed structure so tests can assert on
 contents.
 """
@@ -16,6 +16,8 @@ _CHANGE_RES = {
     "real": re.compile(r"^r\S+ (\S+)$"),
     "string": re.compile(r"^s\S* (\S+)$"),
 }
+
+_ID_CODE_RE = re.compile(r"[!-~]+")
 
 
 def check_vcd(text: str) -> dict:
@@ -48,6 +50,7 @@ def check_vcd(text: str) -> dict:
             _, var_type, width, code, name, _ = tokens
             assert var_type in _CHANGE_RES, f"bad var type: {var_type}"
             assert width.isdigit(), f"bad var width: {width}"
+            assert _ID_CODE_RE.fullmatch(code), f"id code not printable ASCII: {code!r}"
             assert code not in ids, f"duplicate id code: {code}"
             assert scope_stack, f"$var outside scope: {line}"
             ids[code] = (scope_stack[-1], name, var_type)
