@@ -195,7 +195,8 @@ class TtlIn(SimDevice):
         if not 0.0 <= p <= 1.0:
             raise DeviceError(f"{self.name}: probability {p} outside [0, 1]")
         # Delay first, as pulse_mu does, so an overflow leaves no event, buffer entry or draw.
-        self._time.delay_mu(self._sample_delay_mu)
+        if self._sample_delay_mu:  # a zero delay cannot raise and changes nothing, as in Dds.set
+            self._time.delay_mu(self._sample_delay_mu)
         value = self._rng.bernoulli(p)  # the int 0 or 1
         self.sample._put(value, cursor)
         self.buffer.put(value)
@@ -318,7 +319,8 @@ class Adc(SimDevice):
             if v is UNKNOWN:
                 raise InputUnset(f"{self.name}: channel {i} voltage is unset at t={cursor}")
             values.append(v)
-        self._time.delay_mu(self._sample_delay_mu)
+        if self._sample_delay_mu:
+            self._time.delay_mu(self._sample_delay_mu)
         self.buffer.put(values)
 
     def fetch_sample(self) -> list[float]:

@@ -6,10 +6,11 @@ driver that draws (``ttl_in`` and ``edge_counter``) seeds its own substream
 from (seed, device name), so adding a device never perturbs another device's
 draws.
 
-A Poisson count below mean 10 sums exponential arrivals; from mean 10 up it
-uses Hormann's PTRS transformed rejection, whose cost does not grow with the
-mean. Either way the mean must be below 2**63, the range of a signed 64-bit
-count.
+A Poisson count below mean 10 takes one uniform and inverts the cumulative
+distribution by a search that stops within a bounded number of terms; from
+mean 10 up it uses Hormann's PTRS transformed rejection, whose cost does not
+grow with the mean. Either way the mean must be below 2**63, the range of a
+signed 64-bit count.
 """
 
 from __future__ import annotations
@@ -73,27 +74,30 @@ class Xoshiro256StarStar:
     def poisson(self, mean: float) -> int:
         """Poisson draw for a mean in [0, 2**63).
 
-        Below mean 10 it counts exponential arrivals before ``mean`` (about
-        mean + 1 draws). From 10 up it uses PTRS (Hormann 1993, with the
-        constants of NumPy's ``random_poisson_ptrs``): 2.2 to 2.7 draws a call
-        at any mean. From k = 10 up its rejection test takes the log pmf by
-        Stirling in k - mean, so it keeps its precision up to the largest mean.
+        Below mean 10 it draws one uniform ``u`` and returns the least k whose
+        cumulative probability reaches ``u``, by sequential search (Devroye
+        1986, X.3). The search stops once the next term no longer changes the
+        sum, so it ends within 60 terms even for ``u`` just below 1. From 10
+        up it uses PTRS (Hormann 1993, with the constants of NumPy's
+        ``random_poisson_ptrs``): 2.2 to 2.7 draws a call at any mean. From
+        k = 10 up its rejection test takes the log pmf by Stirling in
+        k - mean, so it keeps its precision up to the largest mean.
         """
         if not 0 <= mean < POISSON_MEAN_LIMIT:  # nan, inf or a count past 64 bits
             raise ValueError(f"poisson mean must be finite and non-negative and below 2**63: {mean}")
         if mean < 10:
             if mean == 0:
                 return 0
-            count = 0
-            acc = 0.0
-            while True:
-                u = self.random()
-                if u <= 0.0:
-                    u = 5e-324
-                acc += -math.log(u)
-                if acc > mean:
-                    return count
-                count += 1
+            u = self.random()
+            p = s = math.exp(-mean)
+            k = 0
+            while u > s:
+                k += 1
+                p *= mean / k
+                if s + p == s:
+                    return k  # the tail left is below a uniform's resolution
+                s += p
+            return k
         loglam = math.log(mean)
         b = 0.931 + 2.53 * math.sqrt(mean)
         a = -0.059 + 0.02483 * b

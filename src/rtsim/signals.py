@@ -195,8 +195,9 @@ class Signal:
         return list(zip(self._times, self._values))
 
     def events_in(self, t0: int, t1: int) -> list[tuple[int, object]]:
-        if type(t0) is not int or type(t1) is not int:
-            raise SignalError(f"event range bounds must be int, got {t0!r}, {t1!r}")
+        """Events with ``t0 <= time <= t1``; both bounds are signed 64-bit ints, as ``push`` takes."""
+        if not (type(t0) is int and type(t1) is int and MU_MIN <= t0 <= MU_MAX and MU_MIN <= t1 <= MU_MAX):
+            raise SignalError(f"event range bounds must be signed 64-bit ints, got {short_repr(t0)}, {short_repr(t1)}")
         if t0 > t1:
             raise ValueError(f"bad event range: {short_repr(t0)} > {short_repr(t1)}")
         times = self._times

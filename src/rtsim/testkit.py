@@ -13,7 +13,7 @@ from typing import Optional
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalError, SignalKind
-from .timeline import short_repr
+from .timeline import MU_MAX, MU_MIN, short_repr
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,18 @@ def expect(
 ) -> CheckReport:
     """Check the pulled signal value at ``time`` against ``expected``.
 
-    Pass UNKNOWN as ``expected`` to require that no event exists at or
-    before the queried time. Any other ``expected`` is validated against the
-    signal's kind, as ``assert_events`` does, so a value of the wrong kind
+    ``time`` must be a signed 64-bit int, as an event time is, else
+    ``SignalError``. Pass UNKNOWN as ``expected`` to require that no event
+    exists at or before ``time``. Any other ``expected`` is validated against
+    the signal's kind, as ``assert_events`` does, so a value of the wrong kind
     raises ``SignalKindMismatch``. Real signals compare within ``abs_tol``,
     an int or float >= 0 (default exact); other kinds compare with ``==``.
     """
     if type(abs_tol) is bool or not isinstance(abs_tol, (int, float)) or not abs_tol >= 0:
         raise ValueError(f"abs_tol must be an int or float >= 0, got {short_repr(abs_tol)}")
     sig = run.signals.signal(device, signal)
+    if type(time) is not int or not MU_MIN <= time <= MU_MAX:
+        raise SignalError(f"query time must be a signed 64-bit int: {short_repr(time)}")
     if expected is not UNKNOWN:
         expected = sig._coerce(expected)
     actual = sig.pull(time)

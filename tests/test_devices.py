@@ -708,6 +708,23 @@ class TestParallelFrame:
         longest = max(delay for _, delay in DELAYING_CALLS.values())
         assert run_in_frame("parallel", calls) == (events, buffers, 100 + longest)
 
+    @pytest.mark.parametrize("kind", ["sequential", "parallel"])
+    @pytest.mark.parametrize("name", ["in0", "adc0"])
+    def test_zero_delay_sample_leaves_the_frame_as_it_is(self, make_run, kind, name):
+        run = make_run()  # FULL_DDB: both samplers keep the default sample_delay_mu of 0
+        dev = run.get_device(name)
+        for sig in run.signals:
+            if sig.is_input:
+                sig.push(0.5, 0)
+        run.at_mu(100)
+        with getattr(run, kind)():
+            run.get_device("ttl0").pulse(40)
+            frame = (run.now_mu(), run.time._longest)
+            dev.sample_input()
+            assert (run.now_mu(), run.time._longest) == frame
+        assert run.now_mu() == 140
+        assert len(dev.buffer) == 1
+
     def test_gate_returns_its_close_time(self, make_run):
         run = make_run()
         counter = run.get_device("counter0")

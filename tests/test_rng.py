@@ -13,7 +13,9 @@ import pytest
 from rtsim.rng import Xoshiro256StarStar
 
 # The first counts at seed 7 and the sum of the first 1000; a change of the
-# PTRS path shows here.
+# inversion path (mean 5) or of the PTRS path shows here.
+POISSON_SEED_7_MEAN_5 = [6, 4, 7, 10, 11, 8, 2, 2]
+POISSON_SEED_7_MEAN_5_SUM_1000 = 5028
 POISSON_SEED_7_MEAN_10 = [12, 4, 9, 10, 9, 7, 6, 6]
 POISSON_SEED_7_MEAN_10_SUM_1000 = 9759
 POISSON_SEED_7_MEAN_1E6 = [1000592, 997980, 999726, 1000116, 1002014, 999863, 999265, 998855]
@@ -21,6 +23,8 @@ POISSON_SEED_7_MEAN_1E6_SUM_1000 = 999981974
 
 # The PTRS path starts at mean 10 and must cost the same up to the 2**63 bound.
 PTRS_MEANS = [10.0, 10.5, 12.0, 15.0, 20.0, 30.0, 50.0, 100.0] + [10.0**e for e in range(3, 19)]
+# Below mean 10 inversion takes one uniform a call, from the smallest means up.
+INVERSION_MEANS = [1e-300, 1e-10, 0.01, 0.8, 1.0, 2.5, 5.2, 9.6, 9.999, math.nextafter(10.0, 0)]
 
 
 def poisson_pmf(k: int, mean: float) -> float:
@@ -34,7 +38,7 @@ def test_reference_outputs():
     assert [rng.next_u64() for _ in range(4)] == [11520, 0, 1509978240, 1215971899390074240]
 
 
-@pytest.mark.parametrize("mean", [10.0, 30.0])
+@pytest.mark.parametrize("mean", [0.8, 5.2, 9.6, 9.999, 10.0, 30.0])
 def test_chi_square_against_exact_pmf(mean):
     n = 20_000
     rng = Xoshiro256StarStar(1)
@@ -72,6 +76,7 @@ def test_sample_mean_and_variance(mean):
 
 
 @pytest.mark.parametrize(("mean", "first", "total"), [
+    (5.0, POISSON_SEED_7_MEAN_5, POISSON_SEED_7_MEAN_5_SUM_1000),
     (10.0, POISSON_SEED_7_MEAN_10, POISSON_SEED_7_MEAN_10_SUM_1000),
     (1e6, POISSON_SEED_7_MEAN_1E6, POISSON_SEED_7_MEAN_1E6_SUM_1000),
 ])
@@ -82,18 +87,19 @@ def test_pinned_values(mean, first, total):
     assert sum(draws) == total
 
 
-def test_below_10_sums_exponential_arrivals():
+def test_below_10_inverts_the_cumulative_pmf():
+    # Longhand inversion: the least k whose cumulative pmf, summed from the exact
+    # pmf, reaches the uniform taken from one raw 64-bit draw.
     mean = 9.999
     stream = Xoshiro256StarStar(11)
 
     def reference():
-        count, acc = 0, 0.0
-        while True:
-            u = (stream.next_u64() >> 11) / 2.0**53
-            acc -= math.log(u if u > 0.0 else 5e-324)
-            if acc > mean:
-                return count
-            count += 1
+        u = (stream.next_u64() >> 11) / 2.0**53
+        k, cdf = 0, poisson_pmf(0, mean)
+        while cdf < u:
+            k += 1
+            cdf += poisson_pmf(k, mean)
+        return k
 
     rng = Xoshiro256StarStar(11)
     assert [rng.poisson(mean) for _ in range(1000)] == [reference() for _ in range(1000)]
@@ -117,6 +123,26 @@ def test_draws_per_call_bounded(monkeypatch, mean):
     for _ in range(calls):
         rng.poisson(mean)
     assert draws < 3 * calls
+
+
+@pytest.mark.parametrize("mean", INVERSION_MEANS)
+def test_one_draw_per_call_below_10(monkeypatch, mean):
+    calls = 2000
+    draws = 0
+    next_u64 = Xoshiro256StarStar.next_u64
+
+    def counted(self):
+        nonlocal draws
+        draws += 1
+        if draws > calls:  # fail here, not after the about `mean` draws a per-arrival loop takes
+            raise RuntimeError(f"{draws} draws in fewer than {calls} calls")
+        return next_u64(self)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "next_u64", counted)
+    rng = Xoshiro256StarStar(5)
+    for _ in range(calls):
+        rng.poisson(mean)
+    assert draws == calls
 
 
 def test_largest_mean_below_bound():
@@ -143,6 +169,22 @@ def test_zero_mean_draws_nothing():
 
 
 def test_zero_uniform_below_10_never_reaches_log(monkeypatch):
-    # A 0.0 uniform stands for the smallest float: -log(5e-324) is about 744, past a mean of 1.
+    # u = 0.0 lies below exp(-mean), the cumulative pmf at 0.
     monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: 0.0)
     assert Xoshiro256StarStar(0).poisson(1.0) == 0
+
+
+@pytest.mark.parametrize("mean", INVERSION_MEANS)
+def test_zero_uniform_below_10_gives_zero(monkeypatch, mean):
+    monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: 0.0)
+    assert Xoshiro256StarStar(0).poisson(mean) == 0
+
+
+def test_largest_uniform_below_10_ends_the_search(monkeypatch):
+    # u just below 1 can lie past every cumulative sum that rounding reaches;
+    # the search stops once a term no longer changes the sum.
+    monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: (2**53 - 1) / 2**53)
+    rng = Xoshiro256StarStar(0)
+    for mean in INVERSION_MEANS + [i / 1000 for i in range(1, 10_000)]:
+        k = rng.poisson(mean)
+        assert type(k) is int and 0 <= k < 60, (mean, k)

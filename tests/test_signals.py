@@ -322,6 +322,21 @@ class TestEventsIn:
         with pytest.raises(ValueError):
             sig.events_in(10, 5)
 
+    @pytest.mark.parametrize(("t0", "t1"), [(MU_MIN - 1, 0), (0, MU_MAX + 1), (MU_MIN - 1, MU_MAX + 1),
+                                            (MU_MAX + 1, MU_MAX + 2), (-(2**80), 2**80)])
+    def test_bound_outside_64_bits_rejected(self, t0, t1):
+        sig = SignalManager().register("d", "s", SignalKind.INT)
+        sig.push(1, 0)
+        with pytest.raises(SignalError, match="signed 64-bit ints"):
+            sig.events_in(t0, t1)
+
+    def test_bounds_at_64_bit_limits_accepted(self):
+        sig = SignalManager().register("d", "s", SignalKind.INT)
+        sig.push(1, MU_MIN)
+        sig.push(2, MU_MAX)
+        assert sig.events_in(MU_MIN, MU_MIN) == [(MU_MIN, 1)]
+        assert sig.events_in(MU_MAX, MU_MAX) == [(MU_MAX, 2)]
+
 
 class TestManagerCoupling:
     def test_max_event_time_tracks_pushes(self):
@@ -465,7 +480,9 @@ class TestStoreBackends:
         sig, _, _ = pushed([(MU_MIN, 1), (MU_MAX, 2)])
         assert sig.pull(MU_MIN - 1) is UNKNOWN
         assert sig.pull(MU_MAX + 1) == 2
-        assert sig.events_in(MU_MIN - 10, MU_MAX + 10) == [(MU_MIN, 1), (MU_MAX, 2)]
+        assert sig.events_in(MU_MIN, MU_MAX) == [(MU_MIN, 1), (MU_MAX, 2)]
+        with pytest.raises(SignalError):
+            sig.events_in(MU_MIN - 10, MU_MAX + 10)
 
 
 class TestIntegerTimes:

@@ -129,6 +129,15 @@ class TestExpect:
         assert expect(run, "dds0", "freq", 0, 1e8, abs_tol=abs_tol)
         assert expect(run, "dds0", "freq", 0, 1e8 + 3.0, abs_tol=abs_tol).passed is (abs_tol >= 3)
 
+    @pytest.mark.parametrize("time", [MU_MIN - 1, MU_MAX + 1, 2**70, -(2**80), 0.0, True, None])
+    def test_query_time_outside_64_bits_rejected(self, pulsed, time):
+        with pytest.raises(SignalError, match="query time must be a signed 64-bit int"):
+            expect(pulsed, "ttl0", "state", time, False)
+
+    def test_query_time_at_64_bit_bounds_accepted(self, pulsed):
+        assert expect(pulsed, "ttl0", "state", MU_MIN, UNKNOWN)
+        assert expect(pulsed, "ttl0", "state", MU_MAX, False)
+
     @given(
         times=st.lists(st.integers(min_value=-100, max_value=100), max_size=30),
         queries=st.lists(st.integers(min_value=-110, max_value=110), max_size=10),
