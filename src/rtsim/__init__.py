@@ -6,7 +6,6 @@ unit tests, exported as waveforms, and benchmarked under the regular and
 optimistic synchronization configurations.
 """
 
-from .bench import BenchReport, BenchScenario, relative_error, run_scenario, run_scenario_both
 from .devices import BufferEmpty, DeviceDescriptor, DeviceError, InputBuffer, InputUnset
 from .environment import (
     DeviceDb,
@@ -44,8 +43,6 @@ from .trace import export_jsonl, export_vcd, read_jsonl
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
-    "BenchScenario",
     "BufferEmpty",
     "CheckReport",
     "ContextKind",
@@ -79,10 +76,7 @@ __all__ = [
     "load_ddb",
     "mu_to_seconds",
     "read_jsonl",
-    "relative_error",
     "run_experiment",
-    "run_scenario",
-    "run_scenario_both",
     "seconds_to_mu",
     "set_input",
 ]

@@ -10,11 +10,11 @@ report carries the measured timeline lengths and a speedup proxy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .environment import DeviceDb, Experiment, RunStats, SimulationRun, run_experiment
-from .timeline import MU_MAX, REGULAR_SYNC_SLACK_MU, SimConfig, SyncMode, mu_to_seconds, short_repr
+from .timeline import (MU_MAX, REGULAR_SYNC_SLACK_MU, FrozenRecord, Record, SimConfig, SyncMode, mu_to_seconds,
+                       short_repr)
 
 BUFFER_BATCH = 16
 
@@ -23,18 +23,14 @@ BUFFER_BATCH = 16
 MAX_SCENARIO_CALLS = 10**7
 
 
-@dataclass(frozen=True)
-class BenchScenario:
-    name: str
-    points: int
-    samples_per_point: int
-    delay_per_sample_mu: int = 0
-    pulses_per_sample: int = 3
-    dds_sets_per_sample: int = 1
-    pulse_mu: int = 1000
-    buffered: bool = False
+class BenchScenario(FrozenRecord):
+    __slots__ = ("name", "points", "samples_per_point", "delay_per_sample_mu", "pulses_per_sample",
+                 "dds_sets_per_sample", "pulse_mu", "buffered")
 
-    def __post_init__(self):
+    def __init__(self, name: str, points: int, samples_per_point: int, delay_per_sample_mu: int = 0,
+                 pulses_per_sample: int = 3, dds_sets_per_sample: int = 1, pulse_mu: int = 1000,
+                 buffered: bool = False):
+        self._set(locals())
         if self.points < 1 or self.samples_per_point < 1:
             raise ValueError("points and samples_per_point must be >= 1")
         if self.pulse_mu <= 0:
@@ -136,10 +132,11 @@ def speedup_proxy(stats: RunStats) -> float:
     return mu_to_seconds(stats.timeline_length_mu) / wall_s
 
 
-@dataclass
-class BenchReport:
-    scenario: BenchScenario
-    results: dict = field(default_factory=dict)  # SyncMode -> RunStats of that run
+class BenchReport(Record):
+    __slots__ = ("scenario", "results")
+
+    def __init__(self, scenario: BenchScenario, results: Optional[dict] = None):
+        self.scenario, self.results = scenario, {} if results is None else results  # SyncMode -> RunStats of that run
 
     @property
     def timeline_length_regular_mu(self) -> int:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import bench, experiments
 from .environment import DeviceDbError, ExperimentRunError, load_ddb, run_experiment
-from .timeline import SimConfig, SyncMode
+from .timeline import SimConfig, SyncMode, short_repr
 from .trace import export_jsonl, export_vcd, read_jsonl
 
 
@@ -113,9 +113,9 @@ def _read_reference_mu(path: str, scenario_name: str) -> int:
             if row.get("scenario") == scenario_name:
                 raw = (row.get("t_ref_mu") or "").strip()
                 if not raw.isdecimal() or int(raw) < 1:
-                    raise ValueError(f"{path}: t_ref_mu of {scenario_name!r} must be a positive int")
+                    raise ValueError(f"{path}: t_ref_mu of {short_repr(scenario_name)} must be a positive int")
                 return int(raw)
-    raise KeyError(f"no t_ref_mu row for scenario {scenario_name!r} in {path}")
+    raise KeyError(f"no t_ref_mu row for scenario {short_repr(scenario_name)} in {path}")
 
 
 def _cmd_bench_scan(args) -> int:

@@ -10,11 +10,10 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
 
 from . import rng
 from .signals import UNKNOWN, SignalKind, SignalKindMismatch, _coerce_real, _is_plain_name
-from .timeline import MU_MAX, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
+from .timeline import MU_MAX, REF_PERIOD_S, FrozenRecord, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
 
 class DeviceError(Exception):
@@ -54,38 +53,36 @@ def _counter_mode(key, value):
         return f"{key} must be 'deterministic' or 'poisson', got {short_repr(value)}"
 
 
-@dataclass(frozen=True)
-class DeviceDescriptor:
+class DeviceDescriptor(FrozenRecord):
     """Declarative entry for one simulated device; ``params`` ends up checked, defaults filled in."""
 
-    name: str
-    kind: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("name", "kind", "params")
 
-    def __post_init__(self):
+    def __init__(self, name: str, kind: str, params: dict | None = None):
         # The name is a VCD scope identifier and a JSONL string as it stands.
-        if not _is_plain_name(self.name):
-            raise DeviceError(
-                f"device name must be a non-empty string without whitespace, got {self.name!r}"
-            )
-        if type(self.kind) is not str or self.kind not in DRIVER_CLASSES:
-            raise DeviceError(
-                f"device {self.name!r}: unknown kind {short_repr(self.kind)}; "
-                f"allowed kinds: {', '.join(DRIVER_CLASSES)}"
-            )
-        allowed = DRIVER_CLASSES[self.kind].PARAMS
-        for key in self.params:
+        if not _is_plain_name(name):
+            raise DeviceError(f"device name must be a non-empty string without whitespace, got {short_repr(name)}")
+        if type(kind) is not str or kind not in DRIVER_CLASSES:
+            raise DeviceError(f"device {short_repr(name)}: unknown kind {short_repr(kind)}; "
+                              f"allowed kinds: {', '.join(DRIVER_CLASSES)}")
+        allowed = DRIVER_CLASSES[kind].PARAMS
+        given = {} if params is None else params
+        for key in given:
             if key not in allowed:
                 raise DeviceError(
-                    f"device {self.name!r}: unknown param {key!r} for kind {self.kind!r}; "
+                    f"device {short_repr(name)}: unknown param {short_repr(key)} for kind {kind!r}; "
                     f"allowed: {sorted(allowed) or 'none'}"
                 )
         params = {}
         for key, (default, check) in allowed.items():
-            value = params[key] = self.params.get(key, default)
+            value = params[key] = given.get(key, default)
             if error := check(key, value):
-                raise DeviceError(f"device {self.name!r}: {error}")
-        object.__setattr__(self, "params", params)
+                raise DeviceError(f"device {short_repr(name)}: {error}")
+        # Field by field, not with _set: a DDB load builds one descriptor a device.
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "kind", kind)
+        put(self, "params", params)
 
 
 class InputBuffer:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import contextlib
 import json
 import time as _time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .devices import DRIVER_CLASSES, DeviceDescriptor, DeviceError, SimDevice
 from .signals import SignalManager
-from .timeline import ContextKind, Frame, SimConfig, TimeManager
+from .timeline import (MU_MAX, MU_MIN, ContextKind, Frame, FrozenRecord, MachineUnitsOverflow, Record, SimConfig,
+                       TimeManager, short_repr)
 
 
 class DeviceDbError(Exception):
@@ -24,7 +24,8 @@ class DeviceDbError(Exception):
 
 
 class UnknownDeviceError(KeyError):
-    pass
+    def __str__(self) -> str:
+        return f"unknown device {short_repr(self.args[0])}"
 
 
 class ExperimentRunError(RuntimeError):
@@ -35,18 +36,18 @@ class ExperimentRunError(RuntimeError):
         self.run = run
 
 
-@dataclass(frozen=True)
-class DeviceDb:
+class DeviceDb(FrozenRecord):
     """Validated list of simulated devices; exactly one core device."""
 
-    devices: tuple[DeviceDescriptor, ...]
+    __slots__ = ("devices",)
 
-    def __post_init__(self):
+    def __init__(self, devices: tuple[DeviceDescriptor, ...]):
+        object.__setattr__(self, "devices", devices)
         seen = set()
         cores = 0
-        for desc in self.devices:
+        for desc in devices:
             if desc.name in seen:
-                raise DeviceDbError(f"duplicate device name: {desc.name!r}")
+                raise DeviceDbError(f"duplicate device name: {short_repr(desc.name)}")
             seen.add(desc.name)
             if desc.kind == "core":
                 cores += 1
@@ -71,11 +72,11 @@ class DeviceDb:
                 raise DeviceDbError(f"devices[{i}]: missing required field {exc.args[0]!r}") from None
             extra = [key for key in entry if key not in ("name", "kind", "params")]
             if extra:
-                raise DeviceDbError(f"devices[{i}]: device {name!r}: unknown field {extra[0]!r}; "
+                raise DeviceDbError(f"devices[{i}]: device {short_repr(name)}: unknown field {short_repr(extra[0])}; "
                                     "allowed: name, kind, params")
             params = entry.get("params", {})
             if not isinstance(params, dict):
-                raise DeviceDbError(f"devices[{i}] ({name!r}): params must be an object")
+                raise DeviceDbError(f"devices[{i}] ({short_repr(name)}): params must be an object")
             try:
                 descs.append(DeviceDescriptor(name, kind, params))
             except DeviceError as exc:
@@ -110,21 +111,22 @@ def load_ddb(path) -> DeviceDb:
     return DeviceDb.from_dict(data)
 
 
-@dataclass
-class Experiment:
+class Experiment(Record):
     """A named, deterministic program run against a fresh simulation."""
 
-    name: str
-    body: Callable[["SimulationRun"], None]
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: Callable[["SimulationRun"], None]):
+        self.name, self.body = name, body
 
 
-@dataclass
-class RunStats:
-    event_count: int
-    sync_count: int
-    start_cursor_after_first_sync: Optional[int]
-    final_cursor: int
-    wall_clock_ns: int
+class RunStats(Record):
+    __slots__ = ("event_count", "sync_count", "start_cursor_after_first_sync", "final_cursor", "wall_clock_ns")
+
+    def __init__(self, event_count: int, sync_count: int, start_cursor_after_first_sync: Optional[int],
+                 final_cursor: int, wall_clock_ns: int):
+        self.event_count, self.sync_count, self.final_cursor = event_count, sync_count, final_cursor
+        self.start_cursor_after_first_sync, self.wall_clock_ns = start_cursor_after_first_sync, wall_clock_ns
 
     @property
     def timeline_length_mu(self) -> int:
@@ -185,8 +187,8 @@ class SimulationRun:
 def run_experiment(exp: Experiment, ddb: DeviceDb, config: Optional[SimConfig] = None) -> SimulationRun:
     """Execute an experiment body inside a fresh simulation instance.
 
-    A failing body raises ExperimentRunError carrying the partial run, whose
-    timeline remains readable for post-mortem assertions.
+    A failing body, or a timeline length past signed 64 bits, raises ExperimentRunError
+    carrying the partial run, whose timeline remains readable for post-mortem assertions.
     """
     run = SimulationRun(ddb, config if config is not None else SimConfig())
     t0 = _time.perf_counter_ns()
@@ -195,6 +197,9 @@ def run_experiment(exp: Experiment, ddb: DeviceDb, config: Optional[SimConfig] =
     except Exception as exc:
         run.error = exc
         run._finalize(_time.perf_counter_ns() - t0)
-        raise ExperimentRunError(f"experiment {exp.name!r} failed: {exc}", run) from exc
+        raise ExperimentRunError(f"experiment {short_repr(exp.name)} failed: {exc}", run) from exc
     run._finalize(_time.perf_counter_ns() - t0)
+    if not MU_MIN <= run.stats.timeline_length_mu <= MU_MAX:
+        run.error = MachineUnitsOverflow(f"timeline length {run.stats.timeline_length_mu} MU exceeds signed 64 bits")
+        raise ExperimentRunError(f"experiment {short_repr(exp.name)} failed: {run.error}", run) from run.error
     return run

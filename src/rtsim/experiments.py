@@ -7,6 +7,7 @@ import importlib.resources
 from . import bench
 from .environment import DeviceDb, Experiment, SimulationRun, load_ddb
 from .testkit import set_input
+from .timeline import short_repr
 
 
 def demo_ddb_path():
@@ -66,4 +67,4 @@ def get_experiment(name: str) -> Experiment:
         return REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown experiment {name!r}; bundled experiments: {known}") from None
+        raise KeyError(f"unknown experiment {short_repr(name)}; bundled experiments: {known}") from None

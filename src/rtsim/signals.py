@@ -34,7 +34,7 @@ class DuplicateSignalError(SignalError):
 
 
 class UnknownSignalError(SignalError, KeyError):
-    pass
+    __str__ = SignalError.__str__  # the message itself, not KeyError's repr of it
 
 
 class SignalKindMismatch(SignalError, TypeError):
@@ -83,7 +83,7 @@ def _coerce_bool(value):
 
 def _coerce_int(value):
     if type(value) is bool or not isinstance(value, int):
-        raise _mismatch(value, f"expected int, got {value!r}")
+        raise _mismatch(value, f"expected int, got {short_repr(value)}")
     if not MU_MIN <= value <= MU_MAX:
         raise SignalKindMismatch(f"int value out of signed 64-bit range: {short_repr(value)}")
     return value
@@ -93,19 +93,21 @@ def _coerce_real(value):
     if type(value) is float and value - value == 0.0:  # a finite float: nan and inf give nan
         return value
     if type(value) is bool or not isinstance(value, (int, float)):
-        raise _mismatch(value, f"expected real, got {value!r}")
+        raise _mismatch(value, f"expected real, got {short_repr(value)}")
     try:
         value = float(value)
     except OverflowError:
         raise SignalKindMismatch("int value too large for a finite real") from None
     if not math.isfinite(value):
-        raise SignalKindMismatch(f"expected finite real, got {value!r}")
+        raise SignalKindMismatch(f"expected finite real, got {short_repr(value)}")
     return value
 
 
 def _coerce_text(value):
     if type(value) is not str:
         raise _mismatch(value, f"expected text, got {short_repr(value)}")
+    if len(value) > MAX_TEXT_BYTES:  # each code point takes a byte or more: reject before encoding
+        raise SignalKindMismatch(f"text value exceeds {MAX_TEXT_BYTES} bytes")
     try:
         size = len(value.encode("utf-8"))
     except UnicodeEncodeError as exc:  # a lone surrogate
@@ -186,7 +188,7 @@ class Signal:
     def pull(self, time: int):
         """Value of the latest event at or before ``time``; UNKNOWN if there is none."""
         if type(time) is not int:
-            raise SignalError(f"pull time must be int, got {time!r}")
+            raise SignalError(f"pull time must be int, got {short_repr(time)}")
         idx = bisect_right(self._times, time)
         return self._values[idx - 1] if idx else UNKNOWN
 
@@ -239,7 +241,7 @@ class SignalManager:
             )
         key = (device_name, signal_name)
         if key in self._signals:
-            raise DuplicateSignalError(f"signal already registered: {device_name}.{signal_name}")
+            raise DuplicateSignalError(f"duplicate signal {short_repr(device_name)}.{short_repr(signal_name)}")
         signal = Signal(device_name, signal_name, kind, is_input, self.event_top)
         self._signals[key] = signal
         return signal
@@ -248,7 +250,7 @@ class SignalManager:
         try:
             return self._signals[(device_name, signal_name)]
         except KeyError:
-            raise UnknownSignalError(f"no such signal: {device_name}.{signal_name}") from None
+            raise UnknownSignalError(f"no such signal: {short_repr(device_name)}.{short_repr(signal_name)}") from None
 
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._signals

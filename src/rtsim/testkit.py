@@ -8,27 +8,32 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import Optional
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalError, SignalKind
-from .timeline import MU_MAX, MU_MIN, short_repr
+from .timeline import MU_MAX, MU_MIN, FrozenRecord, short_repr
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(FrozenRecord):
     """Outcome of one signal-value check."""
 
-    passed: bool
-    device: str
-    signal: str
-    time: Optional[int]
-    expected: object
-    actual: object
-    nearest_before: Optional[int]
-    nearest_after: Optional[int]
-    detail: str = ""
+    __slots__ = ("passed", "device", "signal", "time", "expected", "actual", "nearest_before", "nearest_after",
+                 "detail")
+
+    def __init__(self, passed: bool, device: str, signal: str, time: Optional[int], expected: object,
+                 actual: object, nearest_before: Optional[int], nearest_after: Optional[int], detail: str = ""):
+        # One call a field, not a loop: every expect and assert_events call builds a report.
+        put = object.__setattr__
+        put(self, "passed", passed)
+        put(self, "device", device)
+        put(self, "signal", signal)
+        put(self, "time", time)
+        put(self, "expected", expected)
+        put(self, "actual", actual)
+        put(self, "nearest_before", nearest_before)
+        put(self, "nearest_after", nearest_after)
+        put(self, "detail", detail)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -55,7 +60,7 @@ def set_input(run: SimulationRun, device: str, signal: str, time: int, value) ->
     """Configure an input signal's value from the given time onward."""
     sig = run.signals.signal(device, signal)
     if not sig.is_input:
-        raise SignalError(f"{device}.{signal} is not an input signal")
+        raise SignalError(f"{short_repr(device)}.{short_repr(signal)} is not an input signal")
     sig.push(value, time)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import reprlib
 from typing import Optional
 
 MU_MIN = -(2**63)
@@ -31,11 +31,12 @@ class ContextStackError(RuntimeError):
     """Illegal operation on the timing-context stack (e.g. popping the root)."""
 
 
-def short_repr(value) -> str:
-    """``repr(value)``, but an int too long to print whole is shown by its bit length."""
-    if isinstance(value, int) and value.bit_length() > 256:
-        return f"<{value.bit_length()}-bit int>"
-    return repr(value)
+# short_repr shows a value in an error message: one level deep, 60 characters a string, a big int by its bit length.
+_SHORT_REPR = reprlib.Repr()
+_SHORT_REPR.maxlevel, _SHORT_REPR.maxstring, _SHORT_REPR.maxother = 1, 60, 60
+_SHORT_REPR.repr_bytes = _SHORT_REPR.repr_bytearray = _SHORT_REPR.repr_str
+_SHORT_REPR.repr_int = lambda x, level: f"<{x.bit_length()}-bit int>" if x.bit_length() > 256 else repr(x)
+short_repr = _SHORT_REPR.repr
 
 
 def _checked_mu(value: int, op: str) -> int:
@@ -60,10 +61,10 @@ def seconds_to_mu(seconds: float) -> int:
     delays convert symmetrically. A bool raises ``TypeError``, as in ``delay_mu``.
     """
     if type(seconds) is bool:
-        raise TypeError(f"seconds_to_mu: a bool is not a time in seconds, got {seconds!r}")
+        raise TypeError(f"seconds_to_mu: a bool is not a time in seconds, got {short_repr(seconds)}")
     try:
         if not math.isfinite(seconds):
-            raise ValueError(f"non-finite time cannot be converted: {seconds!r}")
+            raise ValueError(f"non-finite time cannot be converted: {short_repr(seconds)}")
         mu = round_half_away_from_zero(seconds / REF_PERIOD_S)
     except OverflowError:  # an int too large for a float, or infinite once scaled
         raise MachineUnitsOverflow(
@@ -83,25 +84,62 @@ class SyncMode(enum.Enum):
     OPTIMISTIC = "optimistic"
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class Record:
+    """A mutable record, fields in ``__slots__``: ``==`` and ``repr`` as a dataclass's, minus the import's cost."""
+
+    __slots__ = ()
+
+    def _set(self, values: dict) -> None:
+        """Set every field from ``values``: ``locals()`` of an ``__init__`` that takes the fields as arguments."""
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+
+class FrozenRecord(Record):
+    """A record whose ``__init__`` sets the fields with ``object.__setattr__``; nothing sets them after. Hashable."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):  # so copy and pickle build it with __init__, not with __setattr__
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class SimConfig(FrozenRecord):
     """Synchronization configuration of one simulation instance."""
 
-    mode: SyncMode = SyncMode.REGULAR
-    seed: int = 0
+    __slots__ = ("mode", "seed")
+
+    def __init__(self, mode: SyncMode = SyncMode.REGULAR, seed: int = 0):
+        if type(mode) is not SyncMode:
+            raise TypeError(f"mode must be a SyncMode, got {short_repr(mode)}")
+        if type(seed) is not int:
+            raise TypeError(f"seed must be int, got {short_repr(seed)}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer: {short_repr(seed)}")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def sync_slack_mu(self) -> int:
         """Slack each sync inserts: 125 000 MU for REGULAR, 0 MU for OPTIMISTIC."""
         return REGULAR_SYNC_SLACK_MU if self.mode is SyncMode.REGULAR else 0
-
-    def __post_init__(self):
-        if type(self.mode) is not SyncMode:
-            raise TypeError(f"mode must be a SyncMode, got {short_repr(self.mode)}")
-        if type(self.seed) is not int:
-            raise TypeError(f"seed must be int, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer: {short_repr(self.seed)}")
 
 
 class ContextKind(enum.Enum):
@@ -156,7 +194,7 @@ class TimeManager:
         later edge at the returned time.
         """
         if type(d) is not int:
-            raise TypeError(f"delay_mu: machine units must be int, got {d!r}")
+            raise TypeError(f"delay_mu: machine units must be int, got {short_repr(d)}")
         now = self._now + d
         if not self._lo <= now <= self._hi:
             raise MachineUnitsOverflow(f"delay_mu: end time {short_repr(now)} is outside [{self._lo}, {self._hi}], "
@@ -173,7 +211,7 @@ class TimeManager:
 
     def at_mu(self, t_new: int) -> None:
         if type(t_new) is not int:
-            raise TypeError(f"at_mu: machine units must be int, got {t_new!r}")
+            raise TypeError(f"at_mu: machine units must be int, got {short_repr(t_new)}")
         # In a parallel frame the cursor is the frame start, so one rule serves both kinds.
         self.delay_mu(_checked_mu(t_new - self._now, "at_mu"))
 

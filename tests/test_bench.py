@@ -1,9 +1,11 @@
 import pytest
 
-from rtsim import BenchScenario, SimConfig, SyncMode, relative_error
+from rtsim import SimConfig, SyncMode
 from rtsim.bench import (
     MAX_SCENARIO_CALLS,
     PRESETS,
+    BenchScenario,
+    relative_error,
     report_rows,
     run_scenario,
     run_scenario_both,

@@ -87,6 +87,12 @@ class TestRun:
         captured = capsys.readouterr()
         assert "error" in captured.err
 
+    def test_missing_device_is_named(self, tmp_path, capsys):
+        ddb = tmp_path / "core_only.json"
+        ddb.write_text(json.dumps({"devices": [{"name": "core", "kind": "core"}]}))
+        assert run_cli("run", "demo", "--ddb", str(ddb)) == 1
+        assert "error: experiment 'demo' failed: unknown device 'ttl0'\n" in capsys.readouterr().err
+
 
 BENCH_1 = ["bench", "scan", "--points", "1", "--samples", "1"]
 DEEP_JSON = "deep.json"  # 100 000 "[" then as many "]": nested past the JSON decoder's recursion limit

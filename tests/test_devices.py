@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,11 +19,18 @@ from rtsim import (
     InputUnset,
     MachineUnitsOverflow,
     Signal,
+    SignalError,
+    SignalKindMismatch,
     SignalManager,
     SimConfig,
     SimulationRun,
     SyncMode,
+    UnknownDeviceError,
+    UnknownSignalError,
+    assert_events,
+    expect,
     run_experiment,
+    set_input,
 )
 from rtsim.devices import DeviceDescriptor
 from rtsim.rng import Xoshiro256StarStar
@@ -911,3 +919,59 @@ class TestTimingAdditivity:
         dev.freq.push(1.0, 0)
         dev.gate_rising(456)
         assert run.now_mu() == 456
+
+
+def _enter_kernel(run, name):
+    with run.kernel(name):
+        pass
+
+
+# id -> (oversize bad value, the call that must reject it, the error it raises).
+# The values are built before tracing starts, so the peak is what the reject itself allocates.
+OVERSIZE_REJECTS = {
+    "pulse_mu_text": (lambda: "x" * 10**7, lambda run, v: run.get_device("ttl0").pulse_mu(v), DeviceError),
+    "pulse_mu_bytes": (lambda: b"x" * 10**7, lambda run, v: run.get_device("ttl0").pulse_mu(v), DeviceError),
+    "pulse_mu_list": (lambda: [0] * 10**6, lambda run, v: run.get_device("ttl0").pulse_mu(v), DeviceError),
+    "dds_set_list": (lambda: [0] * 10**6, lambda run, v: run.get_device("dds0").set(v), DeviceError),
+    "dds_set_text": (lambda: "x" * 10**7, lambda run, v: run.get_device("dds0").set(1.0, v), DeviceError),
+    "dds_set_nested": (lambda: [["x" * 10**6] * 10**3], lambda run, v: run.get_device("dds0").set(v), DeviceError),
+    "dds_set_huge_int_in_list": (lambda: [10**20000], lambda run, v: run.get_device("dds0").set(v), DeviceError),
+    "push_bool_text": (lambda: "x" * 10**7, lambda run, v: run.get_device("ttl0").state.push(v, 0),
+                       SignalKindMismatch),
+    "push_int_list": (lambda: [0] * 10**6, lambda run, v: run.get_device("in0").sample.push(v, 0),
+                      SignalKindMismatch),
+    "push_real_text": (lambda: "x" * 10**7, lambda run, v: run.get_device("dds0").freq.push(v, 0),
+                       SignalKindMismatch),
+    "push_text_too_long": (lambda: "k" * 10**7, lambda run, v: run.get_device("core").kernel_marker.push(v, 0),
+                           SignalKindMismatch),
+    "push_time_text": (lambda: "x" * 10**7, lambda run, v: run.get_device("ttl0").state.push(True, v), SignalError),
+    "kernel_name": (lambda: "k" * 10**7, _enter_kernel, SignalKindMismatch),
+    "expect_value": (lambda: "x" * 10**7, lambda run, v: expect(run, "ttl0", "state", 0, v), SignalKindMismatch),
+    "expect_time": (lambda: "x" * 10**7, lambda run, v: expect(run, "ttl0", "state", v, True), SignalError),
+    "expect_abs_tol": (lambda: [0] * 10**6, lambda run, v: expect(run, "dds0", "freq", 0, 1.0, v), ValueError),
+    "expect_device": (lambda: "x" * 10**7, lambda run, v: expect(run, v, "state", 0, True), UnknownSignalError),
+    "assert_events_value": (lambda: [(0, "x" * 10**7)], lambda run, v: assert_events(run, "ttl0", "state", v),
+                            SignalKindMismatch),
+    "set_input_text": (lambda: "x" * 10**7, lambda run, v: set_input(run, "in0", "prob", 0, v), SignalKindMismatch),
+    "set_input_list": (lambda: [0.5] * 10**6, lambda run, v: set_input(run, "in0", "prob", 0, v),
+                       SignalKindMismatch),
+    "set_input_signal": (lambda: "x" * 10**7, lambda run, v: set_input(run, "in0", v, 0, 0.5), UnknownSignalError),
+    "get_device": (lambda: "x" * 10**7, lambda run, v: run.get_device(v), UnknownDeviceError),
+}
+
+
+@pytest.mark.parametrize("make_value, call, error", OVERSIZE_REJECTS.values(), ids=OVERSIZE_REJECTS.keys())
+def test_oversize_bad_value_rejected_at_bounded_cost(make_run, make_value, call, error):
+    run = make_run()
+    for name in ("core", "ttl0", "in0", "dds0"):
+        run.get_device(name)
+    value = make_value()
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as excinfo:
+            call(run, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(excinfo.value)) <= 400, str(excinfo.value)[:1000]
+    assert peak < 100_000

@@ -10,6 +10,7 @@ from rtsim import (
     DeviceDbError,
     Experiment,
     ExperimentRunError,
+    MachineUnitsOverflow,
     SimConfig,
     SyncMode,
     TimeManager,
@@ -17,6 +18,7 @@ from rtsim import (
     load_ddb,
     run_experiment,
 )
+from rtsim.timeline import MU_MAX, MU_MIN
 
 MINIMAL = {"devices": [{"name": "core", "kind": "core"}, {"name": "ttl0", "kind": "ttl_out"}]}
 
@@ -150,8 +152,13 @@ class TestGetDevice:
 
     def test_unknown_name(self, make_run):
         run = make_run()
-        with pytest.raises(UnknownDeviceError):
+        with pytest.raises(UnknownDeviceError) as excinfo:
             run.get_device("nope")
+        assert str(excinfo.value) == "unknown device 'nope'"
+
+    def test_unknown_name_in_a_body_is_named_in_the_run_error(self, full_ddb):
+        with pytest.raises(ExperimentRunError, match=r"^experiment 'x' failed: unknown device 'nope'$"):
+            run_experiment(Experiment("x", lambda run: run.get_device("nope")), full_ddb)
 
     def test_instantiation_registers_signals(self, make_run):
         run = make_run()
@@ -161,6 +168,35 @@ class TestGetDevice:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("mode, first_sync_at, final", [
+        (SyncMode.REGULAR, MU_MAX - 125_000, MU_MIN),  # the first sync lands at MU_MAX
+        (SyncMode.OPTIMISTIC, 1, MU_MIN),
+        (SyncMode.OPTIMISTIC, -1, MU_MAX),
+    ])
+    def test_timeline_length_outside_64_bits_fails_the_run(self, full_ddb, mode, first_sync_at, final):
+        def body(run):
+            run.at_mu(first_sync_at)
+            run.get_device("core").reset()
+            run.at_mu(0)
+            run.at_mu(final)
+
+        with pytest.raises(ExperimentRunError, match="^experiment 'far' failed: timeline length -?[0-9]+ MU "
+                                                     "exceeds signed 64 bits$") as excinfo:
+            run_experiment(Experiment("far", body), full_ddb, SimConfig(mode=mode))
+        run = excinfo.value.run
+        assert isinstance(run.error, MachineUnitsOverflow) and excinfo.value.__cause__ is run.error
+        assert run.stats.final_cursor == final
+        assert not MU_MIN <= run.stats.timeline_length_mu <= MU_MAX
+
+    @pytest.mark.parametrize("final", [MU_MIN, MU_MAX])
+    def test_timeline_length_at_the_64_bit_bounds_passes(self, full_ddb, final):
+        def body(run):
+            run.get_device("core").reset()  # the first sync cursor is 0
+            run.at_mu(final)
+
+        run = run_experiment(Experiment("edge", body), full_ddb, SimConfig(mode=SyncMode.OPTIMISTIC))
+        assert run.stats.timeline_length_mu == final and run.error is None
+
     def test_empty_body(self, full_ddb):
         run = run_experiment(Experiment("empty", lambda run: None), full_ddb)
         assert run.stats.timeline_length_mu == 0

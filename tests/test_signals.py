@@ -63,6 +63,11 @@ class TestRegistry:
         with pytest.raises(UnknownSignalError):
             SignalManager().signal("nope", "state")
 
+    def test_unknown_signal_message_is_not_quoted(self):
+        with pytest.raises(UnknownSignalError) as excinfo:
+            SignalManager().signal("nope", "state")
+        assert str(excinfo.value) == "no such signal: 'nope'.'state'"
+
 
 class TestPushPull:
     def make(self, kind=SignalKind.INT):
