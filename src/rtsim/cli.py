@@ -7,13 +7,12 @@ diff divergence, 2 bad inputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from itertools import zip_longest
 from typing import Optional
 
-from . import bench, experiments
+from . import experiments
 from .environment import DeviceDbError, ExperimentRunError, load_ddb, run_experiment
 from .timeline import SimConfig, SyncMode, short_repr
 from .trace import export_jsonl, export_vcd, read_jsonl
@@ -108,6 +107,7 @@ def _cmd_run(args) -> int:
 
 
 def _read_reference_mu(path: str, scenario_name: str) -> int:
+    import csv
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
             if row.get("scenario") == scenario_name:
@@ -119,6 +119,8 @@ def _read_reference_mu(path: str, scenario_name: str) -> int:
 
 
 def _cmd_bench_scan(args) -> int:
+    import csv  # here, not at the top: a run or a diff needs neither csv nor bench
+    from . import bench
     try:
         scenario = bench.BenchScenario(
             name="scan",

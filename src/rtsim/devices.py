@@ -67,6 +67,8 @@ class DeviceDescriptor(FrozenRecord):
                               f"allowed kinds: {', '.join(DRIVER_CLASSES)}")
         allowed = DRIVER_CLASSES[kind].PARAMS
         given = {} if params is None else params
+        if not isinstance(given, dict):
+            raise DeviceError(f"device {short_repr(name)}: params must be a dict or None, got {type(params).__name__}")
         for key in given:
             if key not in allowed:
                 raise DeviceError(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.resources
 
-from . import bench
 from .environment import DeviceDb, Experiment, SimulationRun, load_ddb
 from .testkit import set_input
 from .timeline import short_repr
@@ -52,17 +51,13 @@ def _demo_body(run: SimulationRun) -> None:
         run.delay_mu(100)
 
 
-def _registry() -> dict[str, Experiment]:
-    reg = {"demo": Experiment("demo", _demo_body)}
-    for name, scenario in bench.PRESETS.items():
-        reg[name] = bench.scenario_experiment(scenario)
-    return reg
-
-
-REGISTRY = _registry()
+REGISTRY = {"demo": Experiment("demo", _demo_body)}  # the bench presets join on the first ask for another name
 
 
 def get_experiment(name: str) -> Experiment:
+    if name not in REGISTRY and len(REGISTRY) == 1:  # so a demo run never loads bench
+        from . import bench
+        REGISTRY.update((preset, bench.scenario_experiment(scenario)) for preset, scenario in bench.PRESETS.items())
     try:
         return REGISTRY[name]
     except KeyError:

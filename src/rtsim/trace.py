@@ -14,6 +14,7 @@ import json
 import os
 import re
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable
 from json.encoder import encode_basestring_ascii
 
@@ -61,22 +62,24 @@ def _vcd_var(kind: SignalKind, code: str) -> tuple[str, Callable[[object], str],
         return "wire 1", (f"0{code}", f"1{code}").__getitem__, f"x{code}"  # a bool indexes the pair
     if kind is SignalKind.INT:
         return "reg 64", lambda value: f"b{value & _VCD_INT_MASK:b} {code}", f"bx {code}"
-    if kind is SignalKind.REAL:
-        return "real 64", lambda value: f"r{value:.17g} {code}", None
+    if kind is SignalKind.REAL:  # "%.17g" gives f"{value:.17g}"; a code may hold a "%"
+        return "real 64", ("r%.17g " + code.replace("%", "%%")).__mod__, None
     return "string 1", lambda value: f"s{''.join('_' if ch.isspace() else ch for ch in value)} {code}", None
 
 
-def records_of(run: SimulationRun) -> list[tuple[int, int, Signal, object]]:
-    """All surviving events as (time, rank, signal, value), sorted by (time, device, signal).
+_BY_NAME = attrgetter("device_name", "signal_name")  # the order of a record's rank
 
-    ``rank`` orders the signals by (device, signal) name. No two events share
-    (time, rank), so the sort never compares signals or values, and each
-    signal's events are already an ascending run that timsort only merges.
+
+def records_of(run: SimulationRun, render: dict[Signal, Callable[[object], str]]) -> list[tuple[int, int, str]]:
+    """All surviving events as (time, rank, text), sorted by (time, device, signal).
+
+    ``rank`` indexes the signals sorted by ``_BY_NAME``; ``text`` is ``render[signal](value)``,
+    one ``map`` a signal. No two events share (time, rank), so the sort never compares
+    texts, and each signal's events are already an ascending run that timsort only merges.
     """
-    ranked = sorted(run.signals, key=lambda s: (s.device_name, s.signal_name))
     records = []
-    for rank, sig in enumerate(ranked):
-        records.extend(zip(sig._times, repeat(rank), repeat(sig), sig._values))
+    for rank, sig in enumerate(sorted(run.signals, key=_BY_NAME)):
+        records.extend(zip(sig._times, repeat(rank), map(render[sig], sig._values)))
     records.sort()
     return records
 
@@ -107,13 +110,13 @@ def export_vcd(run: SimulationRun, path) -> None:
         lines += ["$dumpvars", *initials, "$end"]
 
     current_time = None
-    for time_mu, _, sig, value in records_of(run):
+    for time_mu, _, text in records_of(run, render):
         if time_mu != current_time:
             if time_mu < 0:
                 continue  # records are time-sorted: negatives come first
             current_time = time_mu
             lines.append(f"#{current_time}")
-        lines.append(render[sig](value))
+        lines.append(text)
 
     with _overwrite(path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -134,13 +137,14 @@ def _summary_of(run: SimulationRun) -> dict:
     }
 
 
-# The JSON text json.dumps gives a stored value of each kind (REAL is always finite).
-_JSON_VALUE = {
-    SignalKind.BOOL: ("false", "true").__getitem__,
-    SignalKind.INT: int.__repr__,
-    SignalKind.REAL: float.__repr__,
-    SignalKind.TEXT: encode_basestring_ascii,
-}
+# Per kind: an event line's text from "kind" up to the value, and the JSON text
+# json.dumps gives a stored value of the kind (REAL is always finite).
+_JSON_KIND = {kind: (f'"kind": "{kind.value}", "value": ', render) for kind, render in [
+    (SignalKind.BOOL, ("false", "true").__getitem__),
+    (SignalKind.INT, int.__repr__),
+    (SignalKind.REAL, float.__repr__),
+    (SignalKind.TEXT, encode_basestring_ascii),
+]}
 
 
 def export_jsonl(run: SimulationRun, path) -> None:
@@ -148,38 +152,32 @@ def export_jsonl(run: SimulationRun, path) -> None:
 
     Each line is the text ``json.dumps`` gives the record
     ``{"time_mu", "device", "signal", "kind", "value"}``; the part between
-    the time and the value, and the value renderer, are built once per signal.
-    Wall-clock time is deliberately not exported, so two runs with the same
-    seed and configuration produce byte-identical files.
+    the time and the value is built once per signal, and ``records_of``
+    renders the values. Wall-clock time is deliberately not exported, so two
+    runs with the same seed and configuration produce byte-identical files.
     """
-    parts = {
-        sig: (
-            f', "device": {encode_basestring_ascii(sig.device_name)}'
-            f', "signal": {encode_basestring_ascii(sig.signal_name)}'
-            f', "kind": {encode_basestring_ascii(sig.kind.value)}, "value": ',
-            _JSON_VALUE[sig.kind],
-        )
-        for sig in run.signals
-    }
+    parts, render = [], {}
+    for sig in sorted(run.signals, key=_BY_NAME):
+        kind, render[sig] = _JSON_KIND[sig.kind]
+        parts.append(f', "device": {encode_basestring_ascii(sig.device_name)}'
+                     f', "signal": {encode_basestring_ascii(sig.signal_name)}, {kind}')
     with _overwrite(path) as fh:
-        for time_mu, _, sig, value in records_of(run):
-            part, render = parts[sig]
-            fh.write(f'{{"time_mu": {time_mu}{part}{render(value)}}}\n')
+        for time_mu, rank, text in records_of(run, render):
+            fh.write(f'{{"time_mu": {time_mu}{parts[rank]}{text}}}\n')
         fh.write(json.dumps({"summary": _summary_of(run)}) + "\n")
 
 
 _DECODER = json.JSONDecoder()
 
-# export_jsonl's own event line. A string here has no escape and no control
-# character, a time has at most 19 digits, and each value alternative is its
-# own group, so a match reads exactly as json.loads would read the line.
-_PLAIN = r'[^"\\\x00-\x1f]*'
+# export_jsonl's own event line. A time has at most 19 digits, each value alternative is its own
+# group, and a string has no escape and no control character (read_jsonl checks that of the names,
+# once per distinct name part), so such a match reads exactly as json.loads would read the line.
 _EXPORT_LINE = re.compile(
     r'\{"time_mu": (-?(?:0|[1-9][0-9]{0,18})), '
-    rf'("device": "{_PLAIN}", "signal": "{_PLAIN}", "kind": "{_PLAIN}"), "value": '
+    r'("device": "[^"]*", "signal": "[^"]*", "kind": "[^"]*"), "value": '
     r'(?:(true)|(false)|(-?(?:0|[1-9][0-9]{0,18}))'
     r'|(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))'
-    rf'|"({_PLAIN})")\}}\n?'
+    r'|"([^"\\\x00-\x1f]*)")\}\n?'
 )
 
 
@@ -198,21 +196,24 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
     """
     records = []
     summary = None
-    names = {}  # each distinct device/signal/kind part of a line -> one shared tuple
+    names = {}  # each distinct device/signal/kind part of a line -> one shared tuple, or () if not plain
     match = _EXPORT_LINE.fullmatch
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             m = match(line)
             if m is not None:
                 time_mu, part, true, false, integer, real, value = m.groups()
-                if value is None:
-                    value = True if true else False if false else int(integer) if integer else float(real)
                 shared = names.get(part)
-                if shared is None:  # the names hold no '"', so they are items 3, 7 and 11
-                    shared = names[part] = tuple(part.split('"')[3::4])
-                records.append({"time_mu": int(time_mu), "device": shared[0], "signal": shared[1],
-                                "kind": shared[2], "value": value})
-                continue
+                if shared is None:  # '"device": "D", "signal": "S", "kind": "K"' -> (D, S, K), or () if not plain
+                    device, signal, kind = part[11:-1].split('", "')  # the names hold no '"'
+                    plain = "\\" not in part and part.isprintable()  # no escape, no control character
+                    shared = names[part] = (device, signal[10:], kind[8:]) if plain else ()
+                if shared:
+                    if value is None:
+                        value = True if true else False if false else int(integer) if integer else float(real)
+                    records.append({"time_mu": int(time_mu), "device": shared[0], "signal": shared[1],
+                                    "kind": shared[2], "value": value})
+                    continue
             line = line.strip(" \t\n\r")  # JSON's whitespace, as json.loads skips it
             if not line:
                 continue

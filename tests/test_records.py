@@ -192,6 +192,7 @@ VALIDATION = [
      "scenario of 10000004 driver calls and delays exceeds the bound of 10000000"),
     (BenchScenario, ("s", 1, 1), {"delay_per_sample_mu": 2**63}, ValueError,
      "scenario timeline of 9223372036855028808 MU exceeds signed 64-bit machine units"),
+    (DeviceDescriptor, ("x", "adc", ["channels"]), {}, DeviceError, "device 'x': params must be a dict or None, got list"),
 ]
 
 
@@ -202,12 +203,21 @@ def test_validation_errors(cls, args, kwargs, error, message):
         cls(*args, **kwargs)
 
 
-def test_import_rtsim_loads_only_what_a_run_needs():
+def _loaded_by_import(module, names):
+    """Which of ``names`` a fresh interpreter has in ``sys.modules`` after ``import module``."""
     # A fresh interpreter, as every test or CLI process that imports rtsim starts with.
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import sys, rtsim; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'rtsim.bench', 'rtsim.cli') if m in sys.modules))")
+    code = f"import sys, {module}; print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_rtsim_loads_only_what_a_run_needs():
+    assert _loaded_by_import("rtsim", ["dataclasses", "inspect", "rtsim.bench", "rtsim.cli"]) == "[]\n"
+
+
+def test_import_rtsim_cli_loads_no_bench_and_no_csv():
+    # `rtsim run` and `rtsim diff` need neither; `rtsim bench scan` imports both when it runs.
+    assert _loaded_by_import("rtsim.cli", ["dataclasses", "inspect", "rtsim.bench", "csv"]) == "[]\n"

@@ -138,6 +138,22 @@ class TestVcd:
             (i, f"1{code_of[f's{i:03}']}") for i in range(200)
         ]
 
+    def test_real_changes_of_codes_with_percent_sign(self, full_ddb, tmp_path):
+        # A REAL change is rendered by a "%" format with its code in it, and codes can hold "%".
+        def body(run):
+            for i in range(200):
+                run.signals.register("many", f"r{i:03}", SignalKind.REAL).push(i + 0.1, i)
+
+        run = run_body(full_ddb, body)
+        path = tmp_path / "reals.vcd"
+        export_vcd(run, path)
+        parsed = check_vcd(path.read_text())
+        code_of = {name: code for code, (dev, name, _) in parsed["ids"].items() if dev == "many"}
+        assert sum("%" in code for code in code_of.values()) >= 3
+        assert [(t, line) for t, _, line in parsed["changes"] if t is not None] == [
+            (i, f"r{i + 0.1:.17g} {code_of[f'r{i:03}']}") for i in range(200)
+        ]
+
     @pytest.mark.parametrize("code", ["\u00e9", "a\x7f", "\x01"])
     def test_checker_rejects_id_code_past_printable_ascii(self, code):
         text = f"$timescale 1 ns $end\n$scope module d $end\n$var wire 1 {code} s $end\n$upscope $end\n$enddefinitions $end\n"
@@ -190,8 +206,8 @@ class TestOverwrite:
         path = tmp_path / "t.jsonl"
         path.write_text("old\n" * 5000)
 
-        def one_record_then_fail(run):
-            yield records_of(run)[0]
+        def one_record_then_fail(run, render):
+            yield records_of(run, render)[0]
             raise RuntimeError("renderer failed")
 
         monkeypatch.setattr(trace, "records_of", one_record_then_fail)
@@ -274,7 +290,12 @@ class TestJsonl:
         records, _ = read_jsonl(path)
         keys = [(r["time_mu"], r["device"], r["signal"]) for r in records]
         assert keys == sorted(keys)
-        assert records_of(run)[0][2].device_name == "ttl0"
+        assert records_of(run, {sig: _tagged(sig) for sig in run.signals})[0][2][0] == "ttl0"
+
+
+def _tagged(sig):
+    """A renderer that gives each value as (device, signal, value), so a record names its signal."""
+    return lambda value: (sig.device_name, sig.signal_name, value)
 
 
 # Every kind, from devices whose registration order the property permutes.
@@ -311,7 +332,7 @@ class TestRecordsOf:
             ((t, s.device_name, s.signal_name, v) for s in run.signals for t, v in s.events()),
             key=lambda r: r[:3],
         )
-        got = [(t, s.device_name, s.signal_name, v) for t, _, s, v in records_of(run)]
+        got = [(t, *tagged) for t, _, tagged in records_of(run, {s: _tagged(s) for s in run.signals})]
         assert got == expected
 
 
@@ -565,6 +586,9 @@ _NEAR_MISSES = {
     "raw_non_ascii_device": _line(device='"dév"'),
     "raw_control_in_value": _line(kind='"text"', value='"a\x01b"'),
     "raw_control_in_signal": _line(signal='"st\x1fate"'),
+    # A name part that fails the plain rule, seen twice and then followed by a plain line.
+    "raw_control_in_signal_twice_then_plain": "\n".join([_line(signal='"st\x1fate"')] * 2 + [_line()]),
+    "escaped_backslash_in_device_twice_then_plain": "\n".join([_line(device=r'"tt\\l0"')] * 2 + [_line()]),
     "raw_del_in_value": _line(kind='"text"', value='"a\x7fb"'),
     "unterminated_value": _line(kind='"text"', value='"abc'),
     "reordered_keys": '{"device": "ttl0", "time_mu": 1, "signal": "state", "kind": "bool", "value": true}',
