@@ -35,7 +35,6 @@ from .timeline import (
     SimConfig,
     SyncMode,
     TimeManager,
-    mu_to_seconds,
     seconds_to_mu,
 )
 from .trace import export_jsonl, export_vcd, read_jsonl
@@ -74,7 +73,6 @@ __all__ = [
     "export_jsonl",
     "export_vcd",
     "load_ddb",
-    "mu_to_seconds",
     "read_jsonl",
     "run_experiment",
     "seconds_to_mu",

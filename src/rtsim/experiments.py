@@ -51,13 +51,14 @@ def _demo_body(run: SimulationRun) -> None:
         run.delay_mu(100)
 
 
-REGISTRY = {"demo": Experiment("demo", _demo_body)}  # the bench presets join on the first ask for another name
+REGISTRY = {"demo": Experiment("demo", _demo_body)}  # the bench presets join on a miss
 
 
 def get_experiment(name: str) -> Experiment:
-    if name not in REGISTRY and len(REGISTRY) == 1:  # so a demo run never loads bench
+    if name not in REGISTRY:  # so a demo run never loads bench; a user's own entry is never overwritten
         from . import bench
-        REGISTRY.update((preset, bench.scenario_experiment(scenario)) for preset, scenario in bench.PRESETS.items())
+        for preset, scenario in bench.PRESETS.items():
+            REGISTRY.setdefault(preset, bench.scenario_experiment(scenario))
     try:
         return REGISTRY[name]
     except KeyError:

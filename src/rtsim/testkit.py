@@ -42,7 +42,7 @@ class CheckReport(FrozenRecord):
         status = "PASS" if self.passed else "FAIL"
         msg = (
             f"{status} {self.device}.{self.signal} @ {self.time}: "
-            f"expected {self.expected!r}, actual {self.actual!r} "
+            f"expected {short_repr(self.expected)}, actual {short_repr(self.actual)} "
             f"(nearest events: <= {self.nearest_before}, > {self.nearest_after})"
         )
         if self.detail:

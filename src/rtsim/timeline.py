@@ -157,8 +157,8 @@ class TimeManager:
     fields. The root frame, ``(0, None, MU_MIN, MU_MAX)``, is never popped.
     A sequential frame's duration is ``_now - start``; a parallel frame keeps
     the cursor at its start and the longest delay seen in it. ``Frame``
-    pushes and pops frames; ``push_context`` and ``pop_context`` run its
-    code. A pushed frame's window is ``[start + MU_MIN, start + MU_MAX]``
+    pushes and pops frames; a run's ``sequential()`` and ``parallel()``
+    each return one. A pushed frame's window is ``[start + MU_MIN, start + MU_MAX]``
     clipped to its parent's, so a time in it keeps every open frame's
     duration in 64 bits. Every delay must end in the innermost window,
     checked before any state changes, so a delay, jump or sync that raises
@@ -214,12 +214,6 @@ class TimeManager:
             raise TypeError(f"at_mu: machine units must be int, got {short_repr(t_new)}")
         # In a parallel frame the cursor is the frame start, so one rule serves both kinds.
         self.delay_mu(_checked_mu(t_new - self._now, "at_mu"))
-
-    def push_context(self, kind: ContextKind) -> None:
-        Frame(self, kind).__enter__()
-
-    def pop_context(self) -> None:
-        Frame(self, ContextKind.SEQUENTIAL).__exit__(None, None, None)  # a pop does not depend on the kind
 
     def horizon(self) -> int:
         """Largest of the cursor and all recorded event timestamps."""

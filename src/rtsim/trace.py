@@ -54,17 +54,20 @@ def _vcd_id(index: int) -> str:
 _VCD_INT_MASK = 0xFFFF_FFFF_FFFF_FFFF  # two's complement of a signed 64-bit int
 
 
-def _vcd_var(kind: SignalKind, code: str) -> tuple[str, Callable[[object], str], str | None]:
-    """A signal's VCD form: its ``$var`` type and width, its value-change
-    renderer with the identifier code bound in, and its unknown line (None
-    for reals and strings, which have no unknown value)."""
-    if kind is SignalKind.BOOL:
-        return "wire 1", (f"0{code}", f"1{code}").__getitem__, f"x{code}"  # a bool indexes the pair
-    if kind is SignalKind.INT:
-        return "reg 64", lambda value: f"b{value & _VCD_INT_MASK:b} {code}", f"bx {code}"
-    if kind is SignalKind.REAL:  # "%.17g" gives f"{value:.17g}"; a code may hold a "%"
-        return "real 64", ("r%.17g " + code.replace("%", "%%")).__mod__, None
-    return "string 1", lambda value: f"s{''.join('_' if ch.isspace() else ch for ch in value)} {code}", None
+# Per kind, its export forms: the VCD ``$var`` type and width; a function from an identifier code to the
+# value-change renderer (a bool indexes a pair; "%.17g" gives f"{value:.17g}", and a code may hold a "%");
+# the VCD unknown line's text before the code (None for reals and strings, which have no unknown value);
+# the JSONL line's text from "kind" up to the value; and the JSON text json.dumps gives a stored value
+# (a REAL is always finite).
+_FORMS = {kind: (decl, vcd, unknown, f'"kind": "{kind.value}", "value": ', json_render)
+          for kind, decl, vcd, unknown, json_render in [
+    (SignalKind.BOOL, "wire 1", lambda code: (f"0{code}", f"1{code}").__getitem__, "x", ("false", "true").__getitem__),
+    (SignalKind.INT, "reg 64", lambda code: lambda value: f"b{value & _VCD_INT_MASK:b} {code}", "bx ", int.__repr__),
+    (SignalKind.REAL, "real 64", lambda code: ("r%.17g " + code.replace("%", "%%")).__mod__, None, float.__repr__),
+    (SignalKind.TEXT, "string 1",
+     lambda code: lambda value: f"s{''.join('_' if ch.isspace() else ch for ch in value)} {code}",
+     None, encode_basestring_ascii),
+]}
 
 
 _BY_NAME = attrgetter("device_name", "signal_name")  # the order of a record's rank
@@ -97,13 +100,14 @@ def export_vcd(run: SimulationRun, path) -> None:
         lines.append(f"$scope module {device} $end")
         for sig in sigs:
             code = _vcd_id(len(render))
-            decl, render[sig], unknown = _vcd_var(sig.kind, code)
+            decl, vcd, unknown, _, _ = _FORMS[sig.kind]
+            render[sig] = vcd(code)
             lines.append(f"$var {decl} {code} {sig.signal_name} $end")
             initial = sig.pull(-1)
             if initial is not UNKNOWN:
                 initials.append(render[sig](initial))
             elif unknown is not None:
-                initials.append(unknown)
+                initials.append(unknown + code)
         lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
     if render:
@@ -137,16 +141,6 @@ def _summary_of(run: SimulationRun) -> dict:
     }
 
 
-# Per kind: an event line's text from "kind" up to the value, and the JSON text
-# json.dumps gives a stored value of the kind (REAL is always finite).
-_JSON_KIND = {kind: (f'"kind": "{kind.value}", "value": ', render) for kind, render in [
-    (SignalKind.BOOL, ("false", "true").__getitem__),
-    (SignalKind.INT, int.__repr__),
-    (SignalKind.REAL, float.__repr__),
-    (SignalKind.TEXT, encode_basestring_ascii),
-]}
-
-
 def export_jsonl(run: SimulationRun, path) -> None:
     """Write one JSON object per event plus a final summary object.
 
@@ -158,7 +152,7 @@ def export_jsonl(run: SimulationRun, path) -> None:
     """
     parts, render = [], {}
     for sig in sorted(run.signals, key=_BY_NAME):
-        kind, render[sig] = _JSON_KIND[sig.kind]
+        _, _, _, kind, render[sig] = _FORMS[sig.kind]
         parts.append(f', "device": {encode_basestring_ascii(sig.device_name)}'
                      f', "signal": {encode_basestring_ascii(sig.signal_name)}, {kind}')
     with _overwrite(path) as fh:

@@ -7,6 +7,7 @@ shares code with the package.
 """
 
 from rtsim import ContextKind, TimeManager
+from rtsim.timeline import Frame
 
 # Timing-tree nodes: ("delay", d) | ("seq", [children]) | ("par", [children])
 
@@ -28,11 +29,9 @@ def run_tree(manager: TimeManager, node) -> None:
     if tag == "delay":
         manager.delay_mu(node[1])
         return
-    kind = ContextKind.SEQUENTIAL if tag == "seq" else ContextKind.PARALLEL
-    manager.push_context(kind)
-    for child in node[1]:
-        run_tree(manager, child)
-    manager.pop_context()
+    with Frame(manager, ContextKind.SEQUENTIAL if tag == "seq" else ContextKind.PARALLEL):
+        for child in node[1]:
+            run_tree(manager, child)
 
 
 def random_tree(rng, max_depth: int, max_delays: int, lo: int = -(10**6), hi: int = 10**6):

@@ -1,6 +1,7 @@
 import pytest
 
-from rtsim import SimConfig, SyncMode
+from rtsim import Experiment, SimConfig, SyncMode
+from rtsim import experiments
 from rtsim.bench import (
     MAX_SCENARIO_CALLS,
     PRESETS,
@@ -112,3 +113,18 @@ class TestReports:
     def test_optimistic_vs_regular_error_negative(self):
         report = run_scenario_both(BenchScenario("s", points=2, samples_per_point=4))
         assert report.optimistic_vs_regular_error() < 0
+
+
+class TestPresetRegistry:
+    def test_presets_join_after_a_user_experiment(self, monkeypatch):
+        # The presets used to join only while the demo was the registry's one entry.
+        mine, own_scan = Experiment("mine", lambda run: None), Experiment("scan_demo", lambda run: None)
+        monkeypatch.setattr(experiments, "REGISTRY", {"demo": experiments.REGISTRY["demo"], "mine": mine})
+        assert experiments.get_experiment("delay_dominated").name == "delay_dominated"
+        assert experiments.get_experiment("mine") is mine
+        # A miss joins only the presets that are missing: a user's own entry is never overwritten.
+        experiments.REGISTRY["scan_demo"] = own_scan
+        with pytest.raises(KeyError, match="unknown experiment 'nope'"):
+            experiments.get_experiment("nope")
+        assert experiments.get_experiment("scan_demo") is own_scan
+        assert set(experiments.REGISTRY) == {"demo", "mine", *PRESETS}

@@ -7,17 +7,27 @@ of these wins fails tier-1, not only a benchmark run.
 import collections
 import sys
 
-from rtsim import DeviceDb, SimConfig, SimulationRun
+import pytest
+
+from rtsim import DeviceDb, SimConfig, SimulationRun, set_input
 from rtsim.timeline import REGULAR_SYNC_SLACK_MU
 
 
-def _python_calls(fn):
-    """Run ``fn()`` and count the Python-level calls it makes, by qualified name (``fn`` itself included)."""
+def _python_calls(fn, limits=None):
+    """Run ``fn()`` and count the Python-level calls it makes, by qualified name (``fn`` itself included).
+
+    ``limits`` maps a name to the most calls it may make: ``fn`` stops with ``RuntimeError`` at the
+    call past that, so a loop whose length grows with an argument fails at once instead of running on.
+    """
     calls = collections.Counter()
+    limits = limits or {}
 
     def profile(frame, event, arg):
         if event == "call":  # a Python function entered, or a generator resumed
-            calls[frame.f_code.co_qualname] += 1
+            name = frame.f_code.co_qualname
+            calls[name] += 1
+            if name in limits and calls[name] > limits[name]:
+                raise RuntimeError(f"more than {limits[name]} calls of {name}")
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -67,3 +77,55 @@ def _reset_calls(ttl_count):
 def test_reset_calls_do_not_grow_with_device_count():
     # A sync reads one shared horizon cell; it must not visit each device or signal.
     assert _reset_calls(512) == _reset_calls(4)
+
+
+def _counter_run(counter_mode, seed=0):
+    devices = [{"name": "core", "kind": "core"}, {"name": "ttl0", "kind": "ttl_out"},
+               {"name": "counter0", "kind": "edge_counter", "params": {"counter_mode": counter_mode}}]
+    return SimulationRun(DeviceDb.from_dict({"devices": devices}), SimConfig(seed=seed))
+
+
+def _driver_calls(duration):
+    run = _counter_run("deterministic")
+    ttl, counter = run.get_device("ttl0"), run.get_device("counter0")
+    set_input(run, "counter0", "freq", 0, 1.0e6)
+    pulse_calls = _python_calls(lambda: ttl.pulse_mu(duration))
+    run.at_mu(0)  # so the gate starts where the pulse did
+    gate_calls = _python_calls(lambda: counter.gate_rising_mu(duration))
+    assert counter.fetch_count() == round(duration * 1e-3)
+    return pulse_calls, gate_calls
+
+
+def test_pulse_and_gate_calls_do_not_grow_with_duration():
+    # A pulse stores two edges and a gate two edges and a count, however long either lasts.
+    assert _driver_calls(1) == _driver_calls(2**32) == _driver_calls(2**62)
+
+
+def _gate_draws(mean, gates, limit, seed=0):
+    """The ``next_u64`` calls that ``gates`` Poisson gates of count mean ``mean`` make, one after another.
+
+    Past ``limit`` calls the gates stop with ``RuntimeError``.
+    """
+    run = _counter_run("poisson", seed)
+    counter = run.get_device("counter0")
+    set_input(run, "counter0", "freq", 0, mean * 1e3)  # a 1 ms gate: ``mean`` edges on average
+
+    def body():
+        for _ in range(gates):
+            counter.gate_rising_mu(1_000_000)
+
+    calls = _python_calls(body, {"Xoshiro256StarStar.next_u64": limit})
+    assert len(counter.buffer) == gates
+    return calls["Xoshiro256StarStar.next_u64"]
+
+
+@pytest.mark.parametrize("mean", [1e-3, 0.5, 9.999])
+def test_poisson_gate_below_mean_10_draws_once(mean):
+    # One uniform a gate, inverted: summing exponential arrivals would take about mean + 1 draws.
+    assert _gate_draws(mean, 100, limit=100) == 100
+
+
+@pytest.mark.parametrize("mean", [10, 1e3, 1e9, 1e17])
+def test_poisson_gate_draws_do_not_grow_with_mean(mean):
+    # PTRS takes 2.2 to 2.7 draws a gate at any mean from 10 up.
+    assert _gate_draws(mean, 1000, limit=3000, seed=7) <= 3000

@@ -203,11 +203,11 @@ def test_validation_errors(cls, args, kwargs, error, message):
         cls(*args, **kwargs)
 
 
-def _loaded_by_import(module, names):
-    """Which of ``names`` a fresh interpreter has in ``sys.modules`` after ``import module``."""
+def _loaded_by_import(module, names, then="pass"):
+    """Which of ``names`` a fresh interpreter has in ``sys.modules`` after ``import module``, then ``then``."""
     # A fresh interpreter, as every test or CLI process that imports rtsim starts with.
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys, {module}; print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
+    code = f"import sys, {module}; {then}; print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
@@ -221,3 +221,9 @@ def test_import_rtsim_loads_only_what_a_run_needs():
 def test_import_rtsim_cli_loads_no_bench_and_no_csv():
     # `rtsim run` and `rtsim diff` need neither; `rtsim bench scan` imports both when it runs.
     assert _loaded_by_import("rtsim.cli", ["dataclasses", "inspect", "rtsim.bench", "csv"]) == "[]\n"
+
+
+def test_demo_experiment_loads_no_bench():
+    # The presets join the registry only on the first ask for a name it lacks.
+    then = "assert rtsim.experiments.get_experiment('demo').name == 'demo'"
+    assert _loaded_by_import("rtsim.experiments", ["rtsim.bench"], then) == "[]\n"

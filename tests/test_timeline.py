@@ -46,7 +46,7 @@ mu_values = st.integers(min_value=MU_MIN, max_value=MU_MAX)
 def pop_outcome(tm):
     """Pop the open frame; return whether that overflowed, and the cursor after."""
     try:
-        tm.pop_context()
+        Frame(tm, SEQ).__exit__(None, None, None)
     except MachineUnitsOverflow:
         return "overflow", tm.now_mu()
     return "ok", tm.now_mu()
@@ -148,17 +148,17 @@ class TestNowAndDelay:
         end = tm.delay_mu(1000)
         # Sequential: the end time is the cursor object itself, not a second int.
         assert end == 1000 and end is tm.now_mu()
-        tm.push_context(PAR)
-        assert tm.delay_mu(50) == 1050
-        assert tm.delay_mu(-20) == 980
-        assert tm.now_mu() == 1000
+        with Frame(tm, PAR):
+            assert tm.delay_mu(50) == 1050
+            assert tm.delay_mu(-20) == 980
+            assert tm.now_mu() == 1000
 
     def test_parallel_delay_leaves_cursor(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(PAR)
-        tm.delay_mu(50)
-        assert tm.now_mu() == 1000
+        with Frame(tm, PAR):
+            tm.delay_mu(50)
+            assert tm.now_mu() == 1000
 
     def test_two_sequential_delays_compose_additively(self):
         tm = manager()
@@ -171,19 +171,17 @@ class TestNowAndDelay:
     def test_parallel_exit_takes_longest_delay(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(PAR)
-        tm.delay_mu(30)
-        tm.delay_mu(50)
-        assert tm.now_mu() == 1000
-        tm.pop_context()
+        with Frame(tm, PAR):
+            tm.delay_mu(30)
+            tm.delay_mu(50)
+            assert tm.now_mu() == 1000
         assert tm.now_mu() == 1050
 
     def test_parallel_negative_delay_advances_zero(self):
         tm = manager()
         tm.delay_mu(500)
-        tm.push_context(PAR)
-        tm.delay_mu(-20)
-        tm.pop_context()
+        with Frame(tm, PAR):
+            tm.delay_mu(-20)
         assert tm.now_mu() == 500
 
     def test_negative_delay_moves_cursor_back(self):
@@ -205,29 +203,27 @@ class TestNowAndDelay:
         # The delay itself fits; the frame start plus the delay does not.
         tm = manager()
         tm.at_mu(MU_MAX - 5)
-        tm.push_context(SEQ)
-        tm.push_context(PAR)
-        tm.delay_mu(5)
-        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
-            getattr(tm, op)(100 if op == "delay_mu" else MU_MAX + 95)
-        assert tm.now_mu() == MU_MAX - 5
-        # Both frames start at MU_MAX - 5, so both windows begin at -6.
-        assert frames(tm) == [(0, None, MU_MIN, MU_MAX), (MU_MAX - 5, None, -6, MU_MAX),
-                              (MU_MAX - 5, 5, -6, MU_MAX)]
-        tm.pop_context()
-        assert tm.now_mu() == MU_MAX
+        with Frame(tm, SEQ):
+            with Frame(tm, PAR):
+                tm.delay_mu(5)
+                with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                    getattr(tm, op)(100 if op == "delay_mu" else MU_MAX + 95)
+                assert tm.now_mu() == MU_MAX - 5
+                # Both frames start at MU_MAX - 5, so both windows begin at -6.
+                assert frames(tm) == [(0, None, MU_MIN, MU_MAX), (MU_MAX - 5, None, -6, MU_MAX),
+                                      (MU_MAX - 5, 5, -6, MU_MAX)]
+            assert tm.now_mu() == MU_MAX
 
     def test_frame_duration_overflow_leaves_cursor(self):
         # The cursor sum fits, only the frame's duration overflows.
         tm = manager()
         tm.at_mu(MU_MIN)
-        tm.push_context(SEQ)
-        tm.delay_mu(MU_MAX)
-        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
-            tm.delay_mu(1)
-        assert tm.now_mu() == -1
-        tm.pop_context()  # the frame's duration is still MU_MAX
-        assert tm.now_mu() == -1
+        with Frame(tm, SEQ):
+            tm.delay_mu(MU_MAX)
+            with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                tm.delay_mu(1)
+            assert tm.now_mu() == -1
+        assert tm.now_mu() == -1  # the frame's duration was still MU_MAX
 
     @pytest.mark.parametrize("inner", [SEQ, PAR])
     def test_enclosing_frame_overflow_raises_at_the_delay(self, inner):
@@ -235,28 +231,25 @@ class TestNowAndDelay:
         # at MU_MIN and already lasts MU_MAX, has none.
         tm = manager()
         tm.at_mu(MU_MIN)
-        tm.push_context(SEQ)
-        tm.at_mu(-1)
-        tm.push_context(inner)
-        before = frames(tm)
-        assert before == [(0, None, MU_MIN, MU_MAX), (MU_MIN, None, MU_MIN, -1),
-                          (-1, None if inner is SEQ else 0, MU_MIN, -1)]
-        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
-            tm.delay_mu(1)
-        assert (tm.now_mu(), tm.depth, frames(tm)) == (-1, 3, before)
-        tm.pop_context()
-        tm.pop_context()
+        with Frame(tm, SEQ):
+            tm.at_mu(-1)
+            with Frame(tm, inner):
+                before = frames(tm)
+                assert before == [(0, None, MU_MIN, MU_MAX), (MU_MIN, None, MU_MIN, -1),
+                                  (-1, None if inner is SEQ else 0, MU_MIN, -1)]
+                with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                    tm.delay_mu(1)
+                assert (tm.now_mu(), tm.depth, frames(tm)) == (-1, 3, before)
         assert (tm.now_mu(), tm.depth) == (-1, 1)
 
     def test_parallel_negative_delay_below_the_window_raises(self):
         # Like a sequential frame, a parallel one takes no delay that ends below MU_MIN.
         tm = manager()
         tm.at_mu(MU_MIN)
-        tm.push_context(PAR)
-        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
-            tm.delay_mu(-1)
-        assert frames(tm) == [(0, None, MU_MIN, MU_MAX), (MU_MIN, 0, MU_MIN, -1)]
-        tm.pop_context()
+        with Frame(tm, PAR):
+            with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                tm.delay_mu(-1)
+            assert frames(tm) == [(0, None, MU_MIN, MU_MAX), (MU_MIN, 0, MU_MIN, -1)]
         assert tm.now_mu() == MU_MIN
 
     def test_excursion_past_an_enclosing_window_raises_at_once(self):
@@ -264,15 +257,13 @@ class TestNowAndDelay:
         # first delay alone takes the outer frame's duration past MU_MAX.
         tm = manager()
         tm.at_mu(MU_MIN)
-        tm.push_context(SEQ)
-        tm.at_mu(-10)
-        tm.push_context(SEQ)
-        with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
-            tm.delay_mu(20)
-        assert tm.now_mu() == -10
-        tm.delay_mu(9)  # up to the outer frame's last MU
-        tm.pop_context()
-        tm.pop_context()
+        with Frame(tm, SEQ):
+            tm.at_mu(-10)
+            with Frame(tm, SEQ):
+                with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
+                    tm.delay_mu(20)
+                assert tm.now_mu() == -10
+                tm.delay_mu(9)  # up to the outer frame's last MU
         assert tm.now_mu() == -1
 
 
@@ -336,53 +327,45 @@ class TestAtMu:
     def test_sequential_jump_is_instant(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(PAR)
-        tm.push_context(SEQ)
-        tm.delay_mu(100)
-        tm.at_mu(1250)
-        assert tm.now_mu() == 1250
-        tm.pop_context()
-        assert tm.now_mu() == 1000  # back at the parallel frame's start
-        tm.pop_context()
+        with Frame(tm, PAR):
+            with Frame(tm, SEQ):
+                tm.delay_mu(100)
+                tm.at_mu(1250)
+                assert tm.now_mu() == 1250
+            assert tm.now_mu() == 1000  # back at the parallel frame's start
         assert tm.now_mu() == 1250  # the sequential frame lasted 250
 
     def test_sequential_duration_gains_difference(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(SEQ)
-        tm.delay_mu(100)
-        tm.at_mu(1250)
-        tm.pop_context()
+        with Frame(tm, SEQ):
+            tm.delay_mu(100)
+            tm.at_mu(1250)
         assert tm.now_mu() == 1250
 
     def test_parallel_records_candidate_duration(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(PAR)
-        tm.at_mu(1500)
-        assert tm.now_mu() == 1000
-        tm.pop_context()
+        with Frame(tm, PAR):
+            tm.at_mu(1500)
+            assert tm.now_mu() == 1000
         assert tm.now_mu() == 1500
 
     def test_jump_to_current_position_is_noop(self):
         tm = manager()
         tm.delay_mu(77)
-        tm.push_context(PAR)
-        tm.push_context(SEQ)
-        tm.delay_mu(23)
-        tm.at_mu(tm.now_mu())
-        assert tm.now_mu() == 100
-        tm.pop_context()
-        tm.pop_context()
+        with Frame(tm, PAR), Frame(tm, SEQ):
+            tm.delay_mu(23)
+            tm.at_mu(tm.now_mu())
+            assert tm.now_mu() == 100
         assert tm.now_mu() == 100
 
     def test_backwards_jump_reduces_propagated_duration(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(SEQ)
-        tm.delay_mu(500)
-        tm.at_mu(1200)
-        tm.pop_context()
+        with Frame(tm, SEQ):
+            tm.delay_mu(500)
+            tm.at_mu(1200)
         assert tm.now_mu() == 1200
 
 
@@ -390,19 +373,16 @@ class TestContextStack:
     def test_pushed_frame_inherits_cursor(self):
         tm = manager()
         tm.delay_mu(42)
-        tm.push_context(PAR)
-        tm.push_context(SEQ)
-        assert tm.now_mu() == 42
-        tm.delay_mu(8)
-        tm.pop_context()
-        tm.pop_context()
+        with Frame(tm, PAR), Frame(tm, SEQ):
+            assert tm.now_mu() == 42
+            tm.delay_mu(8)
         assert tm.now_mu() == 50  # the frame started at 42, with nothing carried in
 
     def test_push_pop_without_delays_keeps_parent(self):
         tm = manager()
         tm.delay_mu(10)
-        tm.push_context(PAR)
-        tm.pop_context()
+        with Frame(tm, PAR):
+            pass
         assert tm.now_mu() == 10
 
     def test_nested_parallel_with_sequential_branch(self):
@@ -416,39 +396,34 @@ class TestContextStack:
     def test_pop_parallel_duration_into_sequential_parent(self):
         tm = manager()
         tm.delay_mu(1000)
-        tm.push_context(PAR)
-        tm.delay_mu(50)
-        tm.pop_context()
+        with Frame(tm, PAR):
+            tm.delay_mu(50)
         assert tm.now_mu() == 1050
 
     def test_pop_negative_sequential_into_parallel_parent(self):
         tm = manager()
-        tm.push_context(PAR)
-        tm.delay_mu(20)
-        tm.push_context(SEQ)
-        tm.delay_mu(-30)
-        tm.pop_context()
-        assert tm.now_mu() == 0  # the parallel frame's start
-        tm.pop_context()
+        with Frame(tm, PAR):
+            tm.delay_mu(20)
+            with Frame(tm, SEQ):
+                tm.delay_mu(-30)
+            assert tm.now_mu() == 0  # the parallel frame's start
         assert tm.now_mu() == 20  # max(20, -30)
 
     def test_pop_empty_frame_keeps_parent(self):
         tm = manager()
         tm.delay_mu(5)
-        tm.push_context(SEQ)
-        tm.pop_context()
+        with Frame(tm, SEQ):
+            pass
         assert tm.now_mu() == 5
 
     def test_root_cannot_be_popped(self):
         with pytest.raises(ContextStackError, match="root sequential context"):
-            manager().pop_context()
+            Frame(manager(), SEQ).__exit__(None, None, None)
 
     @pytest.mark.parametrize("kind", ["sequential", "parallel", None, 0, SyncMode.REGULAR])
     def test_kind_that_is_not_a_context_kind_raises(self, kind):
         # A kind checked only by ``is SEQUENTIAL`` takes "sequential" as parallel: delays of 10 and 20 end at 20.
         tm = manager()
-        with pytest.raises(TypeError, match="must be a ContextKind"):
-            tm.push_context(kind)
         with pytest.raises(TypeError, match="must be a ContextKind"):
             Frame(tm, kind)
         assert state(tm) == (0, 1, [(0, None, MU_MIN, MU_MAX)], 0, None)
@@ -456,15 +431,14 @@ class TestContextStack:
     def test_depth_counts_open_frames_and_root(self):
         tm = manager()
         assert tm.depth == 1
-        tm.push_context(SEQ)
-        tm.push_context(PAR)
-        tm.push_context(SEQ)
+        for kind in (SEQ, PAR, SEQ):
+            Frame(tm, kind).__enter__()
         assert tm.depth == 4
         for expected in (3, 2, 1):
-            tm.pop_context()
+            Frame(tm, SEQ).__exit__(None, None, None)
             assert tm.depth == expected
         with pytest.raises(ContextStackError):
-            tm.pop_context()
+            Frame(tm, SEQ).__exit__(None, None, None)
         assert tm.depth == 1
 
 
@@ -514,10 +488,9 @@ class TestHorizonAndSync:
         # at_mu+delay pair becomes max-based duration candidates.
         tm = manager(events=[3000])
         tm.delay_mu(1000)
-        tm.push_context(PAR)
-        tm.sync_to_counter()
-        assert tm.now_mu() == 1000
-        tm.pop_context()
+        with Frame(tm, PAR):
+            tm.sync_to_counter()
+            assert tm.now_mu() == 1000
         # at_mu(3000) proposes 2000, delay(125000) proposes max(2000, 125000).
         assert tm.now_mu() == 1000 + 125_000
 
@@ -538,7 +511,7 @@ class TestHorizonAndSync:
         if kind is not None:
             tm.sync_to_counter()  # so sync_count and first_sync_cursor are set
             tm.at_mu(start)
-            tm.push_context(kind)
+            Frame(tm, kind).__enter__()
         sig.push(0, event)
         before = (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor)
         with pytest.raises(MachineUnitsOverflow, match=match):
@@ -558,10 +531,9 @@ class TestProperties:
     def test_parallel_exit_law(self, durations):
         tm = manager()
         tm.delay_mu(1234)
-        tm.push_context(PAR)
-        for d in durations:
-            tm.delay_mu(d)
-        tm.pop_context()
+        with Frame(tm, PAR):
+            for d in durations:
+                tm.delay_mu(d)
         assert tm.now_mu() == 1234 + max([0, *durations])
 
     @given(
@@ -587,17 +559,12 @@ class TestProperties:
     def test_at_mu_equals_delay_of_difference(self, start, target, kind):
         tm_a = manager()
         tm_a.delay_mu(start)
-        tm_a.push_context(kind)
         tm_b = manager()
         tm_b.delay_mu(start)
-        tm_b.push_context(kind)
-
-        tm_a.at_mu(target)
-        tm_b.delay_mu(target - tm_b.now_mu())  # a parallel frame's cursor is its start
-
-        assert tm_a.now_mu() == tm_b.now_mu()
-        tm_a.pop_context()
-        tm_b.pop_context()
+        with Frame(tm_a, kind), Frame(tm_b, kind):
+            tm_a.at_mu(target)
+            tm_b.delay_mu(target - tm_b.now_mu())  # a parallel frame's cursor is its start
+            assert tm_a.now_mu() == tm_b.now_mu()
         assert tm_a.now_mu() == tm_b.now_mu()
 
     @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=60))
@@ -650,7 +617,7 @@ class TestProperties:
             tm = manager()
             tm.at_mu(start)
             if kind is not None:
-                tm.push_context(kind)
+                Frame(tm, kind).__enter__()
             with contextlib.suppress(MachineUnitsOverflow):
                 tm.delay_mu(inside)
             return tm
@@ -673,8 +640,10 @@ class TestProperties:
     @settings(max_examples=300, deadline=None)
     def test_no_pop_overflows_and_raising_ops_change_nothing(self, program):
         tm, sig = timeline_and_signal()
-        ops = {"push": tm.push_context, "pop": tm.pop_context, "sync": tm.sync_to_counter,
-               "delay_mu": tm.delay_mu, "at_mu": tm.at_mu, "event": lambda t: sig.push(0, t)}
+        ops = {"push": lambda kind: Frame(tm, kind).__enter__(),
+               "pop": lambda: Frame(tm, SEQ).__exit__(None, None, None),  # a pop does not depend on the kind
+               "sync": tm.sync_to_counter, "delay_mu": tm.delay_mu, "at_mu": tm.at_mu,
+               "event": lambda t: sig.push(0, t)}
         for op, *args in program:
             before = state(tm)
             try:
@@ -683,7 +652,7 @@ class TestProperties:
                 assert op != "pop" or type(exc) is ContextStackError
                 assert state(tm) == before
         while tm.depth > 1:
-            tm.pop_context()
+            Frame(tm, SEQ).__exit__(None, None, None)
 
     @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
     @given(program=frame_programs)
@@ -692,8 +661,10 @@ class TestProperties:
     def test_matches_naive_timeline(self, mode, slack, program):
         tm, sig = timeline_and_signal(mode)
         naive = NaiveTimeline(slack)
-        ops = {"push": tm.push_context, "pop": tm.pop_context, "sync": tm.sync_to_counter,
-               "delay_mu": tm.delay_mu, "at_mu": tm.at_mu, "event": lambda t: sig.push(0, t)}
+        ops = {"push": lambda kind: Frame(tm, kind).__enter__(),
+               "pop": lambda: Frame(tm, SEQ).__exit__(None, None, None),  # a pop does not depend on the kind
+               "sync": tm.sync_to_counter, "delay_mu": tm.delay_mu, "at_mu": tm.at_mu,
+               "event": lambda t: sig.push(0, t)}
         naive_ops = {"push": lambda kind: naive.push("seq" if kind is SEQ else "par"), "pop": naive.pop,
                      "sync": naive.sync, "delay_mu": naive.delay_mu, "at_mu": naive.at_mu, "event": naive.event}
         for op, *args in program:
@@ -702,7 +673,7 @@ class TestProperties:
             assert (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor, tm.horizon()) == (
                 naive.cursor, naive.depth, naive.sync_count, naive.first_sync_cursor, naive.horizon()), (op, *args)
         while tm.depth > 1:
-            tm.pop_context()
+            Frame(tm, SEQ).__exit__(None, None, None)
             naive.pop()
             assert tm.now_mu() == naive.cursor
 
@@ -721,7 +692,7 @@ class TestProperties:
         tm, sig = run.time, run.signals.register("d", "s", SignalKind.INT)
         naive = NaiveTimeline(slack)
         ops = {"sync": tm.sync_to_counter, "delay_mu": tm.delay_mu, "at_mu": tm.at_mu,
-               "event": lambda t: sig.push(0, t), "pop": tm.pop_context}
+               "event": lambda t: sig.push(0, t), "pop": lambda: Frame(tm, SEQ).__exit__(None, None, None)}
         naive_ops = {"sync": naive.sync, "delay_mu": naive.delay_mu, "at_mu": naive.at_mu,
                      "event": naive.event, "pop": naive.pop}
         steps = iter(program)
@@ -761,17 +732,15 @@ class TestProperties:
         for n in range(1, len(ops) + 1):
             tm = manager()
             tm.delay_mu(5)
-            tm.push_context(PAR)
-            tm.push_context(SEQ)
-            for op, arg in ops[:n]:
-                if op == "d":
-                    tm.delay_mu(arg)
-                else:
-                    tm.at_mu(arg)
-            cursor = tm.now_mu()
-            tm.pop_context()
-            assert tm.now_mu() == 5
-            tm.pop_context()
+            with Frame(tm, PAR):
+                with Frame(tm, SEQ):
+                    for op, arg in ops[:n]:
+                        if op == "d":
+                            tm.delay_mu(arg)
+                        else:
+                            tm.at_mu(arg)
+                    cursor = tm.now_mu()
+                assert tm.now_mu() == 5
             assert tm.now_mu() == max(5, cursor)
 
 
@@ -783,10 +752,9 @@ class TestIntegerUnits:
     def test_non_int_cursor_times_raise(self, bad, kind):
         tm = manager()
         tm.delay_mu(7)
-        tm.push_context(kind)
-        for op in (tm.delay_mu, tm.at_mu):
-            with pytest.raises(TypeError, match="must be int"):
-                op(bad)
-        assert (tm.now_mu(), tm.depth) == (7, 2)
-        tm.pop_context()
+        with Frame(tm, kind):
+            for op in (tm.delay_mu, tm.at_mu):
+                with pytest.raises(TypeError, match="must be int"):
+                    op(bad)
+            assert (tm.now_mu(), tm.depth) == (7, 2)
         assert tm.now_mu() == 7
