@@ -13,7 +13,7 @@ import math
 from typing import Optional
 
 from .environment import DeviceDb, Experiment, RunStats, SimulationRun, run_experiment
-from .timeline import (MU_MAX, REGULAR_SYNC_SLACK_MU, FrozenRecord, Record, SimConfig, SyncMode, mu_to_seconds,
+from .timeline import (MU_MAX, REF_PERIOD_S, REGULAR_SYNC_SLACK_MU, FrozenRecord, Record, SimConfig, SyncMode,
                        short_repr)
 
 BUFFER_BATCH = 16
@@ -129,7 +129,7 @@ def relative_error(t_sim: float, t_ref: float) -> float:
 def speedup_proxy(stats: RunStats) -> float:
     """Simulated timeline seconds per wall-clock second."""
     wall_s = max(stats.wall_clock_ns, 1) * 1e-9
-    return mu_to_seconds(stats.timeline_length_mu) / wall_s
+    return stats.timeline_length_mu * REF_PERIOD_S / wall_s
 
 
 class BenchReport(Record):

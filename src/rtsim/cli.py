@@ -207,7 +207,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "bench":
         return _cmd_bench_scan(args)
     return _cmd_diff(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

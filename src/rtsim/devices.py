@@ -87,22 +87,17 @@ class DeviceDescriptor(FrozenRecord):
         put(self, "params", params)
 
 
-class InputBuffer:
-    """FIFO of sampled values, owned by one driver."""
+class InputBuffer(collections.deque):
+    """FIFO of sampled values, owned by one driver: a deque whose ``take`` raises ``BufferEmpty`` when empty."""
 
-    def __init__(self):
-        self._queue = collections.deque()
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def put(self, value) -> None:
-        self._queue.append(value)
+    put = collections.deque.append
 
     def take(self):
-        if not self._queue:
+        if not self:
             raise BufferEmpty("input buffer is empty")
-        return self._queue.popleft()
+        return self.popleft()
 
 
 class SimDevice:
@@ -140,10 +135,8 @@ class CoreDevice(SimDevice):
     def __init__(self, desc, run):
         super().__init__(desc, run)
         self.kernel_marker = self._register("kernel", SignalKind.TEXT)
-
-    def reset(self) -> int:
-        """Synchronize the cursor to the counter estimate plus configured slack."""
-        return self._time.sync_to_counter()
+        # Synchronize the cursor to the counter estimate plus configured slack.
+        self.reset = run.time.sync_to_counter
 
 
 class TtlOut(SimDevice):
@@ -182,6 +175,7 @@ class TtlIn(SimDevice):
         self.prob = self._register("prob", SignalKind.REAL, is_input=True)
         self.sample = self._register("sample", SignalKind.INT)
         self.buffer = InputBuffer()
+        self.fetch_sample = self.buffer.take  # consume the oldest enqueued sample
         self._sample_delay_mu = desc.params["sample_delay_mu"]
         self._rng = rng.Xoshiro256StarStar(rng.substream_seed(run.config.seed, self.name))
 
@@ -200,10 +194,6 @@ class TtlIn(SimDevice):
         self.sample._put(value, cursor)
         self.buffer.put(value)
 
-    def fetch_sample(self) -> int:
-        """Consume the oldest enqueued sample."""
-        return self.buffer.take()
-
     def sample_get(self) -> int:
         """Draw, enqueue, and immediately consume one sample."""
         self.sample_input()
@@ -221,6 +211,7 @@ class EdgeCounter(SimDevice):
         self.freq = self._register("freq", SignalKind.REAL, is_input=True)
         self.gate = self._register("gate", SignalKind.BOOL)
         self.buffer = InputBuffer()
+        self.fetch_count = self.buffer.take
         self._rng = rng.Xoshiro256StarStar(rng.substream_seed(run.config.seed, self.name))
 
     def gate_rising_mu(self, duration_mu: int) -> int:
@@ -250,9 +241,6 @@ class EdgeCounter(SimDevice):
         return t_close
 
     gate_rising = gate_rising_mu
-
-    def fetch_count(self) -> int:
-        return self.buffer.take()
 
 
 class Dds(SimDevice):
@@ -307,6 +295,7 @@ class Adc(SimDevice):
             for i in range(desc.params["channels"])
         ]
         self.buffer = InputBuffer()
+        self.fetch_sample = self.buffer.take
         self._sample_delay_mu = desc.params["sample_delay_mu"]
 
     def sample_input(self) -> None:
@@ -321,9 +310,6 @@ class Adc(SimDevice):
         if self._sample_delay_mu:
             self._time.delay_mu(self._sample_delay_mu)
         self.buffer.put(values)
-
-    def fetch_sample(self) -> list[float]:
-        return self.buffer.take()
 
     def sample(self) -> list[float]:
         """Sample all channels and return the vector."""

@@ -41,13 +41,17 @@ class CheckReport(FrozenRecord):
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         msg = (
-            f"{status} {self.device}.{self.signal} @ {self.time}: "
+            f"{status} {self.device}.{self.signal} @ {short_repr(self.time)}: "
             f"expected {short_repr(self.expected)}, actual {short_repr(self.actual)} "
             f"(nearest events: <= {self.nearest_before}, > {self.nearest_after})"
         )
         if self.detail:
             msg += f" [{self.detail}]"
         return msg
+
+    def __repr__(self) -> str:
+        # Each field through short_repr, as in __str__: ``time`` and ``expected`` are the caller's, of any size.
+        return f"CheckReport({', '.join(f'{n}={short_repr(getattr(self, n))}' for n in self.__slots__)})"
 
 
 def _nearest_events(signal: Signal, time: int):

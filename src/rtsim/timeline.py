@@ -73,10 +73,6 @@ def seconds_to_mu(seconds: float) -> int:
     return _checked_mu(mu, "seconds_to_mu")
 
 
-def mu_to_seconds(mu: int) -> float:
-    return mu * REF_PERIOD_S
-
-
 class SyncMode(enum.Enum):
     """Slack policy applied when the cursor is synchronized to the counter."""
 

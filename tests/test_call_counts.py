@@ -129,3 +129,33 @@ def test_poisson_gate_below_mean_10_draws_once(mean):
 def test_poisson_gate_draws_do_not_grow_with_mean(mean):
     # PTRS takes 2.2 to 2.7 draws a gate at any mean from 10 up.
     assert _gate_draws(mean, 1000, limit=3000, seed=7) <= 3000
+
+
+def test_reset_is_the_timeline_sync():
+    # core.reset() is the timeline's sync_to_counter itself, not a driver method that forwards to it.
+    run = _run()
+    core = run.get_device("core")
+    assert core.reset.__self__ is run.time
+    assert _python_calls(core.reset) == {"TimeManager.sync_to_counter": 1}
+
+
+def test_fetches_are_the_buffer_take():
+    devices = [{"name": "core", "kind": "core"}, {"name": "in0", "kind": "ttl_in"},
+               {"name": "counter0", "kind": "edge_counter"}, {"name": "adc0", "kind": "adc"}]
+    run = SimulationRun(DeviceDb.from_dict({"devices": devices}), SimConfig())
+    in0, counter, adc = run.get_device("in0"), run.get_device("counter0"), run.get_device("adc0")
+    assert in0.fetch_sample.__self__ is in0.buffer
+    assert counter.fetch_count.__self__ is counter.buffer
+    assert adc.fetch_sample.__self__ is adc.buffer
+    set_input(run, "counter0", "freq", 0, 1.0e6)
+    counter.gate_rising_mu(1000)
+    assert _python_calls(counter.fetch_count) == {"InputBuffer.take": 1}
+
+
+def test_deterministic_gate_enqueues_without_a_python_call():
+    # InputBuffer.put is deque.append: a count enters the buffer without a Python frame.
+    run = _counter_run("deterministic")
+    counter = run.get_device("counter0")
+    set_input(run, "counter0", "freq", 0, 1.0e6)
+    calls = _python_calls(lambda: counter.gate_rising_mu(1000))
+    assert calls["InputBuffer.put"] == 0 and list(counter.buffer) == [1]

@@ -679,7 +679,7 @@ def run_in_frame(kind, calls, start=100):
         for call in calls:
             call(run)
     events = {(sig.device_name, sig.signal_name): sig.events() for sig in run.signals}
-    buffers = {dev.name: list(dev.buffer._queue) for dev in devices if hasattr(dev, "buffer")}
+    buffers = {dev.name: list(dev.buffer) for dev in devices if hasattr(dev, "buffer")}
     return events, buffers, run.now_mu()
 
 

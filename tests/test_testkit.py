@@ -179,12 +179,18 @@ class TestAssertEvents:
         assert str(report) == ("FAIL ttl0.state @ 100: expected (100, False), actual (100, True) "
                                "(nearest events: <= 100, > 1100) [first divergence at event index 0]")
 
-    @pytest.mark.parametrize("time", [10**5000, "x" * 10**7], ids=["5001-digit-int", "10**7-char-str"])
-    def test_report_of_an_oversize_time_prints_bounded(self, pulsed, time):
-        # The report keeps the caller's pair as given; its text shows both sides through short_repr.
-        report = assert_events(pulsed, "ttl0", "state", [(time, True)])
-        assert not report and report.expected == (time, True)
-        assert len(str(report)) < 300
+    @pytest.mark.parametrize("time, past_the_end", [(10**5000, False), ("x" * 10**7, False), (10**5000, True)],
+                             ids=["5001-digit-int", "10**7-char-str", "5001-digit-int-past-the-end"])
+    def test_report_of_an_oversize_time_prints_bounded(self, pulsed, time, past_the_end):
+        # The report keeps the caller's pair, or past the last event the caller's time, as given;
+        # its str and repr show every field through short_repr.
+        if past_the_end:
+            report = assert_events(pulsed, "ttl0", "state", [(100, True), (1100, False), (time, True)])
+            assert not report and report.time == time and report.expected == "3 events"
+        else:
+            report = assert_events(pulsed, "ttl0", "state", [(time, True)])
+            assert not report and report.expected == (time, True)
+        assert len(str(report)) < 300 and len(repr(report)) < 400
 
     def test_empty_expected_on_untouched_signal(self, make_run):
         run = make_run()
