@@ -27,7 +27,6 @@ from .signals import (
     SignalManager,
     UnknownSignalError,
 )
-from .testkit import CheckReport, assert_events, expect, set_input
 from .timeline import (
     ContextKind,
     ContextStackError,
@@ -37,9 +36,24 @@ from .timeline import (
     TimeManager,
     seconds_to_mu,
 )
-from .trace import export_jsonl, export_vcd, read_jsonl
 
 __version__ = "0.1.0"
+
+# Loaded on first use of one of their names, so a run that neither exports nor asserts never compiles them.
+_LAZY = {
+    "CheckReport": "testkit", "assert_events": "testkit", "expect": "testkit", "set_input": "testkit",
+    "export_jsonl": "trace", "export_vcd": "trace", "read_jsonl": "trace",
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and keep the name here, so a later lookup skips this call."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
 
 __all__ = [
     "BufferEmpty",

@@ -12,7 +12,6 @@ import sys
 from itertools import zip_longest
 from typing import Optional
 
-from . import experiments
 from .environment import DeviceDbError, ExperimentRunError, load_ddb, run_experiment
 from .timeline import SimConfig, SyncMode, short_repr
 from .trace import export_jsonl, export_vcd, read_jsonl
@@ -77,6 +76,7 @@ def _print_summary(run) -> None:
 
 
 def _cmd_run(args) -> int:
+    from . import experiments  # here, not at the top: a diff needs neither the bundled experiments nor testkit
     try:
         exp = experiments.get_experiment(args.experiment)
     except KeyError as exc:

@@ -148,7 +148,8 @@ def assert_events(run: SimulationRun, device: str, signal: str, expected: Iterab
             break
         else:
             return CheckReport(True, device, signal, None, f"{count} events", f"{count} events", None, None)
-    before, after = _nearest_events(sig, t)
+    # A caller's time past the last event may be of any type; bisect compares only ints with the store.
+    before, after = _nearest_events(sig, t) if type(t) is int else (None, None)
     return CheckReport(
         False, device, signal, t,
         f"{n_expected} events", f"{len(times)} events", before, after,

@@ -1,11 +1,13 @@
 """The record classes: equality, hash, repr, frozenness, defaults, construction and validation.
 
 One table row per class pins what callers see, whatever builds the class. The
-last test checks that a fresh ``import rtsim`` builds them without loading
-``dataclasses``, and without the modules no run needs.
+last tests check that a fresh ``import rtsim`` builds them without loading
+``dataclasses``, and without the modules no run needs, and that the names it
+loads on first use resolve as eager imports would.
 """
 
 import copy
+import importlib
 import os
 import pickle
 import re
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import rtsim
 from rtsim import CheckReport, DeviceDb, DeviceDescriptor, DeviceDbError, DeviceError, Experiment, SimConfig, SyncMode
 from rtsim.bench import BenchReport, BenchScenario
 from rtsim.environment import RunStats
@@ -208,14 +211,54 @@ def _loaded_by_import(module, names, then="pass"):
     # A fresh interpreter, as every test or CLI process that imports rtsim starts with.
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = f"import sys, {module}; {then}; print(sorted(m for m in {tuple(names)!r} if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # -S: no site-packages .pth file (one preloads importlib.resources) decides what the guard sees.
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_import_rtsim_loads_only_what_a_run_needs():
-    assert _loaded_by_import("rtsim", ["dataclasses", "inspect", "rtsim.bench", "rtsim.cli"]) == "[]\n"
+    # The exporters and the test helpers load on first use of a name: rtsim.export_vcd, rtsim.expect, ...
+    names = ["dataclasses", "inspect", "rtsim.bench", "rtsim.cli", "rtsim.trace", "rtsim.testkit"]
+    assert _loaded_by_import("rtsim", names) == "[]\n"
+
+
+def test_import_rtsim_cli_loads_nothing_only_a_run_needs():
+    # `rtsim diff` needs neither the bundled experiments nor what they import.
+    names = ["rtsim.experiments", "rtsim.testkit", "importlib.resources"]
+    assert _loaded_by_import("rtsim.cli", names) == "[]\n"
+
+
+def test_a_body_that_only_asserts_loads_no_exporter():
+    then = ("reports = []; body = lambda run: (run.get_device('in0'), "
+            "rtsim.set_input(run, 'in0', 'prob', 0, 1.0), reports.append(rtsim.expect(run, 'in0', 'prob', 0, 1.0))); "
+            "ddb = rtsim.DeviceDb.from_dict({'devices': [{'name': 'core', 'kind': 'core'}, "
+            "{'name': 'in0', 'kind': 'ttl_in'}]}); "
+            "rtsim.run_experiment(rtsim.Experiment('t', body), ddb, rtsim.SimConfig()); assert reports[0]")
+    assert _loaded_by_import("rtsim", ["rtsim.testkit", "rtsim.trace"], then) == "['rtsim.testkit']\n"
+
+
+@pytest.mark.parametrize("submodule, name", [
+    *(("testkit", name) for name in ("CheckReport", "assert_events", "expect", "set_input")),
+    *(("trace", name) for name in ("export_jsonl", "export_vcd", "read_jsonl")),
+])
+def test_a_lazy_name_is_its_submodules_object(submodule, name):
+    module = importlib.import_module(f"rtsim.{submodule}")
+    assert getattr(rtsim, name) is getattr(module, name)
+    assert vars(rtsim)[name] is getattr(module, name)  # kept: a later lookup does not call __getattr__
+
+
+def test_star_import_binds_every_public_name():
+    # In a fresh interpreter, so the lazy names are bound by the star import itself.
+    then = "ns = {}; exec('from rtsim import *', ns); assert all(ns[n] is getattr(rtsim, n) for n in rtsim.__all__)"
+    assert _loaded_by_import("rtsim", ["rtsim.testkit", "rtsim.trace"], then) == "['rtsim.testkit', 'rtsim.trace']\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'rtsim' has no attribute 'nope'$"):
+        rtsim.nope
+    assert getattr(rtsim, "store_backend", None) is None
 
 
 def test_import_rtsim_cli_loads_no_bench_and_no_csv():

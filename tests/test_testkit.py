@@ -192,6 +192,15 @@ class TestAssertEvents:
             assert not report and report.expected == (time, True)
         assert len(str(report)) < 300 and len(repr(report)) < 400
 
+    @pytest.mark.parametrize("time", ["x", None])
+    def test_odd_time_past_the_last_event_fails_with_a_report(self, make_run, time):
+        run = make_run()
+        run.get_device("ttl0").pulse(100)
+        report = assert_events(run, "ttl0", "state", [(0, True), (100, False), (time, True)])
+        assert not report and report.detail == "event count mismatch at index 2"
+        assert report.time is time and report.expected == "3 events" and report.actual == "2 events"
+        assert report.nearest_before is None and report.nearest_after is None
+
     def test_empty_expected_on_untouched_signal(self, make_run):
         run = make_run()
         run.get_device("ttl0")
@@ -238,7 +247,8 @@ def _reference_assert_events(run, device, signal, expected):
         i = min(len(expected), len(actual))
         t = (actual if i < len(actual) else expected)[i][0]
         return CheckReport(False, device, signal, t, f"{len(expected)} events", f"{len(actual)} events",
-                           *nearest(t), detail=f"event count mismatch at index {i}")
+                           *(nearest(t) if type(t) is int else (None, None)),
+                           detail=f"event count mismatch at index {i}")
     return CheckReport(True, device, signal, None, expected, actual, None, None)
 
 
