@@ -2,9 +2,15 @@
 
 Scenarios emulate scanning experiments: per sample a fixed burst of digital
 pulses and synthesizer writes, a fixed per-sample delay, and a cursor sync
-per sample (unbuffered) or per batch of 16 samples (buffered). Each scenario
-runs under the regular and optimistic synchronization configurations; the
-report carries the measured timeline lengths and a speedup proxy.
+per sample (unbuffered) or per batch of 16 samples (buffered). Every scenario
+runs on ``experiments.DEMO_DDB``, as ``rtsim run <preset>`` does, under the
+regular and optimistic synchronization configurations; the report carries the
+measured timeline lengths and a speedup proxy.
+
+The sync law, regular length - optimistic length = 125 000 MU x (syncs - 1),
+holds for a program in which every time after the first sync is relative to
+the cursor and the cursor never moves back. An absolute time after the first
+sync lies at different distances from the two modes' cursors, and breaks it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .environment import DeviceDb, Experiment, RunStats, SimulationRun, run_experiment
+from .environment import Experiment, RunStats, SimulationRun, run_experiment
+from .experiments import load_demo_ddb
 from .timeline import (MU_MAX, REF_PERIOD_S, REGULAR_SYNC_SLACK_MU, FrozenRecord, Record, SimConfig, SyncMode,
                        short_repr)
 
@@ -31,6 +38,9 @@ class BenchScenario(FrozenRecord):
                  pulses_per_sample: int = 3, dds_sets_per_sample: int = 1, pulse_mu: int = 1000,
                  buffered: bool = False):
         self._set(locals())
+        for field, want in zip(self.__slots__[1:], (int,) * 6 + (bool,)):  # so a bool is not a count
+            if type(value := getattr(self, field)) is not want:
+                raise TypeError(f"{field} must be {want.__name__}, got {short_repr(value)}")
         if self.points < 1 or self.samples_per_point < 1:
             raise ValueError("points and samples_per_point must be >= 1")
         if self.pulse_mu <= 0:
@@ -61,21 +71,6 @@ class BenchScenario(FrozenRecord):
         if self.buffered:
             return 1 + math.ceil(self.total_samples / BUFFER_BATCH)
         return 1 + self.total_samples
-
-
-def scenario_ddb() -> DeviceDb:
-    """Device set every scenario runs against: three TTL outputs and a DDS."""
-    return DeviceDb.from_dict(
-        {
-            "devices": [
-                {"name": "core", "kind": "core"},
-                {"name": "ttl0", "kind": "ttl_out"},
-                {"name": "ttl1", "kind": "ttl_out"},
-                {"name": "ttl2", "kind": "ttl_out"},
-                {"name": "dds0", "kind": "dds"},
-            ]
-        }
-    )
 
 
 def scenario_experiment(scenario: BenchScenario) -> Experiment:
@@ -159,7 +154,7 @@ class BenchReport(Record):
 
 
 def run_scenario(scenario: BenchScenario, config: SimConfig) -> SimulationRun:
-    return run_experiment(scenario_experiment(scenario), scenario_ddb(), config)
+    return run_experiment(scenario_experiment(scenario), load_demo_ddb(), config)
 
 
 def run_scenario_both(scenario: BenchScenario) -> BenchReport:

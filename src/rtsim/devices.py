@@ -207,12 +207,13 @@ class EdgeCounter(SimDevice):
 
     def __init__(self, desc, run):
         super().__init__(desc, run)
-        self.mode = desc.params["counter_mode"]
         self.freq = self._register("freq", SignalKind.REAL, is_input=True)
         self.gate = self._register("gate", SignalKind.BOOL)
         self.buffer = InputBuffer()
         self.fetch_count = self.buffer.take
-        self._rng = rng.Xoshiro256StarStar(rng.substream_seed(run.config.seed, self.name))
+        # A gate's count from its mean, bound once: only a Poisson counter builds a random stream.
+        self._count = (round_half_away_from_zero if desc.params["counter_mode"] == "deterministic"
+                       else rng.Xoshiro256StarStar(rng.substream_seed(run.config.seed, self.name)).poisson)
 
     def gate_rising_mu(self, duration_mu: int) -> int:
         """Open the gate for ``duration_mu``, enqueue the count, return the close time."""
@@ -232,10 +233,7 @@ class EdgeCounter(SimDevice):
         t_close = self._time.delay_mu(duration_mu)
         self.gate._put(True, t_open)
         self.gate._put(False, t_close)
-        if self.mode == "deterministic":
-            count = round_half_away_from_zero(mean)
-        else:
-            count = self._rng.poisson(mean)
+        count = self._count(mean)
         # A mean below 2**63 can still draw a count past it: a signed 64-bit counter saturates.
         self.buffer.put(count if count < 2**63 else 2**63 - 1)
         return t_close

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
-import importlib.resources
-
-from .environment import DeviceDb, Experiment, SimulationRun, load_ddb
+from .environment import DeviceDb, Experiment, SimulationRun
 from .testkit import set_input
 from .timeline import short_repr
 
-
-def demo_ddb_path():
-    """Path of the bundled demo device database."""
-    return importlib.resources.files("rtsim").joinpath("data/demo_ddb.json")
+# The device database every bundled experiment runs on, the bench presets included; shared, so never mutate it.
+DEMO_DDB = {"devices": [
+    {"name": "core", "kind": "core"},
+    {"name": "ttl0", "kind": "ttl_out"},
+    {"name": "ttl1", "kind": "ttl_out"},
+    {"name": "ttl2", "kind": "ttl_out"},
+    {"name": "in0", "kind": "ttl_in"},
+    {"name": "counter0", "kind": "edge_counter", "params": {"counter_mode": "deterministic"}},
+    {"name": "dds0", "kind": "dds"},
+    {"name": "adc0", "kind": "adc", "params": {"channels": 2}},
+]}
 
 
 def load_demo_ddb() -> DeviceDb:
-    return load_ddb(demo_ddb_path())
+    return DeviceDb.from_dict(DEMO_DDB)
 
 
 def _demo_body(run: SimulationRun) -> None:

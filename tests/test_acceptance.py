@@ -20,8 +20,9 @@ from rtsim import (
     TimeManager,
     run_experiment,
 )
-from rtsim.bench import PRESETS, run_scenario_both, scenario_ddb, speedup_proxy
+from rtsim.bench import PRESETS, run_scenario_both, speedup_proxy
 from rtsim.experiments import get_experiment, load_demo_ddb
+from rtsim.testkit import set_input
 from rtsim.trace import export_jsonl, export_vcd
 
 from oracles import PushLogOracle, random_tree, run_tree, tree_duration
@@ -80,18 +81,24 @@ def test_criterion_2_signal_store_oracle():
 def _random_sync_program(rng):
     """Program whose only variable delays are cursor syncs.
 
-    Fixed delays are non-negative: the sync identity provably fails for
-    programs that pull the cursor back below previously posted events.
+    Every time is relative to the cursor: an ``at_mu`` target or an input
+    event time is the cursor plus an offset. Fixed delays and offsets are
+    non-negative: the sync identity provably fails for programs that pull
+    the cursor back below previously posted events.
     """
     items = [("sync",)] if rng.random() < 0.9 else []
     for _ in range(rng.randint(1, 12)):
         roll = rng.random()
-        if roll < 0.35:
+        if roll < 0.25:
             items.append(("delay", rng.randint(0, 10**6)))
-        elif roll < 0.6:
+        elif roll < 0.45:
             items.append(("pulse", rng.randrange(3), rng.randint(1, 10**5)))
-        elif roll < 0.8:
+        elif roll < 0.6:
             items.append(("tree", random_tree(rng, 4, 12, lo=0, hi=10**5)))
+        elif roll < 0.7:
+            items.append(("at", rng.randint(0, 10**6)))
+        elif roll < 0.8:
+            items.append(("input", rng.randint(0, 10**6)))  # an event ahead of the cursor, so a sync may jump to it
         else:
             items.append(("sync",))
     return items
@@ -101,6 +108,7 @@ def _run_sync_program(items, mode):
     def body(run):
         core = run.get_device("core")
         ttls = [run.get_device(f"ttl{i}") for i in range(3)]
+        run.get_device("in0")  # registers in0.prob for the input items
         for item in items:
             if item[0] == "delay":
                 run.delay_mu(item[1])
@@ -108,10 +116,14 @@ def _run_sync_program(items, mode):
                 ttls[item[1]].pulse(item[2])
             elif item[0] == "tree":
                 run_tree(run.time, item[1])
+            elif item[0] == "at":
+                run.at_mu(run.now_mu() + item[1])
+            elif item[0] == "input":
+                set_input(run, "in0", "prob", run.now_mu() + item[1], 0.5)
             else:
                 core.reset()
 
-    return run_experiment(Experiment("sync-program", body), scenario_ddb(), SimConfig(mode=mode))
+    return run_experiment(Experiment("sync-program", body), load_demo_ddb(), SimConfig(mode=mode))
 
 
 def test_criterion_3_sync_law():
@@ -138,6 +150,38 @@ def test_criterion_3_sync_law():
         in_window = syncs - 1 if syncs else 0
         assert length_delta == SLACK * in_window, f"program {i}: timeline-length law"
     report(3, "sync law exact on all bundled scenarios and 100 random sync programs")
+
+
+def _lengths(body):
+    """Timeline length of ``body`` on the demo DDB under the regular, then the optimistic configuration."""
+    return tuple(run_experiment(Experiment("x", body), load_demo_ddb(), SimConfig(mode=mode)).stats.timeline_length_mu
+                 for mode in (SyncMode.REGULAR, SyncMode.OPTIMISTIC))
+
+
+def test_sync_law_fails_for_an_absolute_input_time_after_the_first_sync():
+    # Documented: the event at 60 000 lies between the two modes' cursors after the first sync.
+    def body(run):
+        core = run.get_device("core")
+        run.get_device("in0")
+        core.reset()
+        set_input(run, "in0", "prob", 60_000, 0.5)
+        core.reset()
+        core.reset()
+
+    regular, optimistic = _lengths(body)
+    assert (regular, optimistic) == (250_000, 60_000)
+    assert regular - optimistic == 190_000 != SLACK * 2  # 3 syncs: the law gives 250 000
+
+
+def test_sync_law_fails_for_an_absolute_at_mu_after_the_first_sync():
+    # Documented: each mode counts from its own first-sync cursor, so the regular timeline comes out shorter.
+    def body(run):
+        run.get_device("core").reset()
+        run.at_mu(1_000_000)
+
+    regular, optimistic = _lengths(body)
+    assert (regular, optimistic) == (875_000, 1_000_000)
+    assert regular - optimistic == -SLACK != 0  # 1 sync: the law gives 0
 
 
 def test_criterion_4_measurement_protocol():

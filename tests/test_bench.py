@@ -1,6 +1,6 @@
 import pytest
 
-from rtsim import Experiment, SimConfig, SyncMode
+from rtsim import Experiment, SimConfig, SyncMode, run_experiment
 from rtsim import experiments
 from rtsim.bench import (
     MAX_SCENARIO_CALLS,
@@ -116,6 +116,16 @@ class TestReports:
 
 
 class TestPresetRegistry:
+    @pytest.mark.parametrize("mode", list(SyncMode))
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_a_preset_runs_as_its_bundled_experiment(self, name, mode):
+        # run_scenario and `rtsim run <preset>` run one program on one device database.
+        config = SimConfig(mode=mode)
+        bench = run_scenario(PRESETS[name], config).stats
+        cli = run_experiment(experiments.get_experiment(name), experiments.load_demo_ddb(), config).stats
+        fields = [field for field in RunStats.__slots__ if field != "wall_clock_ns"]
+        assert [getattr(bench, field) for field in fields] == [getattr(cli, field) for field in fields]
+
     def test_presets_join_after_a_user_experiment(self, monkeypatch):
         # The presets used to join only while the demo was the registry's one entry.
         mine, own_scan = Experiment("mine", lambda run: None), Experiment("scan_demo", lambda run: None)

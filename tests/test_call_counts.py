@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from rtsim import DeviceDb, SimConfig, SimulationRun, set_input
+from rtsim.rng import Xoshiro256StarStar
 from rtsim.timeline import REGULAR_SYNC_SLACK_MU
 
 
@@ -159,3 +160,19 @@ def test_deterministic_gate_enqueues_without_a_python_call():
     set_input(run, "counter0", "freq", 0, 1.0e6)
     calls = _python_calls(lambda: counter.gate_rising_mu(1000))
     assert calls["InputBuffer.put"] == 0 and list(counter.buffer) == [1]
+
+
+@pytest.mark.parametrize("p, value", [(0.0, 0), (1.0, 1)])
+def test_certain_bernoulli_makes_no_draw(p, value):
+    # A draw here would shift every later sample of the device's stream.
+    stream = Xoshiro256StarStar(1)
+    calls = _python_calls(lambda: stream.bernoulli(p))
+    assert calls["Xoshiro256StarStar.next_u64"] == 0
+    assert stream.bernoulli(p) == value
+
+
+@pytest.mark.parametrize("counter_mode, streams", [("deterministic", 0), ("poisson", 1)])
+def test_only_a_poisson_counter_builds_a_random_stream(counter_mode, streams):
+    run = _counter_run(counter_mode)
+    calls = _python_calls(lambda: run.get_device("counter0"))
+    assert calls["substream_seed"] == calls["Xoshiro256StarStar.__init__"] == streams

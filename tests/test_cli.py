@@ -54,9 +54,9 @@ class TestRun:
         ("adc0", "prams", {"channels": 2}),  # a misspelt entry field
     ])
     def test_bad_ddb_param_exits_2(self, tmp_path, capsys, device, param, value):
-        from rtsim.experiments import demo_ddb_path
+        from rtsim.experiments import DEMO_DDB
 
-        data = json.loads(demo_ddb_path().read_text(encoding="utf-8"))
+        data = json.loads(json.dumps(DEMO_DDB))  # a deep copy: DEMO_DDB is shared
         if device == "adc9":
             data["devices"].append({"name": device, "kind": "adc"})
         entry = next(d for d in data["devices"] if d["name"] == device)

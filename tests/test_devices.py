@@ -199,6 +199,14 @@ class TestTtlOut:
         assert ttl.state.events() == []
         assert run.now_mu() == MU_MAX - 5
 
+    def test_pulse_of_mu_max_at_cursor_0_is_accepted(self, make_run):
+        # The longest pulse: its falling edge, MU_MAX, is still a signed 64-bit time.
+        run = make_run()
+        ttl = run.get_device("ttl0")
+        ttl.pulse_mu(MU_MAX)
+        assert ttl.state.events() == [(0, True), (MU_MAX, False)]
+        assert run.now_mu() == MU_MAX
+
     @pytest.mark.parametrize("duration", [2**63, 2**64 - 1])
     def test_duration_past_64_bits_overflows_when_its_end_fits(self, make_run, duration):
         run = make_run()
@@ -366,6 +374,24 @@ class TestEdgeCounter:
             dev.gate_rising(10**9)
             counts.append(dev.fetch_count())
         assert min(counts) >= 0 and max(counts) == 2**63 - 1
+
+    def test_poisson_draw_of_exactly_2_63_saturates(self, make_run, monkeypatch):
+        # One past the largest signed 64-bit count; patched before the counter binds its draw.
+        monkeypatch.setattr(Xoshiro256StarStar, "poisson", lambda self, mean: 2**63)
+        run = make_run(ddb=counter_ddb("poisson"))
+        dev = run.get_device("counter0")
+        dev.freq.push(1.0e3, 0)
+        dev.gate_rising(1_000_000)
+        assert dev.fetch_count() == 2**63 - 1
+
+    def test_gate_of_mu_max_at_cursor_0_is_accepted(self, make_run):
+        # The longest gate: its close, MU_MAX, is still a signed 64-bit time.
+        run = make_run()
+        dev = run.get_device("counter0")
+        dev.freq.push(0.0, 0)
+        assert dev.gate_rising_mu(MU_MAX) == MU_MAX
+        assert dev.gate.events() == [(0, True), (MU_MAX, False)]
+        assert dev.fetch_count() == 0
 
     def test_poisson_gate_at_1ghz_for_1s_is_bounded(self, make_run, draw_limit):
         run = make_run(seed=3, ddb=counter_ddb("poisson"))

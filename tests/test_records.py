@@ -195,6 +195,17 @@ VALIDATION = [
      "scenario of 10000004 driver calls and delays exceeds the bound of 10000000"),
     (BenchScenario, ("s", 1, 1), {"delay_per_sample_mu": 2**63}, ValueError,
      "scenario timeline of 9223372036855028808 MU exceeds signed 64-bit machine units"),
+    # Counts are ints and buffered a bool, checked before any other check: a bool is not a count.
+    (BenchScenario, ("s", 2.5, 3), {}, TypeError, "points must be int, got 2.5"),
+    (BenchScenario, ("s", True, 3), {}, TypeError, "points must be int, got True"),
+    (BenchScenario, ("s", 0, 3.0), {}, TypeError, "samples_per_point must be int, got 3.0"),
+    (BenchScenario, ("s", 1, 1), {"delay_per_sample_mu": 1.5}, TypeError, "delay_per_sample_mu must be int, got 1.5"),
+    (BenchScenario, ("s", 1, 1), {"pulses_per_sample": None}, TypeError, "pulses_per_sample must be int, got None"),
+    (BenchScenario, ("s", 1, 1), {"dds_sets_per_sample": False}, TypeError,
+     "dds_sets_per_sample must be int, got False"),
+    (BenchScenario, ("s", 1, 1), {"pulse_mu": "1000"}, TypeError, "pulse_mu must be int, got '1000'"),
+    (BenchScenario, ("s", 1, 1), {"buffered": "no"}, TypeError, "buffered must be bool, got 'no'"),
+    (BenchScenario, ("s", 1, 1), {"buffered": 1}, TypeError, "buffered must be bool, got 1"),
     (DeviceDescriptor, ("x", "adc", ["channels"]), {}, DeviceError, "device 'x': params must be a dict or None, got list"),
 ]
 
@@ -270,3 +281,23 @@ def test_demo_experiment_loads_no_bench():
     # The presets join the registry only on the first ask for a name it lacks.
     then = "assert rtsim.experiments.get_experiment('demo').name == 'demo'"
     assert _loaded_by_import("rtsim.experiments", ["rtsim.bench"], then) == "[]\n"
+
+
+def test_demo_ddb_loads_no_resource_reader():
+    # The bundled device database is a dict in rtsim.experiments, not a package-data file.
+    then = "assert len(rtsim.experiments.load_demo_ddb()) == 8"
+    assert _loaded_by_import("rtsim.experiments", ["importlib.resources"], then) == "[]\n"
+
+
+def test_load_demo_ddb_opens_no_file_and_shares_no_params(monkeypatch):
+    from rtsim.experiments import DEMO_DDB, load_demo_ddb
+
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"open{args}")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    ddb = load_demo_ddb()
+    assert [d.name for d in ddb.devices] == [entry["name"] for entry in DEMO_DDB["devices"]]
+    # Each descriptor has its own params dict, so no run can change the shared DEMO_DDB.
+    assert ddb.descriptor("adc0").params == {"channels": 2, "sample_delay_mu": 0}
+    assert DEMO_DDB["devices"][7]["params"] == {"channels": 2}
