@@ -15,6 +15,8 @@ from . import rng
 from .signals import UNKNOWN, SignalKind, SignalKindMismatch, _coerce_real, _is_plain_name
 from .timeline import MU_MAX, REF_PERIOD_S, FrozenRecord, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
+_INF = float("inf")
+
 
 class DeviceError(Exception):
     """Base class for device configuration and driver usage errors."""
@@ -41,6 +43,25 @@ def _bad_duration(call, what, duration_mu):
         raise MachineUnitsOverflow(
             f"{call}: duration {short_repr(duration_mu)} exceeds signed 64-bit machine units")
     raise DeviceError(f"{what} duration must be a positive int, got {short_repr(duration_mu)}")
+
+
+def _edges(time, signal, duration_mu):
+    """``delay_mu(duration_mu)`` in place, for a duration checked ``0 < d <= MU_MAX``, then a True edge at the
+    cursor and a False edge at the end time on ``signal``; returns the end time. As ``d > 0`` and the cursor is
+    in its frame's window, only the window's high end can be crossed: then ``delay_mu`` raises, before any edge.
+    """
+    t_on = time._now
+    t_off = t_on + duration_mu
+    if t_off > time._hi:
+        time.delay_mu(duration_mu)  # raises
+    longest = time._longest
+    if longest is None:
+        time._now = t_off
+    elif duration_mu > longest:  # parallel: the cursor stays at the frame start
+        time._longest = duration_mu
+    signal._put(True, t_on)
+    signal._put(False, t_off)
+    return t_off
 
 
 def _positive_int(key, value):
@@ -108,10 +129,11 @@ class SimDevice:
     and its value is a constant of the signal's kind or one the driver has
     just checked.
 
-    A driver call is one statement: a call that delays stores its later
-    edge at the end time ``delay_mu`` returns, not at ``now_mu()``, so in a
-    parallel frame, where the cursor stays at the frame start, it stores
-    the same events as in a sequential frame.
+    Drivers read the cursor in place, as ``_time._now``. A driver call is
+    one statement: a call that delays stores its later edge at the end time
+    ``delay_mu`` or ``_edges`` returns, not at the cursor, so in a parallel
+    frame, where the cursor stays at the frame start, it stores the same
+    events as in a sequential frame.
 
     ``PARAMS`` maps each DDB param a kind accepts to its default and to the
     check its value must pass, which returns an error text or None.
@@ -147,19 +169,15 @@ class TtlOut(SimDevice):
         self.state = self._register("state", SignalKind.BOOL)
 
     def on(self) -> None:
-        self.state._put(True, self._time.now_mu())
+        self.state._put(True, self._time._now)
 
     def off(self) -> None:
-        self.state._put(False, self._time.now_mu())
+        self.state._put(False, self._time._now)
 
     def pulse_mu(self, duration_mu: int) -> None:
         if type(duration_mu) is not int or not 0 < duration_mu <= MU_MAX:
             _bad_duration("pulse_mu", "pulse", duration_mu)
-        # Move the cursor before pushing, so an overflow leaves no rising edge behind.
-        t_on = self._time.now_mu()
-        t_off = self._time.delay_mu(duration_mu)
-        self.state._put(True, t_on)
-        self.state._put(False, t_off)
+        _edges(self._time, self.state, duration_mu)
 
     # Alias matching the common driver surface.
     pulse = pulse_mu
@@ -181,7 +199,7 @@ class TtlIn(SimDevice):
 
     def sample_input(self) -> None:
         """Draw one Bernoulli sample at the cursor and enqueue it."""
-        cursor = self._time.now_mu()
+        cursor = self._time._now
         p = self.prob.pull(cursor)
         if p is UNKNOWN:
             raise InputUnset(f"{self.name}: input probability is unset at t={cursor}")
@@ -219,7 +237,7 @@ class EdgeCounter(SimDevice):
         """Open the gate for ``duration_mu``, enqueue the count, return the close time."""
         if type(duration_mu) is not int or not 0 < duration_mu <= MU_MAX:
             _bad_duration("gate_rising_mu", "gate", duration_mu)
-        t_open = self._time.now_mu()
+        t_open = self._time._now
         f = self.freq.pull(t_open)
         if f is UNKNOWN:
             raise InputUnset(f"{self.name}: input frequency is unset at t={t_open}")
@@ -230,9 +248,7 @@ class EdgeCounter(SimDevice):
         if not mean < rng.POISSON_MEAN_LIMIT:  # nan, inf, or a count no signed 64-bit counter holds
             raise DeviceError(
                 f"{self.name}: count mean of a {duration_mu} MU gate at {f} Hz is not finite or is 2**63 or more")
-        t_close = self._time.delay_mu(duration_mu)
-        self.gate._put(True, t_open)
-        self.gate._put(False, t_close)
+        t_close = _edges(self._time, self.gate, duration_mu)
         count = self._count(mean)
         # A mean below 2**63 can still draw a count past it: a signed 64-bit counter saturates.
         self.buffer.put(count if count < 2**63 else 2**63 - 1)
@@ -263,17 +279,20 @@ class Dds(SimDevice):
         """Set frequency (Hz, >= 0), phase (turns, in [0, 1)) and amplitude (in [0, 1]) at the cursor.
 
         Each argument must be a value its REAL signal stores, a finite int or
-        float (no bool), and is stored as a float. Every check and the delay
-        come before the first write, so a call that raises leaves no event.
+        float (no bool), stored as a float; three floats in range pass one test.
+        Every check and the delay come before the first write, so a call that raises leaves no event.
         """
-        try:
-            freq, phase, amp = _coerce_real(freq_hz), _coerce_real(phase_turns), _coerce_real(amplitude)
-        except SignalKindMismatch as exc:
-            raise DeviceError(f"{self.name}: frequency, phase and amplitude must be finite reals: {exc}") from None
-        if not (freq >= 0.0 and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
-            raise DeviceError(f"{self.name}: need frequency >= 0, phase in [0, 1) turns and amplitude in [0, 1], "
-                              f"got {freq!r}, {phase!r}, {amp!r}")
-        cursor = self._time.now_mu()
+        freq, phase, amp = freq_hz, phase_turns, amplitude
+        if not (type(freq) is float and type(phase) is float and type(amp) is float
+                and 0.0 <= freq < _INF and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):  # nan fails each compare
+            try:
+                freq, phase, amp = _coerce_real(freq), _coerce_real(phase), _coerce_real(amp)
+            except SignalKindMismatch as exc:
+                raise DeviceError(f"{self.name}: frequency, phase and amplitude must be finite reals: {exc}") from None
+            if not (freq >= 0.0 and 0.0 <= phase < 1.0 and 0.0 <= amp <= 1.0):
+                raise DeviceError(f"{self.name}: need frequency >= 0, phase in [0, 1) turns and amplitude in [0, 1], "
+                                  f"got {freq!r}, {phase!r}, {amp!r}")
+        cursor = self._time._now
         if self._set_delay_mu:  # a zero delay cannot raise and changes nothing: the cursor is in its window
             self._time.delay_mu(self._set_delay_mu)
         self.freq._put(freq, cursor)
@@ -298,7 +317,7 @@ class Adc(SimDevice):
 
     def sample_input(self) -> None:
         """Read all channel voltages at the cursor and enqueue the vector."""
-        cursor = self._time.now_mu()
+        cursor = self._time._now
         values = []
         for i, sig in enumerate(self.voltages):
             v = sig.pull(cursor)

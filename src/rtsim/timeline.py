@@ -156,10 +156,11 @@ class TimeManager:
     pushes and pops frames; a run's ``sequential()`` and ``parallel()``
     each return one. A pushed frame's window is ``[start + MU_MIN, start + MU_MAX]``
     clipped to its parent's, so a time in it keeps every open frame's
-    duration in 64 bits. Every delay must end in the innermost window,
-    checked before any state changes, so a delay, jump or sync that raises
-    leaves the cursor and the frames as they were. Windows nest, so the
-    duration a pop re-applies lands in the parent's: a pop cannot overflow.
+    duration in 64 bits. Every delay must end in the innermost window, and
+    a ``delay_mu`` or ``at_mu`` step must be a signed 64-bit int, checked
+    before any state changes, so a delay, jump or sync that raises leaves
+    the cursor and the frames as they were. Windows nest, so the duration
+    a pop re-applies lands in the parent's: a pop cannot overflow.
     ``horizon()``, the counter estimate of ``sync_to_counter``, is the larger
     of the cursor and ``event_top[0]``: the largest event time, in the
     one-item list a ``SignalManager``'s signals share, or MU_MIN. The sync
@@ -195,6 +196,8 @@ class TimeManager:
         if not self._lo <= now <= self._hi:
             raise MachineUnitsOverflow(f"delay_mu: end time {short_repr(now)} is outside [{self._lo}, {self._hi}], "
                                        "where every open frame's duration fits in signed 64 bits")
+        if not MU_MIN <= d <= MU_MAX:  # after the window test, so a delay that fails both keeps its text
+            raise MachineUnitsOverflow(f"delay_mu: duration {short_repr(d)} exceeds signed 64-bit machine units")
         if self._longest is None:
             self._now = now
         elif d > self._longest:
@@ -265,10 +268,13 @@ class Frame:
         start = time._now
         time._enclosing.append((time._start, time._longest, time._lo, time._hi))
         time._start, time._longest = start, self._longest
-        if start + MU_MIN > time._lo:
-            time._lo = start + MU_MIN
-        if start + MU_MAX < time._hi:
-            time._hi = start + MU_MAX
+        # Only one window end can move: the low one if start > 0, the high one if start < 0.
+        if start > 0:
+            if start + MU_MIN > time._lo:
+                time._lo = start + MU_MIN
+        elif start < 0:
+            if start + MU_MAX < time._hi:
+                time._hi = start + MU_MAX
 
     def __exit__(self, typ, value, tb) -> None:
         time = self._time

@@ -82,10 +82,13 @@ class NaiveTimeline:
     """Cursor and timing frames kept plainly: every delay checks every open frame.
 
     ``frames`` lists the frames open above the root as ``[kind, start,
-    longest]``, ``kind`` being ``"seq"`` or ``"par"``. A delay is accepted iff
-    its end lies in the signed 64-bit range and its distance from every open
-    frame's start does too. A rejected delay or jump raises ``OverflowError``,
-    popping the root raises ``IndexError``; either leaves the state as it was.
+    longest]``, ``kind`` being ``"seq"`` or ``"par"``. A move of the cursor
+    is accepted iff its end lies in the signed 64-bit range and its distance
+    from every open frame's start does too. ``delay_mu`` also needs its
+    duration in that range; a sync's or a pop's move does not, as each is
+    made of steps that are. A rejected delay or jump raises
+    ``OverflowError``, popping the root raises ``IndexError``; either leaves
+    the state as it was.
     """
 
     LOW, HIGH = -(2**63), 2**63 - 1
@@ -109,6 +112,11 @@ class NaiveTimeline:
         return bool(self.frames) and self.frames[-1][0] == "par"
 
     def delay_mu(self, d: int) -> None:
+        if not self.fits(d):
+            raise OverflowError(f"delay of {d}")
+        self.move(d)
+
+    def move(self, d: int) -> None:
         end = self.cursor + d
         if not self.fits(end) or not all(self.fits(end - start) for _, start, _ in self.frames):
             raise OverflowError(f"delay of {d} from {self.cursor}")
@@ -134,7 +142,7 @@ class NaiveTimeline:
         kind, start, longest = self.frames.pop()
         duration = longest if kind == "par" else self.cursor - start
         self.cursor = start
-        self.delay_mu(duration)
+        self.move(duration)
 
     def event(self, t: int) -> None:
         self.event_times.append(t)
@@ -144,7 +152,7 @@ class NaiveTimeline:
 
     def sync(self) -> None:
         jump = self.jump_to(self.horizon())
-        self.delay_mu(max(jump, self.slack) if self.parallel() else jump + self.slack)
+        self.move(max(jump, self.slack) if self.parallel() else jump + self.slack)
         self.sync_count += 1
         if self.first_sync_cursor is None:
             self.first_sync_cursor = self.cursor

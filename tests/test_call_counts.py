@@ -5,13 +5,14 @@ of these wins fails tier-1, not only a benchmark run.
 """
 
 import collections
+import functools
 import sys
 
 import pytest
 
 from rtsim import DeviceDb, SimConfig, SimulationRun, set_input
 from rtsim.rng import Xoshiro256StarStar
-from rtsim.timeline import REGULAR_SYNC_SLACK_MU
+from rtsim.timeline import MU_MAX, REGULAR_SYNC_SLACK_MU
 
 
 def _python_calls(fn, limits=None):
@@ -176,3 +177,52 @@ def test_only_a_poisson_counter_builds_a_random_stream(counter_mode, streams):
     run = _counter_run(counter_mode)
     calls = _python_calls(lambda: run.get_device("counter0"))
     assert calls["substream_seed"] == calls["Xoshiro256StarStar.__init__"] == streams
+
+
+def _cursor_calls(calls):
+    return {name: calls[name] for name in ("TimeManager.now_mu", "TimeManager.delay_mu") if calls[name]}
+
+
+@pytest.mark.parametrize("frame", [None, "sequential", "parallel"])
+def test_pulse_and_gate_move_the_cursor_in_place(frame):
+    # Each reads and moves the cursor itself; delay_mu runs only to raise, on a pulse past its window.
+    run = _counter_run("deterministic")
+    ttl, counter = run.get_device("ttl0"), run.get_device("counter0")
+    set_input(run, "counter0", "freq", 0, 1.0e6)
+
+    def body():
+        ttl.pulse_mu(100)
+        counter.gate_rising_mu(200)
+
+    if frame is None:
+        calls = _python_calls(body)
+    else:
+        with getattr(run, frame)():
+            calls = _python_calls(body)
+    assert _cursor_calls(calls) == {}
+    assert calls["_edges"] == 2
+    assert run.now_mu() == (300 if frame != "parallel" else 200)
+
+
+def test_dds_set_of_three_floats_makes_no_coercion_or_cursor_call():
+    devices = [{"name": "core", "kind": "core"}, {"name": "dds0", "kind": "dds"}]
+    run = SimulationRun(DeviceDb.from_dict({"devices": devices}), SimConfig())
+    dds = run.get_device("dds0")
+    calls = _python_calls(functools.partial(dds.set, 2.0e8, 0.25, 0.5))
+    assert calls["_coerce_real"] == 0 and _cursor_calls(calls) == {}
+    assert calls == {"Dds.set": 1, "Signal._put": 3}
+    # Any other argument type is coerced, as before: an int frequency is stored as its float.
+    calls = _python_calls(functools.partial(dds.set, 10**8, 0.25, 0.5))
+    assert calls["_coerce_real"] == 3 and dds.freq.events() == [(0, 1.0e8)]
+
+
+@pytest.mark.parametrize("call", ["pulse_mu", "gate_rising_mu"])
+def test_call_that_ends_on_the_window_end_makes_no_delay_call(call):
+    # An end time on the window's high end is in it: only one past it goes through delay_mu, to raise.
+    run = _counter_run("deterministic")
+    ttl, counter = run.get_device("ttl0"), run.get_device("counter0")
+    device = ttl if call == "pulse_mu" else counter
+    set_input(run, "counter0", "freq", 0, 1.0e6)
+    run.at_mu(MU_MAX - 1000)
+    calls = _python_calls(lambda: getattr(device, call)(1000))
+    assert _cursor_calls(calls) == {} and run.now_mu() == MU_MAX

@@ -266,6 +266,30 @@ class TestNowAndDelay:
                 tm.delay_mu(9)  # up to the outer frame's last MU
         assert tm.now_mu() == -1
 
+    @pytest.mark.parametrize("start, d", [(MU_MIN, 2**64 - 1), (MU_MIN, 2**63), (MU_MAX, -(2**64 - 1)),
+                                          (MU_MAX, MU_MIN - 1)])
+    def test_duration_past_64_bits_raises_when_its_end_fits(self, start, d):
+        # The end, start + d, lies in the cursor's window; the duration itself does not fit in signed 64 bits.
+        tm = manager()
+        tm.at_mu(start)
+        assert MU_MIN <= start + d <= MU_MAX
+        with pytest.raises(MachineUnitsOverflow, match=r"delay_mu: duration .* exceeds signed 64-bit"):
+            tm.delay_mu(d)
+        assert (tm.now_mu(), frames(tm)) == (start, [(0, None, MU_MIN, MU_MAX)])
+
+    @pytest.mark.parametrize("start, d", [(MU_MIN, MU_MAX), (MU_MAX, MU_MIN)])
+    def test_longest_signed_64_bit_durations_are_accepted(self, start, d):
+        tm = manager()
+        tm.at_mu(start)
+        assert tm.delay_mu(d) == tm.now_mu() == -1
+
+    def test_delay_past_both_bounds_keeps_the_end_time_text(self):
+        # The window is checked first, so a delay whose end and duration both overflow raises as before.
+        tm = manager()
+        with pytest.raises(MachineUnitsOverflow, match="delay_mu: end time 18446744073709551616 is outside"):
+            tm.delay_mu(2**64)
+        assert tm.now_mu() == 0
+
 
 class TestDelaySeconds:
     def test_microsecond_converts_to_thousand_mu(self):
