@@ -268,13 +268,10 @@ class Frame:
         start = time._now
         time._enclosing.append((time._start, time._longest, time._lo, time._hi))
         time._start, time._longest = start, self._longest
-        # Only one window end can move: the low one if start > 0, the high one if start < 0.
-        if start > 0:
-            if start + MU_MIN > time._lo:
-                time._lo = start + MU_MIN
-        elif start < 0:
-            if start + MU_MAX < time._hi:
-                time._hi = start + MU_MAX
+        if start + MU_MIN > time._lo:
+            time._lo = start + MU_MIN
+        if start + MU_MAX < time._hi:
+            time._hi = start + MU_MAX
 
     def __exit__(self, typ, value, tb) -> None:
         time = self._time

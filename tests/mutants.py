@@ -3,15 +3,16 @@
 Run from the root of a checkout (stdlib only; pytest and Hypothesis as for tier-1):
 
     python3 tests/mutants.py               # every mutant in MUTANTS
-    python3 tests/mutants.py NAME [NAME ...]
     python3 tests/mutants.py --self-test   # the runner's own check, on planted mutants
 
 Each mutant replaces one exact text, which must occur exactly once in its file,
 in a fresh temporary copy of the checkout. Tier-1 then runs in that copy with
 ``-x``, a fixed Hypothesis seed and the wall-time envelope test deselected. A
 failing test that measures wall time or ``tracemalloc`` is not a kill: it is
-deselected too and the run repeated. The command exits non-zero if a mutant
-survives that ``EQUIVALENT`` does not list, or if a mutant's text is not found.
+deselected too and the run repeated. A tier-1 run that takes longer than
+``TIER1_TIMEOUT_S``, many times a full run, is a hang the mutant caused,
+and a kill. The command exits non-zero if a mutant survives that
+``EQUIVALENT`` does not list, or if a mutant's text is not found.
 It is not part of tier-1: a killed mutant costs a run up to its first failure,
 a survivor a full tier-1 run.
 """
@@ -34,7 +35,6 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     ("edges-end-on-window-high", "src/rtsim/devices.py", "if t_off > time._hi:", "if t_off >= time._hi:"),
     ("edges-longest-tie", "src/rtsim/devices.py", "elif duration_mu > longest:", "elif duration_mu >= longest:"),
-    ("frame-clip-low-at-start-0", "src/rtsim/timeline.py", "        if start > 0:\n", "        if start >= 0:\n"),
     ("dds-set-accepts-inf", "src/rtsim/devices.py", "0.0 <= freq < _INF", "0.0 <= freq <= _INF"),
     ("delay-duration-excludes-mu-max", "src/rtsim/timeline.py",
      "if not MU_MIN <= d <= MU_MAX:", "if not MU_MIN <= d < MU_MAX:"),
@@ -52,10 +52,10 @@ MUTANTS = [
 # name -> why the mutant cannot change what any caller sees
 EQUIVALENT = {
     "edges-longest-tie": "on a tie the parallel frame's longest delay is set to the value it already holds",
-    "frame-clip-low-at-start-0": "at start 0 the low end would be clipped to MU_MIN, which no window is below",
 }
 
 ENVELOPE_TEST = "tests/test_acceptance.py::test_criterion_7_performance_envelope"
+TIER1_TIMEOUT_S = 900
 BOUND_WORDS = re.compile(r"tracemalloc|perf_counter|monotonic|time\.time")
 
 
@@ -82,13 +82,13 @@ def _is_bound_test(node_id: str, root: Path) -> bool:
     return bool(BOUND_WORDS.search(_test_source(node_id, root)))
 
 
-def _tier1(root: Path, deselect: list[str], timeout: float) -> tuple[str, list[str]]:
+def _tier1(root: Path, deselect: list[str]) -> tuple[str, list[str]]:
     """Run tier-1 in ``root``; return ("pass" | "fail" | "timeout", the failed or errored node ids)."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider", "--hypothesis-seed=0",
            *(f"--deselect={node}" for node in deselect)]
     try:
-        done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+        done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout", []
     if done.returncode == 0:
@@ -97,7 +97,7 @@ def _tier1(root: Path, deselect: list[str], timeout: float) -> tuple[str, list[s
     return "fail", failed or [f"exit status {done.returncode}"]
 
 
-def run_mutant(path: str, text: str, new: str, timeout: float) -> tuple[str, str]:
+def run_mutant(path: str, text: str, new: str) -> tuple[str, str]:
     """Apply one mutant to a fresh copy and run tier-1; return (verdict, detail).
 
     The verdict is "killed", "survived" or "error" (the text is not found exactly once).
@@ -113,11 +113,11 @@ def run_mutant(path: str, text: str, new: str, timeout: float) -> tuple[str, str
         target.write_text(source.replace(text, new))
         deselect = [ENVELOPE_TEST]
         while True:
-            outcome, failed = _tier1(root, deselect, timeout)
+            outcome, failed = _tier1(root, deselect)
             if outcome == "pass":
                 return "survived", ""
             if outcome == "timeout":
-                return "killed", f"tier-1 ran past {timeout:.0f} s"
+                return "killed", f"tier-1 ran past {TIER1_TIMEOUT_S} s"
             bounds = [node for node in failed if _is_bound_test(node, root) and node not in deselect]
             if len(bounds) < len(failed):
                 return "killed", ", ".join(node for node in failed if node not in bounds)
@@ -137,7 +137,7 @@ def score(results: dict, equivalent: dict, out=print) -> bool:
     return counts["survived"] == counts["error"] == 0
 
 
-def self_test(timeout: float) -> bool:
+def self_test() -> bool:
     """Plant a killed, an equivalent and an unapplicable mutant; check each verdict and the exit rule."""
     planted = [
         ("planted-killed", "src/rtsim/timeline.py", "MU_MAX = 2**63 - 1\n", "MU_MAX = 2**63 - 2\n"),
@@ -145,7 +145,7 @@ def self_test(timeout: float) -> bool:
          "REGULAR_SYNC_SLACK_MU = 125000\n"),
         ("planted-missing", "src/rtsim/timeline.py", "no such text", ""),
     ]
-    results = {name: run_mutant(*mutant, timeout=timeout) for name, *mutant in planted}
+    results = {name: run_mutant(*mutant) for name, *mutant in planted}
     verdicts = {name: verdict for name, (verdict, _) in results.items()}
     print(verdicts)
     listed = {"planted-equivalent": "the same int literal"}
@@ -165,20 +165,14 @@ def self_test(timeout: float) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
     parser.add_argument("--self-test", action="store_true", help="check the runner on planted mutants")
-    parser.add_argument("--timeout", type=float, default=900, help="seconds a tier-1 run may take")
     args = parser.parse_args(argv)
     if args.self_test:
-        return 0 if self_test(args.timeout) else 1
-    unknown = set(args.names) - {m[0] for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 0 if self_test() else 1
     results = {}
     for name, *mutant in MUTANTS:
-        if not args.names or name in args.names:
-            results[name] = run_mutant(*mutant, timeout=args.timeout)
-            print(f"{name}: {results[name][0]}", flush=True)
+        results[name] = run_mutant(*mutant)
+        print(f"{name}: {results[name][0]}", flush=True)
     print()
     return 0 if score(results, EQUIVALENT) else 1
 
