@@ -10,9 +10,10 @@ seeded random streams.
 from __future__ import annotations
 
 import collections
+from bisect import bisect_right
 
 from . import rng
-from .signals import UNKNOWN, SignalKind, SignalKindMismatch, _coerce_real, _is_plain_name
+from .signals import SignalKind, SignalKindMismatch, _coerce_real, _is_plain_name
 from .timeline import MU_MAX, REF_PERIOD_S, FrozenRecord, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
 _INF = float("inf")
@@ -59,8 +60,19 @@ def _edges(time, signal, duration_mu):
         time._now = t_off
     elif duration_mu > longest:  # parallel: the cursor stays at the frame start
         time._longest = duration_mu
-    signal._put(True, t_on)
-    signal._put(False, t_off)
+    times = signal._times
+    if not times or t_on > times[-1]:  # both edges append: the store's common case, written in place
+        values = signal._values
+        times.append(t_on)
+        times.append(t_off)
+        values.append(True)
+        values.append(False)
+        top = signal._event_top
+        if t_off > top[0]:
+            top[0] = t_off
+    else:
+        signal._put(True, t_on)
+        signal._put(False, t_off)
     return t_off
 
 
@@ -124,10 +136,11 @@ class InputBuffer(collections.deque):
 class SimDevice:
     """Common driver state: timeline access, signal registration.
 
-    Drivers store events with ``Signal._put``, not ``push``: each write's
-    time is a cursor time, which the timeline keeps a signed 64-bit int,
-    and its value is a constant of the signal's kind or one the driver has
-    just checked.
+    Drivers store events without ``push``'s checks: each write's time is a
+    cursor time, which the timeline keeps a signed 64-bit int, and its value
+    is a constant of the signal's kind or one the driver has just checked.
+    Writes strictly past a signal's last event append in place and raise the
+    horizon cell; the rest go through ``Signal._put``. Input reads bisect in place.
 
     Drivers read the cursor in place, as ``_time._now``. A driver call is
     one statement: a call that delays stores its later edge at the end time
@@ -200,9 +213,10 @@ class TtlIn(SimDevice):
     def sample_input(self) -> None:
         """Draw one Bernoulli sample at the cursor and enqueue it."""
         cursor = self._time._now
-        p = self.prob.pull(cursor)
-        if p is UNKNOWN:
+        idx = bisect_right(self.prob._times, cursor)  # Signal.pull in place: the cursor is an int
+        if not idx:
             raise InputUnset(f"{self.name}: input probability is unset at t={cursor}")
+        p = self.prob._values[idx - 1]
         if not 0.0 <= p <= 1.0:
             raise DeviceError(f"{self.name}: probability {p} outside [0, 1]")
         # Delay first, as pulse_mu does, so an overflow leaves no event, buffer entry or draw.
@@ -238,9 +252,10 @@ class EdgeCounter(SimDevice):
         if type(duration_mu) is not int or not 0 < duration_mu <= MU_MAX:
             _bad_duration("gate_rising_mu", "gate", duration_mu)
         t_open = self._time._now
-        f = self.freq.pull(t_open)
-        if f is UNKNOWN:
+        idx = bisect_right(self.freq._times, t_open)
+        if not idx:
             raise InputUnset(f"{self.name}: input frequency is unset at t={t_open}")
+        f = self.freq._values[idx - 1]
         if f < 0:
             raise DeviceError(f"{self.name}: negative input frequency {f}")
         # The mean is checked before the cursor moves, so a bad one leaves no edge behind.
@@ -295,9 +310,22 @@ class Dds(SimDevice):
         cursor = self._time._now
         if self._set_delay_mu:  # a zero delay cannot raise and changes nothing: the cursor is in its window
             self._time.delay_mu(self._set_delay_mu)
-        self.freq._put(freq, cursor)
-        self.phase._put(phase, cursor)
-        self.amp._put(amp, cursor)
+        f_sig, p_sig, a_sig = self.freq, self.phase, self.amp
+        ft, pt, at = f_sig._times, p_sig._times, a_sig._times
+        if ft and pt and at and cursor > ft[-1] and cursor > pt[-1] and cursor > at[-1]:  # three appends
+            ft.append(cursor)
+            pt.append(cursor)
+            at.append(cursor)
+            f_sig._values.append(freq)
+            p_sig._values.append(phase)
+            a_sig._values.append(amp)
+            top = f_sig._event_top  # the three signals share their manager's horizon cell
+            if cursor > top[0]:
+                top[0] = cursor
+        else:
+            f_sig._put(freq, cursor)
+            p_sig._put(phase, cursor)
+            a_sig._put(amp, cursor)
 
 
 class Adc(SimDevice):
@@ -320,10 +348,10 @@ class Adc(SimDevice):
         cursor = self._time._now
         values = []
         for i, sig in enumerate(self.voltages):
-            v = sig.pull(cursor)
-            if v is UNKNOWN:
+            idx = bisect_right(sig._times, cursor)
+            if not idx:
                 raise InputUnset(f"{self.name}: channel {i} voltage is unset at t={cursor}")
-            values.append(v)
+            values.append(sig._values[idx - 1])
         if self._sample_delay_mu:
             self._time.delay_mu(self._sample_delay_mu)
         self.buffer.put(values)

@@ -138,7 +138,9 @@ class Signal:
     value, then hands both to ``_put``, the store. A caller that holds a
     cursor time (an int the timeline keeps in signed 64 bits) and a value
     of the signal's kind, such as a driver writing a constant or a value it
-    has just checked, calls ``_put`` itself.
+    has just checked, calls ``_put`` itself. An event strictly past the last
+    appends to both lists and raises the horizon cell, which a driver may do
+    in place; every overwrite and insert goes through ``_put``.
     """
 
     __slots__ = ("device_name", "signal_name", "kind", "is_input", "_times", "_values", "_coerce", "_event_top")

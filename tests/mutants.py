@@ -47,6 +47,13 @@ MUTANTS = [
      "count if count < 2**63 else", "count if count <= 2**63 else"),
     ("bernoulli-draws-at-p-0", "src/rtsim/rng.py", "if p <= 0.0:", "if p < 0.0:"),
     ("bernoulli-draws-at-p-1", "src/rtsim/rng.py", "if p >= 1.0:", "if p > 1.0:"),
+    # The drivers' in-place appends and reads.
+    ("edges-append-on-last-edge", "src/rtsim/devices.py", "t_on > times[-1]", "t_on >= times[-1]"),
+    ("dds-append-unchecked-amp", "src/rtsim/devices.py", " and cursor > at[-1]", ""),
+    ("edges-horizon-at-t-on", "src/rtsim/devices.py", "top[0] = t_off", "top[0] = t_on"),
+    # bisect_left, written as bisect_right one MU earlier: the times are ints.
+    ("adc-read-excludes-cursor", "src/rtsim/devices.py", "bisect_right(sig._times, cursor)",
+     "bisect_right(sig._times, cursor - 1)"),
 ]
 
 # name -> why the mutant cannot change what any caller sees

@@ -226,3 +226,57 @@ def test_call_that_ends_on_the_window_end_makes_no_delay_call(call):
     run.at_mu(MU_MAX - 1000)
     calls = _python_calls(lambda: getattr(device, call)(1000))
     assert _cursor_calls(calls) == {} and run.now_mu() == MU_MAX
+
+
+def _driver_run():
+    devices = [{"name": "core", "kind": "core"}, {"name": "ttl0", "kind": "ttl_out"},
+               {"name": "counter0", "kind": "edge_counter"}, {"name": "dds0", "kind": "dds"},
+               {"name": "in0", "kind": "ttl_in"}, {"name": "adc0", "kind": "adc", "params": {"channels": 2}}]
+    run = SimulationRun(DeviceDb.from_dict({"devices": devices}), SimConfig())
+    for device in devices:
+        run.get_device(device["name"])  # registers its signals
+    for device, signal, value in (("counter0", "freq", 1.0e6), ("in0", "prob", 1.0), ("adc0", "v0", 0.5),
+                                  ("adc0", "v1", -0.5)):
+        set_input(run, device, signal, 0, value)
+    return run
+
+
+def test_writes_past_the_last_event_make_no_put_call():
+    # The common write appends in place: a pulse, a gate and a dds.set past their signals' last events.
+    run = _driver_run()
+    ttl, counter, dds = run.get_device("ttl0"), run.get_device("counter0"), run.get_device("dds0")
+    dds.set(1.0e6, 0.0, 1.0)  # the first write to an empty DDS goes through _put
+    run.delay_mu(5)
+
+    def body():
+        ttl.pulse_mu(10)
+        counter.gate_rising_mu(10)
+        dds.set(2.0e6, 0.25, 0.5)
+
+    calls = _python_calls(body)
+    assert calls["Signal._put"] == 0
+    assert ttl.state.events() == [(5, True), (15, False)] and counter.gate.events() == [(15, True), (25, False)]
+    assert dds.amp.events() == [(0, 1.0), (25, 0.5)] and run.signals.event_top == [25]
+
+
+def test_pulse_that_starts_on_the_last_edge_puts_both_edges():
+    # A pulse on an empty signal appends in place; the next, starting on its falling edge, overwrites that edge.
+    run = _driver_run()
+    ttl = run.get_device("ttl0")
+    assert _python_calls(lambda: ttl.pulse_mu(10))["Signal._put"] == 0
+    assert _python_calls(lambda: ttl.pulse_mu(10))["Signal._put"] == 2
+    assert ttl.state.events() == [(0, True), (10, True), (20, False)]
+
+
+def test_sampling_drivers_make_no_pull_call():
+    # Each reads its input signal with a bisect in place.
+    run = _driver_run()
+    ttl_in, counter, adc = run.get_device("in0"), run.get_device("counter0"), run.get_device("adc0")
+
+    def body():
+        ttl_in.sample_input()
+        counter.gate_rising_mu(1000)
+        adc.sample_input()
+
+    assert _python_calls(body)["Signal.pull"] == 0
+    assert ttl_in.fetch_sample() == 1 and counter.fetch_count() == 1 and adc.fetch_sample() == [0.5, -0.5]

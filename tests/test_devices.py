@@ -18,7 +18,6 @@ from rtsim import (
     InputBuffer,
     InputUnset,
     MachineUnitsOverflow,
-    Signal,
     SignalError,
     SignalKindMismatch,
     SignalManager,
@@ -807,25 +806,42 @@ def run_program(run, program):
             run.delay_mu(args[0])
 
 
+def _store(run):
+    """Every signal's events, as a map from time to the value's type and repr."""
+    return {(sig.device_name, sig.signal_name): {t: (type(v), repr(v)) for t, v in zip(sig._times, sig._values)}
+            for sig in run.signals}
+
+
+def run_logged(run, program, writes):
+    """``run_program``, logging each driver call's writes as the events it added or changed in the store.
+
+    Drivers write through ``Signal._put`` or append in place, so the log reads the lists, not the calls. A
+    store event is never removed, and no call writes one signal twice at one time, so the diff is every write.
+    """
+    for op, *args in program:
+        if op in ("sequential", "parallel"):
+            with getattr(run, op)():
+                run_logged(run, args[0], writes)
+            continue
+        before = _store(run)
+        run_program(run, [(op, *args)])
+        for sig in run.signals:
+            old = before[sig.device_name, sig.signal_name]
+            writes += [(sig.device_name, sig.signal_name, v, t) for t, v in zip(sig._times, sig._values)
+                       if old.get(t) != (type(v), repr(v))]
+
+
 @given(program=st.lists(driver_op, max_size=20))
 @settings(max_examples=200, deadline=None)
 def test_driver_writes_store_what_push_would(program):
-    """Drivers write with ``Signal._put``; replaying each write through ``push`` gives the same store."""
+    """Drivers write cursor times and checked values; replaying each write through ``push`` gives the same store."""
     run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
     for name in ("ttl0", "ttl1", "in0", "counter0", "dds0"):
         run.get_device(name)
-    writes = []
-    put = Signal._put
-
-    def logged_put(sig, value, time):
-        writes.append((sig.device_name, sig.signal_name, value, time))
-        put(sig, value, time)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Signal, "_put", logged_put)
-        run.signals.signal("in0", "prob").push(0.5, MU_MIN)
-        run.signals.signal("counter0", "freq").push(1e6, MU_MIN)
-        run_program(run, program)
+    writes = [("in0", "prob", 0.5, MU_MIN), ("counter0", "freq", 1e6, MU_MIN)]
+    for device, name, value, time in writes:
+        run.signals.signal(device, name).push(value, time)
+    run_logged(run, program, writes)
 
     replay = SignalManager()
     for sig in run.signals:

@@ -1,12 +1,15 @@
 """The drivers against reference drivers that move the cursor through the timeline's public calls.
 
-``TtlOut``, ``EdgeCounter`` and ``Dds`` read and move the cursor in place and
-take three in-range floats without coercing them. The reference drivers here
-do each call the plain way: ``now_mu()`` for the cursor, ``delay_mu()`` for
-every delay, ``_coerce_real`` for every ``Dds.set`` argument, ``Signal._put``
-for every edge. Random programs run on both, and after each call the two runs
-must agree on the exception (type and text), the cursor, the frames and every
-signal's events.
+``TtlOut``, ``EdgeCounter``, ``Dds``, ``TtlIn`` and ``Adc`` read and move the
+cursor in place, append an event past a signal's last one to its lists in
+place, read their inputs with a bisect in place and take three in-range floats
+without coercing them. The reference drivers here do each call the plain way:
+``now_mu()`` for the cursor, ``delay_mu()`` for every delay, ``_coerce_real``
+for every ``Dds.set`` argument, ``Signal._put`` for every event and
+``Signal.pull`` for every input. Random programs, with user pushes on the
+drivers' signals near the cursor, run on both, and after each call the two runs
+must agree on the exception (type and text), the cursor, the frames, every
+signal's events and the input buffers.
 """
 
 import math
@@ -14,15 +17,16 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtsim import DeviceDb, DeviceError, SimConfig, SimulationRun
+from rtsim import UNKNOWN, DeviceDb, DeviceError, InputUnset, SimConfig, SimulationRun, set_input
 from rtsim.rng import POISSON_MEAN_LIMIT
 from rtsim.signals import SignalKindMismatch, _coerce_real
 from rtsim.timeline import MU_MAX, MU_MIN, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
 DDB = {"devices": [{"name": "core", "kind": "core"}, {"name": "ttl0", "kind": "ttl_out"},
                    {"name": "ttl1", "kind": "ttl_out"}, {"name": "counter0", "kind": "edge_counter"},
-                   {"name": "dds0", "kind": "dds"}]}
-FREQ_HZ = 1.0e6  # the counter's input: a gate of d MU counts d / 1000 edges
+                   {"name": "dds0", "kind": "dds"}, {"name": "in0", "kind": "ttl_in"},
+                   {"name": "adc0", "kind": "adc", "params": {"channels": 2}}]}
+FREQ_HZ = 1.0e6  # the counter's input until a program sets it: a gate of d MU counts d / 1000 edges
 
 
 def _bad_duration(call, what, duration_mu):
@@ -59,7 +63,7 @@ class RefCounter:
         if type(duration_mu) is not int or not 0 < duration_mu <= MU_MAX:
             _bad_duration("gate_rising_mu", "gate", duration_mu)
         t_open = self.time.now_mu()
-        f = self.freq.pull(t_open)
+        f = self.freq.pull(t_open)  # set at MU_MIN, so never UNKNOWN; a program sets only f >= 0
         mean = f * duration_mu * REF_PERIOD_S
         if not mean < POISSON_MEAN_LIMIT:
             raise DeviceError(
@@ -89,23 +93,57 @@ class RefDds:
         self.amp._put(amp, cursor)
 
 
+class RefTtlIn:
+    def __init__(self, time, driver):
+        self.time, self.name, self.prob, self.sample, self.buffer = time, driver.name, driver.prob, driver.sample, []
+        self.rng = driver._rng  # the driver's own stream: the two runs draw the same samples
+
+    def sample_input(self):
+        cursor = self.time.now_mu()
+        p = self.prob.pull(cursor)
+        if p is UNKNOWN:
+            raise InputUnset(f"{self.name}: input probability is unset at t={cursor}")
+        if not 0.0 <= p <= 1.0:
+            raise DeviceError(f"{self.name}: probability {p} outside [0, 1]")
+        value = self.rng.bernoulli(p)
+        self.sample._put(value, cursor)
+        self.buffer.append(value)
+
+
+class RefAdc:
+    def __init__(self, time, driver):
+        self.time, self.name, self.voltages, self.buffer = time, driver.name, driver.voltages, []
+
+    def sample_input(self):
+        cursor = self.time.now_mu()
+        values = []
+        for i, sig in enumerate(self.voltages):
+            v = sig.pull(cursor)
+            if v is UNKNOWN:
+                raise InputUnset(f"{self.name}: channel {i} voltage is unset at t={cursor}")
+            values.append(v)
+        self.buffer.append(values)
+
+
+REFERENCES = {"ttl0": RefTtl, "ttl1": RefTtl, "counter0": RefCounter, "dds0": RefDds, "in0": RefTtlIn, "adc0": RefAdc}
+
+
 def _drivers(reference):
     run = SimulationRun(DeviceDb.from_dict(DDB), SimConfig())
-    devices = {name: run.get_device(name) for name in ("ttl0", "ttl1", "counter0", "dds0")}
+    devices = {name: run.get_device(name) for name in REFERENCES}
     devices["counter0"].freq.push(FREQ_HZ, MU_MIN)
     if reference:
-        devices = {"ttl0": RefTtl(run.time, devices["ttl0"]), "ttl1": RefTtl(run.time, devices["ttl1"]),
-                   "counter0": RefCounter(run.time, devices["counter0"]), "dds0": RefDds(run.time, devices["dds0"])}
+        devices = {name: ref(run.time, devices[name]) for name, ref in REFERENCES.items()}
     return run, devices
 
 
 def _state(run, devices):
-    """The cursor, every frame, every signal's events with each value's type, and the counts enqueued."""
+    """The cursor, every frame, every signal's events with each value's type, and the values enqueued."""
     tm = run.time
     events = [(sig.device_name, sig.signal_name, list(sig._times), [(type(v), repr(v)) for v in sig._values])
               for sig in run.signals]
     return (tm.now_mu(), tm.depth, list(tm._enclosing), (tm._start, tm._longest, tm._lo, tm._hi), events,
-            run.signals.event_top[0], list(devices["counter0"].buffer))
+            run.signals.event_top[0], [list(devices[name].buffer) for name in ("counter0", "in0", "adc0")])
 
 
 def _outcome(call):
@@ -130,6 +168,15 @@ def _play(run, devices, program, log):
             outcome = _outcome(lambda: devices["counter0"].gate_rising_mu(args[0]))
         elif op == "dds":
             outcome = _outcome(lambda: devices["dds0"].set(*args))
+        elif op == "sample":
+            outcome = _outcome(devices[args[0]].sample_input)
+        elif op in ("push", "input"):  # a user write at the cursor plus an offset: Signal.push or set_input
+            device, signal = args[0].split(".")
+            time = run.now_mu() + args[2]
+            if op == "push":
+                outcome = _outcome(lambda: run.signals.signal(device, signal).push(args[1], time))
+            else:
+                outcome = _outcome(lambda: set_input(run, device, signal, time, args[1]))
         else:  # "at_mu" or "delay_mu", the timeline's own calls
             outcome = _outcome(lambda: getattr(run, op)(args[0]))
         log.append(((op, *args), outcome, _state(run, devices)))
@@ -149,12 +196,20 @@ reals = st.one_of(
     st.sampled_from([True, False, 2**1024, 1.0, -0.0, Float(0.5), Float(1.0), "0.5"]),
 )
 TTLS = st.sampled_from(["ttl0", "ttl1"])
+offsets = st.one_of(st.integers(-3, 3), st.integers(-2000, 2000))
 driver_op = st.recursive(
     st.one_of(
         st.tuples(st.just("pulse"), TTLS, durations),
         st.tuples(st.sampled_from(["on", "off"]), TTLS),
         st.tuples(st.just("gate"), durations),
         st.tuples(st.just("dds"), reals, reals, reals),
+        st.tuples(st.just("sample"), st.sampled_from(["in0", "adc0"])),
+        st.tuples(st.just("push"), st.sampled_from(["ttl0.state", "ttl1.state", "counter0.gate"]), st.booleans(),
+                  offsets),
+        st.tuples(st.just("push"), st.sampled_from(["dds0.freq", "dds0.phase", "dds0.amp"]), st.floats(0, 1), offsets),
+        st.tuples(st.just("input"), st.just("in0.prob"), st.sampled_from([0.0, 0.25, 1.0, 1.5]), offsets),
+        st.tuples(st.just("input"), st.sampled_from(["adc0.v0", "adc0.v1"]), st.floats(-10, 10), offsets),
+        st.tuples(st.just("input"), st.just("counter0.freq"), st.sampled_from([0.0, 5e5, FREQ_HZ, 3e6]), offsets),
         st.tuples(st.just("at_mu"), near),
         st.tuples(st.just("delay_mu"), st.one_of(near, st.integers(-2000, 2000))),
     ),
@@ -177,6 +232,20 @@ driver_op = st.recursive(
                   ("dds", 1e6, 0.5, math.nan), ("dds", 10**6, 0, 1), ("dds", Float(2e8), Float(0.5), Float(1.0)),
                   ("dds", 0.0, 0.0, 0.0), ("dds", 1.7976931348623157e308, 0.9999999999999999, 1.0),
                   ("dds", -0.0, -0.0, -0.0), ("dds", 1e6, -1e-300, 0.5)])
+# Writes that cannot append in place. A pulse that starts on the last pulse's falling edge overwrites it.
+@example(program=[("pulse", "ttl0", 10), ("pulse", "ttl0", 10), ("pulse", "ttl0", 3)])
+# A dds.set or a gate at the cursor, below an event a user pushed ahead of it on one of its signals.
+@example(program=[("dds", 1e6, 0.0, 1.0), ("delay_mu", 10), ("push", "dds0.amp", 0.5, 5), ("dds", 2e6, 0.25, 0.5),
+                  ("delay_mu", 10), ("dds", 3e6, 0.5, 0.75)])
+@example(program=[("gate", 10), ("push", "counter0.gate", True, 5), ("gate", 10), ("gate", 10)])
+# A parallel pulse that lands before a longer sibling's falling edge on the same TTL.
+@example(program=[("parallel", [("pulse", "ttl0", 10), ("pulse", "ttl0", 4),
+                                ("sequential", [("delay_mu", 3), ("pulse", "ttl0", 2)])]), ("pulse", "ttl0", 1)])
+# Each input read where set_input wrote exactly at the cursor, and where nothing is set yet.
+@example(program=[("sample", "in0"), ("sample", "adc0"), ("input", "in0.prob", 1.0, 0), ("sample", "in0"),
+                  ("input", "adc0.v0", 1.5, 0), ("sample", "adc0"), ("input", "adc0.v1", -2.0, 0),
+                  ("sample", "adc0"), ("input", "counter0.freq", 3e6, 0), ("gate", 1000),
+                  ("input", "in0.prob", 0.0, 0), ("sample", "in0")])
 @settings(max_examples=300, deadline=None)
 def test_drivers_match_reference_drivers(program):
     logs = []
