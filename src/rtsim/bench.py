@@ -16,7 +16,6 @@ sync lies at different distances from the two modes' cursors, and breaks it.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .environment import Experiment, RunStats, SimulationRun, run_experiment
 from .experiments import load_demo_ddb
@@ -130,7 +129,7 @@ def speedup_proxy(stats: RunStats) -> float:
 class BenchReport(Record):
     __slots__ = ("scenario", "results")
 
-    def __init__(self, scenario: BenchScenario, results: Optional[dict] = None):
+    def __init__(self, scenario: BenchScenario, results: dict | None = None):
         self.scenario, self.results = scenario, {} if results is None else results  # SyncMode -> RunStats of that run
 
     @property
@@ -165,7 +164,7 @@ def run_scenario_both(scenario: BenchScenario) -> BenchReport:
     return report
 
 
-def report_rows(report: BenchReport, t_ref_mu: Optional[int] = None) -> list[dict]:
+def report_rows(report: BenchReport, t_ref_mu: int | None = None) -> list[dict]:
     """Flatten a report into CSV-ready row dicts, one per configuration."""
     rows = []
     for mode in (SyncMode.REGULAR, SyncMode.OPTIMISTIC):

@@ -10,7 +10,6 @@ import argparse
 import functools
 import sys
 from itertools import zip_longest
-from typing import Optional
 
 from .environment import DeviceDbError, ExperimentRunError, load_ddb, run_experiment
 from .timeline import SimConfig, SyncMode, short_repr
@@ -154,7 +153,7 @@ def _cmd_bench_scan(args) -> int:
     return 0
 
 
-def _summary_deltas(sa: Optional[dict], sb: Optional[dict]) -> list[str]:
+def _summary_deltas(sa: dict | None, sb: dict | None) -> list[str]:
     if sa == sb:
         return []
     if sa is None or sb is None:
@@ -200,7 +199,7 @@ def _cmd_diff(args) -> int:
     return 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)

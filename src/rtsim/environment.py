@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time as _time
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .devices import DRIVER_CLASSES, DeviceDescriptor, DeviceError, SimDevice
 from .signals import SignalManager
@@ -123,7 +123,7 @@ class Experiment(Record):
 class RunStats(Record):
     __slots__ = ("event_count", "sync_count", "start_cursor_after_first_sync", "final_cursor", "wall_clock_ns")
 
-    def __init__(self, event_count: int, sync_count: int, start_cursor_after_first_sync: Optional[int],
+    def __init__(self, event_count: int, sync_count: int, start_cursor_after_first_sync: int | None,
                  final_cursor: int, wall_clock_ns: int):
         self.event_count, self.sync_count, self.final_cursor = event_count, sync_count, final_cursor
         self.start_cursor_after_first_sync, self.wall_clock_ns = start_cursor_after_first_sync, wall_clock_ns
@@ -151,8 +151,8 @@ class SimulationRun:
         self._sequential = Frame(time, ContextKind.SEQUENTIAL)
         self._parallel = Frame(time, ContextKind.PARALLEL)
         self._drivers: dict[str, SimDevice] = {}
-        self.stats: Optional[RunStats] = None
-        self.error: Optional[BaseException] = None
+        self.stats: RunStats | None = None
+        self.error: BaseException | None = None
 
     def get_device(self, name: str) -> SimDevice:
         """Memoized driver lookup; instantiation registers the device's signals."""
@@ -184,7 +184,7 @@ class SimulationRun:
         )
 
 
-def run_experiment(exp: Experiment, ddb: DeviceDb, config: Optional[SimConfig] = None) -> SimulationRun:
+def run_experiment(exp: Experiment, ddb: DeviceDb, config: SimConfig | None = None) -> SimulationRun:
     """Execute an experiment body inside a fresh simulation instance.
 
     A failing body, or a timeline length past signed 64 bits, raises ExperimentRunError

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from typing import Iterator
+from collections.abc import Iterator
 
 from .timeline import MU_MAX, MU_MIN, short_repr
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable
-from typing import Optional
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalError, SignalKind
@@ -21,8 +20,8 @@ class CheckReport(FrozenRecord):
     __slots__ = ("passed", "device", "signal", "time", "expected", "actual", "nearest_before", "nearest_after",
                  "detail")
 
-    def __init__(self, passed: bool, device: str, signal: str, time: Optional[int], expected: object,
-                 actual: object, nearest_before: Optional[int], nearest_after: Optional[int], detail: str = ""):
+    def __init__(self, passed: bool, device: str, signal: str, time: int | None, expected: object,
+                 actual: object, nearest_before: int | None, nearest_after: int | None, detail: str = ""):
         # One call a field, not a loop: every expect and assert_events call builds a report.
         put = object.__setattr__
         put(self, "passed", passed)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 import reprlib
-from typing import Optional
 
 MU_MIN = -(2**63)
 MU_MAX = 2**63 - 1
@@ -167,14 +166,14 @@ class TimeManager:
     slack is read from ``config`` once, when the timeline is built.
     """
 
-    def __init__(self, config: Optional[SimConfig] = None, event_top: Optional[list[int]] = None):
+    def __init__(self, config: SimConfig | None = None, event_top: list[int] | None = None):
         self._slack = (config if config is not None else SimConfig()).sync_slack_mu
         self._event_top = event_top if event_top is not None else [MU_MIN]
         self._now = 0
         self._start, self._longest, self._lo, self._hi = 0, None, MU_MIN, MU_MAX
-        self._enclosing: list[tuple[int, Optional[int], int, int]] = []
+        self._enclosing: list[tuple[int, int | None, int, int]] = []
         self.sync_count = 0
-        self.first_sync_cursor: Optional[int] = None
+        self.first_sync_cursor: int | None = None
 
     @property
     def depth(self) -> int:

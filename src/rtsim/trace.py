@@ -13,9 +13,9 @@ import contextlib
 import json
 import os
 import re
+from collections.abc import Callable
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable
 from json.encoder import encode_basestring_ascii
 
 from .environment import SimulationRun

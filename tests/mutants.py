@@ -47,6 +47,18 @@ MUTANTS = [
      "count if count < 2**63 else", "count if count <= 2**63 else"),
     ("bernoulli-draws-at-p-0", "src/rtsim/rng.py", "if p <= 0.0:", "if p < 0.0:"),
     ("bernoulli-draws-at-p-1", "src/rtsim/rng.py", "if p >= 1.0:", "if p > 1.0:"),
+    ("bernoulli-returns-bool", "src/rtsim/rng.py", "return 1 if self.random() < p else 0", "return self.random() < p"),
+    # A driver that stores a wrong but valid time or count.
+    ("pulse-falling-edge-at-cursor", "src/rtsim/devices.py", "times.append(t_off)", "times.append(time._now)"),
+    ("gate-count-off-by-one", "src/rtsim/devices.py", "self.buffer.put(count if count",
+     "self.buffer.put(count + 1 if count"),
+    ("count-saturation-dropped", "src/rtsim/devices.py", "self.buffer.put(count if count < 2**63 else 2**63 - 1)",
+     "self.buffer.put(count)"),
+    # A sampler with a sample delay reads its input at the cursor, not at the delay's end.
+    ("ttl-in-reads-at-delay-end", "src/rtsim/devices.py", "bisect_right(self.prob._times, cursor)",
+     "bisect_right(self.prob._times, cursor + self._sample_delay_mu)"),
+    ("adc-reads-at-delay-end", "src/rtsim/devices.py", "bisect_right(sig._times, cursor)",
+     "bisect_right(sig._times, cursor + self._sample_delay_mu)"),
     # The drivers' in-place appends and reads.
     ("edges-append-on-last-edge", "src/rtsim/devices.py", "t_on > times[-1]", "t_on >= times[-1]"),
     ("dds-append-unchecked-amp", "src/rtsim/devices.py", " and cursor > at[-1]", ""),

@@ -20,7 +20,6 @@ from rtsim import (
     MachineUnitsOverflow,
     SignalError,
     SignalKindMismatch,
-    SignalManager,
     SimConfig,
     SimulationRun,
     SyncMode,
@@ -36,7 +35,6 @@ from rtsim.rng import Xoshiro256StarStar
 from rtsim.timeline import MU_MAX, MU_MIN, REF_PERIOD_S
 
 from conftest import FULL_DDB
-from oracles import PushLogOracle
 
 # Golden sequences generated once with the pinned xoshiro256** streams.
 BERNOULLI_SEED_12345_IN0_P05 = [1, 0, 0, 1, 0, 1, 1, 1]
@@ -766,99 +764,6 @@ class TestParallelFrame:
             assert counter.gate_rising(500) == 500
             assert counter.gate_rising(300) == 300
         assert run.now_mu() == 500
-
-
-TTLS = st.sampled_from(["ttl0", "ttl1"])
-
-# A random driver program: a list of driver calls, delays and nested frames. Small
-# delays of either sign make writes land on, before and after earlier events.
-driver_op = st.recursive(
-    st.one_of(
-        st.tuples(st.just("pulse"), TTLS, st.integers(1, 50)),
-        st.tuples(st.sampled_from(["on", "off"]), TTLS),
-        st.tuples(st.just("dds"), st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
-                  st.floats(0, 1, exclude_max=True), st.floats(0, 1)),
-        st.tuples(st.just("gate"), st.integers(1, 50)),
-        st.tuples(st.just("sample")),
-        st.tuples(st.just("delay"), st.integers(-60, 60)),
-    ),
-    lambda ops: st.tuples(st.sampled_from(["sequential", "parallel"]), st.lists(ops, max_size=5)),
-    max_leaves=30,
-)
-
-
-def run_program(run, program):
-    for op, *args in program:
-        if op in ("sequential", "parallel"):
-            with getattr(run, op)():
-                run_program(run, args[0])
-        elif op == "pulse":
-            run.get_device(args[0]).pulse(args[1])
-        elif op in ("on", "off"):
-            getattr(run.get_device(args[0]), op)()
-        elif op == "dds":
-            run.get_device("dds0").set(*args)
-        elif op == "gate":
-            run.get_device("counter0").gate_rising(args[0])
-        elif op == "sample":
-            run.get_device("in0").sample_get()
-        else:
-            run.delay_mu(args[0])
-
-
-def _store(run):
-    """Every signal's events, as a map from time to the value's type and repr."""
-    return {(sig.device_name, sig.signal_name): {t: (type(v), repr(v)) for t, v in zip(sig._times, sig._values)}
-            for sig in run.signals}
-
-
-def run_logged(run, program, writes):
-    """``run_program``, logging each driver call's writes as the events it added or changed in the store.
-
-    Drivers write through ``Signal._put`` or append in place, so the log reads the lists, not the calls. A
-    store event is never removed, and no call writes one signal twice at one time, so the diff is every write.
-    """
-    for op, *args in program:
-        if op in ("sequential", "parallel"):
-            with getattr(run, op)():
-                run_logged(run, args[0], writes)
-            continue
-        before = _store(run)
-        run_program(run, [(op, *args)])
-        for sig in run.signals:
-            old = before[sig.device_name, sig.signal_name]
-            writes += [(sig.device_name, sig.signal_name, v, t) for t, v in zip(sig._times, sig._values)
-                       if old.get(t) != (type(v), repr(v))]
-
-
-@given(program=st.lists(driver_op, max_size=20))
-@settings(max_examples=200, deadline=None)
-def test_driver_writes_store_what_push_would(program):
-    """Drivers write cursor times and checked values; replaying each write through ``push`` gives the same store."""
-    run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-    for name in ("ttl0", "ttl1", "in0", "counter0", "dds0"):
-        run.get_device(name)
-    writes = [("in0", "prob", 0.5, MU_MIN), ("counter0", "freq", 1e6, MU_MIN)]
-    for device, name, value, time in writes:
-        run.signals.signal(device, name).push(value, time)
-    run_logged(run, program, writes)
-
-    replay = SignalManager()
-    for sig in run.signals:
-        replay.register(sig.device_name, sig.signal_name, sig.kind, sig.is_input)
-    for device, name, value, time in writes:
-        replay.signal(device, name).push(value, time)  # raises if push would refuse the write
-    for sig in run.signals:
-        twin = replay.signal(sig.device_name, sig.signal_name)
-        assert sig._times == twin._times
-        assert [(type(v), v) for v in sig._values] == [(type(v), v) for v in twin._values]
-    assert run.signals.event_top == replay.event_top
-
-    oracle = PushLogOracle()
-    for device, name, value, time in writes:
-        if (device, name) == ("ttl0", "state"):
-            oracle.push(time, value)
-    assert run.signals.signal("ttl0", "state").events() == oracle.items()
 
 
 class TestInputBuffer:

@@ -9,7 +9,15 @@ for every ``Dds.set`` argument, ``Signal._put`` for every event and
 ``Signal.pull`` for every input. Random programs, with user pushes on the
 drivers' signals near the cursor, run on both, and after each call the two runs
 must agree on the exception (type and text), the cursor, the frames, every
-signal's events and the input buffers.
+signal's events and the input buffers. ``in0`` and ``adc0`` have a sample delay,
+and a reference sampler reads its input at the cursor, then delays, then writes
+and enqueues at the saved cursor, as the README says every driver does.
+
+Every write of the drivers' run, taken from those snapshots, is then replayed
+through ``Signal.push`` on a fresh store, which must come out the same: push
+accepts every value a driver wrote, and the in-place appends store what push
+would. ``ttl0.state`` must also hold what the linear-scan ``PushLogOracle``
+holds for its writes.
 """
 
 import math
@@ -17,15 +25,19 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtsim import UNKNOWN, DeviceDb, DeviceError, InputUnset, SimConfig, SimulationRun, set_input
+from rtsim import UNKNOWN, DeviceDb, DeviceError, InputUnset, SignalManager, SimConfig, SimulationRun, set_input
 from rtsim.rng import POISSON_MEAN_LIMIT
 from rtsim.signals import SignalKindMismatch, _coerce_real
 from rtsim.timeline import MU_MAX, MU_MIN, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
 
+from oracles import PushLogOracle
+
+SAMPLE_DELAY_MU = 8  # both samplers'
 DDB = {"devices": [{"name": "core", "kind": "core"}, {"name": "ttl0", "kind": "ttl_out"},
                    {"name": "ttl1", "kind": "ttl_out"}, {"name": "counter0", "kind": "edge_counter"},
-                   {"name": "dds0", "kind": "dds"}, {"name": "in0", "kind": "ttl_in"},
-                   {"name": "adc0", "kind": "adc", "params": {"channels": 2}}]}
+                   {"name": "dds0", "kind": "dds"},
+                   {"name": "in0", "kind": "ttl_in", "params": {"sample_delay_mu": SAMPLE_DELAY_MU}},
+                   {"name": "adc0", "kind": "adc", "params": {"channels": 2, "sample_delay_mu": SAMPLE_DELAY_MU}}]}
 FREQ_HZ = 1.0e6  # the counter's input until a program sets it: a gate of d MU counts d / 1000 edges
 
 
@@ -105,6 +117,7 @@ class RefTtlIn:
             raise InputUnset(f"{self.name}: input probability is unset at t={cursor}")
         if not 0.0 <= p <= 1.0:
             raise DeviceError(f"{self.name}: probability {p} outside [0, 1]")
+        self.time.delay_mu(SAMPLE_DELAY_MU)
         value = self.rng.bernoulli(p)
         self.sample._put(value, cursor)
         self.buffer.append(value)
@@ -122,6 +135,7 @@ class RefAdc:
             if v is UNKNOWN:
                 raise InputUnset(f"{self.name}: channel {i} voltage is unset at t={cursor}")
             values.append(v)
+        self.time.delay_mu(SAMPLE_DELAY_MU)
         self.buffer.append(values)
 
 
@@ -138,12 +152,51 @@ def _drivers(reference):
 
 
 def _state(run, devices):
-    """The cursor, every frame, every signal's events with each value's type, and the values enqueued."""
+    """The cursor, every frame, every signal's events, the horizon and the values enqueued."""
     tm = run.time
-    events = [(sig.device_name, sig.signal_name, list(sig._times), [(type(v), repr(v)) for v in sig._values])
-              for sig in run.signals]
+    events = [(sig.device_name, sig.signal_name, list(sig._times), list(sig._values)) for sig in run.signals]
     return (tm.now_mu(), tm.depth, list(tm._enclosing), (tm._start, tm._longest, tm._lo, tm._hi), events,
             run.signals.event_top[0], [list(devices[name].buffer) for name in ("counter0", "in0", "adc0")])
+
+
+def _typed(step):
+    """A log entry with each event value as its type and repr: 1 is not True, and a nan equals a nan."""
+    op, outcome, (*head, events, top, buffers) = step
+    return op, outcome, (*head, [(device, signal, times, [(type(v), repr(v)) for v in values])
+                                 for device, signal, times, values in events], top, buffers)
+
+
+def _writes(states):
+    """Every write of the run that ``states`` snapshot, as ``(device, signal, value, time)`` in order.
+
+    An event is never removed and no step writes one signal twice at one time, so a step's writes are the
+    events whose value is not the object the snapshot before held at that time.
+    """
+    writes, held = [], {}
+    for *_, events, _, _ in states:
+        for device, signal, times, values in events:
+            before = held.get((device, signal), {})
+            writes += [(device, signal, v, t) for t, v in zip(times, values) if t not in before or before[t] is not v]
+            held[device, signal] = dict(zip(times, values))
+    return writes
+
+
+def _check_push_replay(run, writes):
+    """Replaying ``writes`` through ``Signal.push`` on a fresh store gives ``run``'s store and horizon."""
+    replay = SignalManager()
+    for sig in run.signals:
+        replay.register(sig.device_name, sig.signal_name, sig.kind, sig.is_input)
+    oracle = PushLogOracle()
+    for device, name, value, time in writes:
+        replay.signal(device, name).push(value, time)  # raises if push would refuse the write
+        if (device, name) == ("ttl0", "state"):
+            oracle.push(time, value)
+    for sig in run.signals:
+        twin = replay.signal(sig.device_name, sig.signal_name)
+        assert sig._times == twin._times
+        assert [(type(v), v) for v in sig._values] == [(type(v), v) for v in twin._values]
+    assert run.signals.event_top == replay.event_top
+    assert run.signals.signal("ttl0", "state").events() == oracle.items()
 
 
 def _outcome(call):
@@ -187,8 +240,9 @@ class Float(float):
 
 
 near = st.one_of(st.integers(MU_MIN, MU_MIN + 2000), st.integers(-2000, 2000), st.integers(MU_MAX - 2000, MU_MAX))
+# Durations of 1-50 MU and delays of -60...60 MU make writes land on, before and after earlier events.
 durations = st.one_of(
-    st.integers(1, 2000), st.integers(MU_MAX - 2000, MU_MAX), st.integers(-5, 0),
+    st.integers(1, 50), st.integers(1, 2000), st.integers(MU_MAX - 2000, MU_MAX), st.integers(-5, 0),
     st.sampled_from([MU_MAX + 1, 2**64 - 1, 2**64, 10**30, 1.0, 100.0, math.nan, True, None]),
 )
 reals = st.one_of(
@@ -203,6 +257,8 @@ driver_op = st.recursive(
         st.tuples(st.sampled_from(["on", "off"]), TTLS),
         st.tuples(st.just("gate"), durations),
         st.tuples(st.just("dds"), reals, reals, reals),
+        st.tuples(st.just("dds"), st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
+                  st.floats(0, 1, exclude_max=True), st.floats(0, 1)),
         st.tuples(st.just("sample"), st.sampled_from(["in0", "adc0"])),
         st.tuples(st.just("push"), st.sampled_from(["ttl0.state", "ttl1.state", "counter0.gate"]), st.booleans(),
                   offsets),
@@ -211,7 +267,7 @@ driver_op = st.recursive(
         st.tuples(st.just("input"), st.sampled_from(["adc0.v0", "adc0.v1"]), st.floats(-10, 10), offsets),
         st.tuples(st.just("input"), st.just("counter0.freq"), st.sampled_from([0.0, 5e5, FREQ_HZ, 3e6]), offsets),
         st.tuples(st.just("at_mu"), near),
-        st.tuples(st.just("delay_mu"), st.one_of(near, st.integers(-2000, 2000))),
+        st.tuples(st.just("delay_mu"), st.one_of(near, st.integers(-2000, 2000), st.integers(-60, 60))),
     ),
     lambda ops: st.tuples(st.sampled_from(["sequential", "parallel"]), st.lists(ops, max_size=5)),
     max_leaves=30,
@@ -246,13 +302,21 @@ driver_op = st.recursive(
                   ("input", "adc0.v0", 1.5, 0), ("sample", "adc0"), ("input", "adc0.v1", -2.0, 0),
                   ("sample", "adc0"), ("input", "counter0.freq", 3e6, 0), ("gate", 1000),
                   ("input", "in0.prob", 0.0, 0), ("sample", "in0")])
+# Each input changed inside its sampler's delay window: the sample is the value at the cursor.
+@example(program=[("input", "in0.prob", 0.0, 0), ("input", "in0.prob", 1.0, 3), ("sample", "in0"),
+                  ("input", "adc0.v0", 1.5, 0), ("input", "adc0.v1", -2.0, 0), ("input", "adc0.v0", 2.5, 3),
+                  ("sample", "adc0")])
+# Random draws: each sample stores an int, which push accepts, not a bool.
+@example(program=[("input", "in0.prob", 0.5, 0), ("sample", "in0"), ("sample", "in0"), ("sample", "in0")])
 @settings(max_examples=300, deadline=None)
 def test_drivers_match_reference_drivers(program):
-    logs = []
+    runs = []
     for reference in (False, True):
         run, devices = _drivers(reference)
-        log = []
+        log = [("start", None, _state(run, devices))]  # the counter's input preset is the first write
         _play(run, devices, program, log)
-        logs.append(log)
-    for step, ref_step in zip(*logs, strict=True):
-        assert step == ref_step
+        runs.append((run, log))
+    (run, log), (_, ref_log) = runs
+    for step, ref_step in zip(log, ref_log, strict=True):
+        assert _typed(step) == _typed(ref_step)
+    _check_push_replay(run, _writes(state for *_, state in log))

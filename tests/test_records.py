@@ -231,13 +231,14 @@ def _loaded_by_import(module, names, then="pass"):
 
 def test_import_rtsim_loads_only_what_a_run_needs():
     # The exporters and the test helpers load on first use of a name: rtsim.export_vcd, rtsim.expect, ...
-    names = ["dataclasses", "inspect", "rtsim.bench", "rtsim.cli", "rtsim.trace", "rtsim.testkit"]
+    # Annotations are never evaluated, so none needs typing.
+    names = ["dataclasses", "inspect", "typing", "rtsim.bench", "rtsim.cli", "rtsim.trace", "rtsim.testkit"]
     assert _loaded_by_import("rtsim", names) == "[]\n"
 
 
 def test_import_rtsim_cli_loads_nothing_only_a_run_needs():
     # `rtsim diff` needs neither the bundled experiments nor what they import.
-    names = ["rtsim.experiments", "rtsim.testkit", "importlib.resources"]
+    names = ["rtsim.experiments", "rtsim.testkit", "importlib.resources", "typing"]
     assert _loaded_by_import("rtsim.cli", names) == "[]\n"
 
 
