@@ -670,6 +670,26 @@ def test_call_whose_delay_overflows_changes_nothing(kind, param, call):
     assert state() == before
 
 
+@pytest.mark.parametrize("kind,low,high,read", [
+    ("ttl_in", 0.0, 1.0, lambda dev: dev.sample_get()),
+    ("adc", 1.0, 2.0, lambda dev: dev.sample()[0]),
+], ids=["ttl_in", "adc"])
+def test_sampler_reads_at_cursor_not_at_delay_end(kind, low, high, read):
+    ddb = DeviceDb.from_dict({"devices": [
+        {"name": "core", "kind": "core"},
+        {"name": "dev", "kind": kind, "params": {"sample_delay_mu": 20}},
+    ]})
+    run = SimulationRun(ddb, SimConfig())
+    dev = run.get_device("dev")
+    (sig,) = [s for s in run.signals if s.is_input]
+    sig.push(low, 0)
+    sig.push(high, 5)  # inside the delay window: a read after the delay would see it
+    assert read(dev) == low
+    assert run.now_mu() == 20
+    if kind == "ttl_in":
+        assert dev.sample.events() == [(0, 0)]  # stored at the saved cursor
+
+
 # Every driver call that delays, with a nonzero DDB delay for the calls that take one.
 DELAYING_DDB = {"devices": [
     {"name": "core", "kind": "core"},
