@@ -31,6 +31,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# sync_to_counter's body up to its count: a mutant moves the count above it, before the range check.
+_SYNC_BODY = """now, top, slack = self._now, self._event_top[0], self._slack
+        jump = top - now if top > now else 0
+        d = jump + slack if self._longest is None else (jump if jump > slack else slack)
+        if jump > MU_MAX or not self._lo <= now + d <= self._hi:
+            _checked_mu(jump, "at_mu")
+            self.delay_mu(d)  # raises: the end is outside the window
+        if self._longest is None:
+            self._now = now + d
+        elif d > self._longest:
+            self._longest = d
+"""
+
 # (name, file, text, replacement)
 MUTANTS = [
     ("edges-end-on-window-high", "src/rtsim/devices.py", "if t_off > time._hi:", "if t_off >= time._hi:"),
@@ -66,6 +79,20 @@ MUTANTS = [
     # bisect_left, written as bisect_right one MU earlier: the times are ints.
     ("adc-read-excludes-cursor", "src/rtsim/devices.py", "bisect_right(sig._times, cursor)",
      "bisect_right(sig._times, cursor - 1)"),
+    # Frame windows and the sync.
+    ("sync-jump-unchecked", "src/rtsim/timeline.py", "if jump > MU_MAX or not self._lo", "if not self._lo"),
+    ("exit-keeps-window", "src/rtsim/timeline.py",
+     "time._start, time._longest, time._lo, time._hi = time._enclosing.pop()",
+     "time._start, time._longest, _, _ = time._enclosing.pop()"),
+    ("enter-lo-clip", "src/rtsim/timeline.py", "if start + MU_MIN > time._lo:", "if start + MU_MIN < time._lo:"),
+    ("enter-hi-clip", "src/rtsim/timeline.py", "if start + MU_MAX < time._hi:", "if start + MU_MAX > time._hi:"),
+    ("delay-window-lo-open", "src/rtsim/timeline.py", "if not self._lo <= now <= self._hi:",
+     "if not self._lo < now <= self._hi:"),
+    ("sync-par-slack-sum", "src/rtsim/timeline.py",
+     "d = jump + slack if self._longest is None else (jump if jump > slack else slack)", "d = jump + slack"),
+    ("exit-par-start", "src/rtsim/timeline.py", "time._now = start\n", "time._now = start + duration\n"),
+    ("sync-count-before-check", "src/rtsim/timeline.py", _SYNC_BODY + "        self.sync_count += 1\n",
+     "self.sync_count += 1\n        " + _SYNC_BODY),
 ]
 
 # name -> why the mutant cannot change what any caller sees

@@ -1,9 +1,13 @@
 """Independent reference implementations used to check the simulator.
 
 These stay deliberately naive: the nesting oracle evaluates timing trees by
-direct recursion, the timeline oracle checks each delay against every open
-frame, the signal oracle answers pulls by scanning the full push log. None
-shares code with the package.
+direct recursion (acceptance criterion 1), the timeline oracle checks each
+move against every open frame (the one cursor harness, in
+``test_timeline.py``), the signal oracle answers pulls by scanning the full
+push log (``TestStore`` in ``test_signals.py``, acceptance criterion 2, and
+the push replay in ``test_driver_reference.py``). No oracle shares code with
+the package; only ``run_tree``, which runs a tree on the real timeline,
+imports it.
 """
 
 from rtsim import ContextKind, TimeManager

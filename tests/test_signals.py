@@ -437,35 +437,26 @@ def unknown_if_none(value):
     return UNKNOWN if value is None else value
 
 
-class TestStoreBackends:
+class TestStore:
     """The signal's event store against the linear-scan oracle."""
 
-    @given(pushes=script, pulls=st.lists(st.integers(-(10**4) - 5, 10**4 + 5), max_size=40))
+    @given(
+        pushes=script,
+        pulls=st.lists(st.integers(-(10**4) - 5, 10**4 + 5), max_size=40),
+        t0=st.integers(min_value=-(10**4), max_value=10**4),
+        span=st.integers(min_value=0, max_value=10**4),
+    )
     @settings(max_examples=200, deadline=None)
-    def test_pull_matches_linear_scan_oracle(self, pushes, pulls):
-        sig, oracle, _ = pushed(pushes)
+    def test_matches_push_log_oracle(self, pushes, pulls, t0, span):
+        sig, oracle, top = pushed(pushes)
         for t in pulls + [t for t, _ in pushes]:
             assert sig.pull(t) == unknown_if_none(oracle.pull(t))
-
-    @given(pushes=script)
-    @settings(max_examples=200, deadline=None)
-    def test_items_sorted_and_deduplicated(self, pushes):
-        sig, oracle, top = pushed(pushes)
         items = sig.events()
         assert items == oracle.items()
         times = [t for t, _ in items]
         assert times == sorted(set(times))
         assert len(sig) == len(times)
         assert top == [times[-1] if times else MU_MIN]
-
-    @given(
-        pushes=script,
-        t0=st.integers(min_value=-(10**4), max_value=10**4),
-        span=st.integers(min_value=0, max_value=10**4),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_range_items_match_oracle(self, pushes, t0, span):
-        sig, oracle, _ = pushed(pushes)
         assert sig.events_in(t0, t0 + span) == oracle.range_items(t0, t0 + span)
 
     def test_empty_store_behaviour(self):

@@ -70,7 +70,8 @@ edge_times = st.one_of(
     st.integers(min_value=-200_000, max_value=200_000),
     st.integers(min_value=MU_MAX - 200_000, max_value=MU_MAX),
 )
-frame_ops = st.one_of(
+# A raise leaves the innermost ``with`` block by an exception.
+block_programs = st.lists(st.one_of(
     st.tuples(st.just("push"), st.sampled_from([SEQ, PAR])),
     st.just(("pop",)),
     st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]),
@@ -78,10 +79,8 @@ frame_ops = st.one_of(
     st.tuples(st.just("at_mu"), edge_times),
     st.tuples(st.just("event"), edge_times),
     st.just(("sync",)),
-)
-frame_programs = st.lists(frame_ops, max_size=30)
-# As above, plus a raise, which leaves the innermost ``with`` block by an exception.
-block_programs = st.lists(st.one_of(frame_ops, st.just(("raise",))), max_size=30)
+    st.just(("raise",)),
+), max_size=30)
 CORE_DDB = DeviceDb.from_dict({"devices": [{"name": "core", "kind": "core"}]})
 
 
@@ -521,20 +520,22 @@ class TestHorizonAndSync:
     @pytest.mark.parametrize(
         "start,kind,event,match",
         [
-            (None, None, MU_MAX - 10, "delay_mu"),  # horizon + slack overflows
+            (0, None, MU_MAX - 10, "delay_mu"),  # horizon + slack overflows
+            (MU_MIN, None, 0, "at_mu"),  # the jump to the horizon overflows, horizon + slack does not
             # The first sync leaves the cursor at 125 000, so from there
             # MU_MIN + 125 000 is the lowest start that at_mu can reach.
             (MU_MIN + 125_000, SEQ, 0, "delay_mu"),  # only the frame's duration overflows
             (MU_MIN + 125_000, SEQ, 200_000, "at_mu"),  # the jump to the horizon overflows
             (MU_MIN + 125_000, PAR, 200_000, "at_mu"),
         ],
-        ids=["horizon-plus-slack", "frame-duration", "jump-sequential", "jump-parallel"],
+        ids=["horizon-plus-slack", "jump-root", "frame-duration", "jump-sequential", "jump-parallel"],
     )
     def test_failed_sync_changes_nothing(self, start, kind, event, match):
         tm, sig = timeline_and_signal()
         if kind is not None:
             tm.sync_to_counter()  # so sync_count and first_sync_cursor are set
-            tm.at_mu(start)
+        tm.at_mu(start)
+        if kind is not None:
             Frame(tm, kind).__enter__()
         sig.push(0, event)
         before = (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor)
@@ -559,21 +560,6 @@ class TestProperties:
             for d in durations:
                 tm.delay_mu(d)
         assert tm.now_mu() == 1234 + max([0, *durations])
-
-    @given(
-        st.recursive(
-            st.tuples(st.just("delay"), st.integers(min_value=-(10**6), max_value=10**6)),
-            lambda node: st.tuples(
-                st.sampled_from(["seq", "par"]), st.lists(node, max_size=4)
-            ),
-            max_leaves=30,
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_nesting_matches_recursive_oracle(self, tree):
-        tm = manager()
-        run_tree(tm, tree)
-        assert tm.now_mu() == tree_duration(tree)
 
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),
@@ -658,60 +644,26 @@ class TestProperties:
         if kind is not None:
             assert pop_outcome(tm) == pop_outcome(ref)
 
-    @given(frame_programs)
-    @example([("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", SEQ), ("delay_mu", 1), ("pop",)])
-    @example([("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1), ("pop",)])
-    @settings(max_examples=300, deadline=None)
-    def test_no_pop_overflows_and_raising_ops_change_nothing(self, program):
-        tm, sig = timeline_and_signal()
-        ops = {"push": lambda kind: Frame(tm, kind).__enter__(),
-               "pop": lambda: Frame(tm, SEQ).__exit__(None, None, None),  # a pop does not depend on the kind
-               "sync": tm.sync_to_counter, "delay_mu": tm.delay_mu, "at_mu": tm.at_mu,
-               "event": lambda t: sig.push(0, t)}
-        for op, *args in program:
-            before = state(tm)
-            try:
-                ops[op](*args)
-            except (MachineUnitsOverflow, ContextStackError) as exc:
-                assert op != "pop" or type(exc) is ContextStackError
-                assert state(tm) == before
-        while tm.depth > 1:
-            Frame(tm, SEQ).__exit__(None, None, None)
-
-    @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
-    @given(program=frame_programs)
-    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1)])
-    @settings(max_examples=300, deadline=None)
-    def test_matches_naive_timeline(self, mode, slack, program):
-        tm, sig = timeline_and_signal(mode)
-        naive = NaiveTimeline(slack)
-        ops = {"push": lambda kind: Frame(tm, kind).__enter__(),
-               "pop": lambda: Frame(tm, SEQ).__exit__(None, None, None),  # a pop does not depend on the kind
-               "sync": tm.sync_to_counter, "delay_mu": tm.delay_mu, "at_mu": tm.at_mu,
-               "event": lambda t: sig.push(0, t)}
-        naive_ops = {"push": lambda kind: naive.push("seq" if kind is SEQ else "par"), "pop": naive.pop,
-                     "sync": naive.sync, "delay_mu": naive.delay_mu, "at_mu": naive.at_mu, "event": naive.event}
-        for op, *args in program:
-            error = raised(ops[op], *args)
-            assert ORACLE_ERRORS.get(error, error) is raised(naive_ops[op], *args), (op, *args)
-            assert (tm.now_mu(), tm.depth, tm.sync_count, tm.first_sync_cursor, tm.horizon()) == (
-                naive.cursor, naive.depth, naive.sync_count, naive.first_sync_cursor, naive.horizon()), (op, *args)
-        while tm.depth > 1:
-            Frame(tm, SEQ).__exit__(None, None, None)
-            naive.pop()
-            assert tm.now_mu() == naive.cursor
-
     @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
     @given(program=block_programs)
     @example(program=[("at_mu", -1), ("push", SEQ), ("pop",), ("delay_mu", MU_MAX + 1)])
     @example(program=[("push", PAR), ("delay_mu", 5), ("pop",), ("delay_mu", 1)])
     @example(program=[("push", PAR), ("push", SEQ), ("delay_mu", 7), ("raise",), ("delay_mu", 1), ("pop",),
                       ("delay_mu", 3), ("pop",)])
+    # Only the outer frame's duration overflows, at the delay, not at the pop.
+    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", SEQ), ("delay_mu", 1), ("pop",)])
+    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1), ("pop",)])
+    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("at_mu", -1), ("push", PAR), ("delay_mu", 1)])
+    # The jump to the horizon is past 64 bits, though horizon + slack is not.
+    @example(program=[("at_mu", MU_MIN), ("event", 0), ("sync",)])
+    # A pop restores the root's window: the third delay fits only in the root's.
+    @example(program=[("at_mu", MU_MAX - 10), ("push", SEQ), ("pop",), *[("delay_mu", -2**62)] * 3])
     @settings(max_examples=300, deadline=None)
     def test_with_blocks_match_naive_timeline(self, mode, slack, program):
-        # The same programs as above, but a push opens a ``with run.sequential()`` or ``with run.parallel()``
-        # block that the matching pop (or the program's end) closes, and a raise leaves the innermost block
-        # by an exception. A pop outside every block pops the root, which raises.
+        # A push opens a ``with run.sequential()`` or ``with run.parallel()`` block that the matching pop (or
+        # the program's end) closes, and a raise leaves the innermost block by an exception. A pop outside
+        # every block pops the root, which raises ContextStackError; a block's own pop raises nothing. An op
+        # that raises leaves every frame, the cursor and the sync record as they were.
         run = SimulationRun(CORE_DDB, SimConfig(mode=mode))
         tm, sig = run.time, run.signals.register("d", "s", SignalKind.INT)
         naive = NaiveTimeline(slack)
@@ -742,8 +694,10 @@ class TestProperties:
                     naive.pop()
                     check(("close", *args))
                 else:
+                    before = state(tm)
                     error = raised(ops[op], *args)
                     assert ORACLE_ERRORS.get(error, error) is raised(naive_ops[op], *args), (op, *args)
+                    assert error is None or state(tm) == before, (op, *args)
                     check((op, *args))
 
         block(0)

@@ -388,32 +388,6 @@ _EDGE_PUSHES = [
 ]
 
 
-class TestJsonlLines:
-    @given(pushes=_PUSHES)
-    @example(pushes=_EDGE_PUSHES)
-    @settings(max_examples=200, deadline=None)
-    def test_each_line_is_json_dumps_of_its_record(self, pushes, tmp_path_factory):
-        run = _run_with(pushes)
-        path = tmp_path_factory.mktemp("jsonl") / "p.jsonl"
-        export_jsonl(run, path)
-
-        expected = [
-            {"time_mu": t, "device": dev, "signal": name, "kind": sig.kind.value, "value": v}
-            for t, dev, name, sig, v in _sorted_events(run)
-        ]
-        lines = path.read_bytes().decode("ascii").split("\n")
-        assert lines[-1] == ""
-        assert lines[:-2] == [json.dumps(rec) for rec in expected]
-
-        records, summary = read_jsonl(path)
-        assert records == expected
-        assert [(type(r["value"]), repr(r["value"])) for r in records] == [
-            (type(r["value"]), repr(r["value"])) for r in expected
-        ]
-        assert summary["event_count"] == run.stats.event_count
-        assert _shape((records, summary)) == _shape(_oracle_read(path))
-
-
 def _vcd_line(kind, value, code):
     """The VCD change line of one value, written out longhand."""
     if kind is SignalKind.BOOL:
@@ -425,16 +399,37 @@ def _vcd_line(kind, value, code):
     return "s" + "".join("_" if ch.isspace() else ch for ch in value) + " " + code
 
 
-class TestVcdProperty:
+class TestExportProperty:
     @given(pushes=_PUSHES)
     @example(pushes=_EDGE_PUSHES)
     @settings(max_examples=200, deadline=None)
-    def test_changes_match_events(self, pushes, tmp_path_factory):
+    def test_dumps_match_events(self, pushes, tmp_path_factory):
         run = _run_with(pushes)
-        path = tmp_path_factory.mktemp("vcd") / "p.vcd"
+        events = _sorted_events(run)
+        tmp = tmp_path_factory.mktemp("dumps")
+
+        # JSONL: each line is json.dumps of its record, and reads back as the same typed values.
+        path = tmp / "p.jsonl"
+        export_jsonl(run, path)
+        expected = [
+            {"time_mu": t, "device": dev, "signal": name, "kind": sig.kind.value, "value": v}
+            for t, dev, name, sig, v in events
+        ]
+        lines = path.read_bytes().decode("ascii").split("\n")
+        assert lines[-1] == ""
+        assert lines[:-2] == [json.dumps(rec) for rec in expected]
+        records, summary = read_jsonl(path)
+        assert records == expected
+        assert [(type(r["value"]), repr(r["value"])) for r in records] == [
+            (type(r["value"]), repr(r["value"])) for r in expected
+        ]
+        assert summary["event_count"] == run.stats.event_count
+        assert _shape((records, summary)) == _shape(_oracle_read(path))
+
+        # VCD: a valid file whose changes are each signal's initial value, then every event at a time >= 0.
+        path = tmp / "p.vcd"
         export_vcd(run, path)
         parsed = check_vcd(path.read_text(encoding="utf-8"))
-
         code_of = {(dev, name): code for code, (dev, name, _) in parsed["ids"].items()}
         initials = []
         for sig in run.signals:
@@ -446,7 +441,7 @@ class TestVcdProperty:
                 initials.append((None, code, ("x" if sig.kind is SignalKind.BOOL else "bx ") + code))
         timed = [
             (t, code_of[(dev, name)], _vcd_line(sig.kind, v, code_of[(dev, name)]))
-            for t, dev, name, sig, v in _sorted_events(run) if t >= 0
+            for t, dev, name, sig, v in events if t >= 0
         ]
         assert parsed["changes"] == initials + timed
 
