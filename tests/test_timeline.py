@@ -282,6 +282,20 @@ class TestNowAndDelay:
         tm.at_mu(start)
         assert tm.delay_mu(d) == tm.now_mu() == -1
 
+    @pytest.mark.parametrize("kind", [SEQ, PAR])
+    @pytest.mark.parametrize("start, edge, step", [(5, 5 + MU_MIN, -1), (-5, -5 + MU_MAX, 1)], ids=["low", "high"])
+    def test_delay_may_end_on_the_frame_window_edge(self, kind, start, edge, step):
+        # A frame's window is the closed range start + [MU_MIN, MU_MAX], inside the root's: a delay may end on
+        # its edge, and one that ends a MU past it fails the window check.
+        tm = manager()
+        tm.at_mu(start)
+        with Frame(tm, kind):
+            assert tm.delay_mu(edge - start) == edge
+            before = state(tm)
+            with pytest.raises(MachineUnitsOverflow, match="delay_mu: end time .* is outside"):
+                tm.delay_mu(edge + step - tm.now_mu())
+            assert state(tm) == before
+
     def test_delay_past_both_bounds_keeps_the_end_time_text(self):
         # The window is checked first, so a delay whose end and duration both overflow raises as before.
         tm = manager()
@@ -439,6 +453,18 @@ class TestContextStack:
             pass
         assert tm.now_mu() == 5
 
+    @pytest.mark.parametrize("kind", [SEQ, PAR])
+    def test_pop_restores_the_enclosing_window(self, kind):
+        # The frame's window starts at MU_MAX - 10 + MU_MIN = -11; after the pop only the root's bounds the cursor.
+        tm = manager()
+        tm.at_mu(MU_MAX - 10)
+        with Frame(tm, kind):
+            assert frames(tm)[-1][2:] == (-11, MU_MAX)
+        assert frames(tm) == [(0, None, MU_MIN, MU_MAX)]
+        for _ in range(3):
+            tm.delay_mu(-(2**62))
+        assert tm.now_mu() == MU_MAX - 10 - 3 * 2**62
+
     def test_root_cannot_be_popped(self):
         with pytest.raises(ContextStackError, match="root sequential context"):
             Frame(manager(), SEQ).__exit__(None, None, None)
@@ -518,20 +544,23 @@ class TestHorizonAndSync:
         assert tm.now_mu() == 1000 + 125_000
 
     @pytest.mark.parametrize(
-        "start,kind,event,match",
+        "start,kind,event,match,mode",
         [
-            (0, None, MU_MAX - 10, "delay_mu"),  # horizon + slack overflows
-            (MU_MIN, None, 0, "at_mu"),  # the jump to the horizon overflows, horizon + slack does not
+            (0, None, MU_MAX - 10, "delay_mu", SyncMode.REGULAR),  # horizon + slack overflows
+            # The jump to the horizon overflows, horizon + slack does not.
+            (MU_MIN, None, 0, "at_mu", SyncMode.REGULAR),
+            (MU_MIN, None, 0, "at_mu", SyncMode.OPTIMISTIC),
             # The first sync leaves the cursor at 125 000, so from there
             # MU_MIN + 125 000 is the lowest start that at_mu can reach.
-            (MU_MIN + 125_000, SEQ, 0, "delay_mu"),  # only the frame's duration overflows
-            (MU_MIN + 125_000, SEQ, 200_000, "at_mu"),  # the jump to the horizon overflows
-            (MU_MIN + 125_000, PAR, 200_000, "at_mu"),
+            (MU_MIN + 125_000, SEQ, 0, "delay_mu", SyncMode.REGULAR),  # only the frame's duration overflows
+            (MU_MIN + 125_000, SEQ, 200_000, "at_mu", SyncMode.REGULAR),  # the jump to the horizon overflows
+            (MU_MIN + 125_000, PAR, 200_000, "at_mu", SyncMode.REGULAR),
         ],
-        ids=["horizon-plus-slack", "jump-root", "frame-duration", "jump-sequential", "jump-parallel"],
+        ids=["horizon-plus-slack", "jump-root", "jump-root-optimistic", "frame-duration", "jump-sequential",
+             "jump-parallel"],
     )
-    def test_failed_sync_changes_nothing(self, start, kind, event, match):
-        tm, sig = timeline_and_signal()
+    def test_failed_sync_changes_nothing(self, start, kind, event, match, mode):
+        tm, sig = timeline_and_signal(mode)
         if kind is not None:
             tm.sync_to_counter()  # so sync_count and first_sync_cursor are set
         tm.at_mu(start)
