@@ -114,7 +114,7 @@ def _read_reference_mu(path: str, scenario_name: str) -> int:
                 if not raw.isdecimal() or int(raw) < 1:
                     raise ValueError(f"{path}: t_ref_mu of {short_repr(scenario_name)} must be a positive int")
                 return int(raw)
-    raise KeyError(f"no t_ref_mu row for scenario {short_repr(scenario_name)} in {path}")
+    raise ValueError(f"no t_ref_mu row for scenario {short_repr(scenario_name)} in {path}")
 
 
 def _cmd_bench_scan(args) -> int:
@@ -132,7 +132,7 @@ def _cmd_bench_scan(args) -> int:
             buffered=args.buffered,
         )
         t_ref_mu = _read_reference_mu(args.ref_csv, scenario.name) if args.ref_csv else None
-    except (OSError, KeyError, ValueError, csv.Error) as exc:  # csv.Error: e.g. a field past the size limit
+    except (OSError, ValueError, csv.Error) as exc:  # csv.Error: e.g. a field past the size limit
         return _bad_input(exc)
     report = bench.run_scenario_both(scenario)
     rows = bench.report_rows(report, t_ref_mu=t_ref_mu)

@@ -170,7 +170,7 @@ class TestBench:
             "bench", "scan", "--points", "1", "--samples", "2",
             "--ref-csv", str(ref),
         ) == 2
-        assert "no t_ref_mu row" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: no t_ref_mu row for scenario 'scan' in {ref}\n"
 
 
 class TestDiff:

@@ -9,7 +9,11 @@ for every ``Dds.set`` argument, ``Signal._put`` for every event and
 ``Signal.pull`` for every input. Random programs, with user pushes on the
 drivers' signals near the cursor, run on both, and after each call the two runs
 must agree on the exception (type and text), the cursor, the frames, every
-signal's events and the input buffers. ``in0`` and ``adc0`` have a sample delay,
+signal's events and the input buffers. A program is a flat list of ops, as in
+the timeline's own harness: ``("sequential",)`` or ``("parallel",)`` opens a
+``with`` block that the next ``("close",)`` closes, and the program's end closes
+any block still open. Each frame-window edge that a random program seldom
+reaches has an ``@example`` of its own. ``in0`` and ``adc0`` have a sample delay,
 and a reference sampler reads its input at the cursor, then delays, then writes
 and enqueues at the saved cursor, as the README says every driver does.
 
@@ -206,12 +210,20 @@ def _outcome(call):
         return (type(exc), str(exc))
 
 
-def _play(run, devices, program, log):
-    """Run ``program`` and log each step's outcome and the state after it."""
-    for op, *args in program:
+def _play(run, devices, steps, log, depth=0):
+    """Run ``steps`` up to this block's close, or to their end, and log each step's outcome and the state after it.
+
+    ``("sequential",)`` and ``("parallel",)`` open a ``with`` block that runs the steps after it up to the next
+    ``("close",)``; the program's end closes every block still open, and a close outside every block does nothing.
+    """
+    for op, *args in steps:
+        if op == "close":
+            if depth:
+                return
+            continue
         if op in ("sequential", "parallel"):
             with getattr(run, op)():
-                _play(run, devices, args[0], log)
+                _play(run, devices, steps, log, depth + 1)
             outcome = ("ok", None)
         elif op == "pulse":
             outcome = _outcome(lambda: devices[args[0]].pulse_mu(args[1]))
@@ -251,36 +263,35 @@ reals = st.one_of(
 )
 TTLS = st.sampled_from(["ttl0", "ttl1"])
 offsets = st.one_of(st.integers(-3, 3), st.integers(-2000, 2000))
-driver_op = st.recursive(
-    st.one_of(
-        st.tuples(st.just("pulse"), TTLS, durations),
-        st.tuples(st.sampled_from(["on", "off"]), TTLS),
-        st.tuples(st.just("gate"), durations),
-        st.tuples(st.just("dds"), reals, reals, reals),
-        st.tuples(st.just("dds"), st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
-                  st.floats(0, 1, exclude_max=True), st.floats(0, 1)),
-        st.tuples(st.just("sample"), st.sampled_from(["in0", "adc0"])),
-        st.tuples(st.just("push"), st.sampled_from(["ttl0.state", "ttl1.state", "counter0.gate"]), st.booleans(),
-                  offsets),
-        st.tuples(st.just("push"), st.sampled_from(["dds0.freq", "dds0.phase", "dds0.amp"]), st.floats(0, 1), offsets),
-        st.tuples(st.just("input"), st.just("in0.prob"), st.sampled_from([0.0, 0.25, 1.0, 1.5]), offsets),
-        st.tuples(st.just("input"), st.sampled_from(["adc0.v0", "adc0.v1"]), st.floats(-10, 10), offsets),
-        st.tuples(st.just("input"), st.just("counter0.freq"), st.sampled_from([0.0, 5e5, FREQ_HZ, 3e6]), offsets),
-        st.tuples(st.just("at_mu"), near),
-        st.tuples(st.just("delay_mu"), st.one_of(near, st.integers(-2000, 2000), st.integers(-60, 60))),
-    ),
-    lambda ops: st.tuples(st.sampled_from(["sequential", "parallel"]), st.lists(ops, max_size=5)),
-    max_leaves=30,
+# A flat program: an open and a close bracket a block, as block_programs in test_timeline.py does.
+driver_op = st.one_of(
+    st.tuples(st.just("pulse"), TTLS, durations),
+    st.tuples(st.sampled_from(["on", "off"]), TTLS),
+    st.tuples(st.just("gate"), durations),
+    st.tuples(st.just("dds"), reals, reals, reals),
+    st.tuples(st.just("dds"), st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
+              st.floats(0, 1, exclude_max=True), st.floats(0, 1)),
+    st.tuples(st.just("sample"), st.sampled_from(["in0", "adc0"])),
+    st.tuples(st.just("push"), st.sampled_from(["ttl0.state", "ttl1.state", "counter0.gate"]), st.booleans(),
+              offsets),
+    st.tuples(st.just("push"), st.sampled_from(["dds0.freq", "dds0.phase", "dds0.amp"]), st.floats(0, 1), offsets),
+    st.tuples(st.just("input"), st.just("in0.prob"), st.sampled_from([0.0, 0.25, 1.0, 1.5]), offsets),
+    st.tuples(st.just("input"), st.sampled_from(["adc0.v0", "adc0.v1"]), st.floats(-10, 10), offsets),
+    st.tuples(st.just("input"), st.just("counter0.freq"), st.sampled_from([0.0, 5e5, FREQ_HZ, 3e6]), offsets),
+    st.tuples(st.just("at_mu"), near),
+    st.tuples(st.just("delay_mu"), st.one_of(near, st.integers(-2000, 2000), st.integers(-60, 60))),
+    st.tuples(st.sampled_from(["sequential", "parallel"])),
+    st.just(("close",)),
 )
 
 
-@given(program=st.lists(driver_op, max_size=20))
+@given(program=st.lists(driver_op, max_size=60))
 # A pulse and a gate that cross the high end of a frame started near MU_MAX, and one that ends on it.
-@example(program=[("at_mu", MU_MAX - 10), ("sequential", [("pulse", "ttl0", 11), ("pulse", "ttl0", 10)])])
-@example(program=[("at_mu", MU_MAX - 10), ("parallel", [("gate", 11), ("gate", 10), ("pulse", "ttl1", 11)])])
+@example(program=[("at_mu", MU_MAX - 10), ("sequential",), ("pulse", "ttl0", 11), ("pulse", "ttl0", 10)])
+@example(program=[("at_mu", MU_MAX - 10), ("parallel",), ("gate", 11), ("gate", 10), ("pulse", "ttl1", 11)])
 # Parallel pulses and gates longer and shorter than their siblings.
-@example(program=[("at_mu", 5), ("parallel", [("pulse", "ttl0", 5), ("pulse", "ttl1", 9), ("gate", 3),
-                                              ("sequential", [("pulse", "ttl0", 4), ("pulse", "ttl0", 8)])]),
+@example(program=[("at_mu", 5), ("parallel",), ("pulse", "ttl0", 5), ("pulse", "ttl1", 9), ("gate", 3),
+                  ("sequential",), ("pulse", "ttl0", 4), ("pulse", "ttl0", 8), ("close",), ("close",),
                   ("pulse", "ttl1", 1)])
 # Every kind of argument that does not pass Dds.set's one test, and floats on each range end.
 @example(program=[("dds", True, 0.0, 1.0), ("dds", 2**1024, 0.0, 1.0), ("dds", math.nan, 0.0, 1.0),
@@ -295,8 +306,8 @@ driver_op = st.recursive(
                   ("delay_mu", 10), ("dds", 3e6, 0.5, 0.75)])
 @example(program=[("gate", 10), ("push", "counter0.gate", True, 5), ("gate", 10), ("gate", 10)])
 # A parallel pulse that lands before a longer sibling's falling edge on the same TTL.
-@example(program=[("parallel", [("pulse", "ttl0", 10), ("pulse", "ttl0", 4),
-                                ("sequential", [("delay_mu", 3), ("pulse", "ttl0", 2)])]), ("pulse", "ttl0", 1)])
+@example(program=[("parallel",), ("pulse", "ttl0", 10), ("pulse", "ttl0", 4), ("sequential",), ("delay_mu", 3),
+                  ("pulse", "ttl0", 2), ("close",), ("close",), ("pulse", "ttl0", 1)])
 # Each input read where set_input wrote exactly at the cursor, and where nothing is set yet.
 @example(program=[("sample", "in0"), ("sample", "adc0"), ("input", "in0.prob", 1.0, 0), ("sample", "in0"),
                   ("input", "adc0.v0", 1.5, 0), ("sample", "adc0"), ("input", "adc0.v1", -2.0, 0),
@@ -308,13 +319,22 @@ driver_op = st.recursive(
                   ("sample", "adc0")])
 # Random draws: each sample stores an int, which push accepts, not a bool.
 @example(program=[("input", "in0.prob", 0.5, 0), ("sample", "in0"), ("sample", "in0"), ("sample", "in0")])
+# A pulse and a gate of MU_MAX, the longest a driver accepts: each ends on the root window's high end.
+@example(program=[("pulse", "ttl0", MU_MAX)])
+@example(program=[("gate", MU_MAX)])
+# A frame opened near MU_MIN keeps the root's low end, so a delay that ends below MU_MIN raises.
+@example(program=[("at_mu", MU_MIN + 2000), ("pulse", "ttl0", 1), ("sequential",), ("delay_mu", MU_MIN + 2000),
+                  ("close",), ("gate", 1)])
+# A child that moves back far past its parallel frame's start: its close returns the cursor to that start.
+@example(program=[("at_mu", MU_MAX - 2000), ("parallel",), ("sequential",), ("delay_mu", -MU_MAX), ("close",),
+                  ("at_mu", 1), ("pulse", "ttl0", 1), ("close",), ("on", "ttl0")])
 @settings(max_examples=300, deadline=None)
 def test_drivers_match_reference_drivers(program):
     runs = []
     for reference in (False, True):
         run, devices = _drivers(reference)
         log = [("start", None, _state(run, devices))]  # the counter's input preset is the first write
-        _play(run, devices, program, log)
+        _play(run, devices, iter(program), log)
         runs.append((run, log))
     (run, log), (_, ref_log) = runs
     for step, ref_step in zip(log, ref_log, strict=True):

@@ -40,18 +40,6 @@ def manager(mode=SyncMode.REGULAR, events=()):
     return tm
 
 
-mu_values = st.integers(min_value=MU_MIN, max_value=MU_MAX)
-
-
-def pop_outcome(tm):
-    """Pop the open frame; return whether that overflowed, and the cursor after."""
-    try:
-        Frame(tm, SEQ).__exit__(None, None, None)
-    except MachineUnitsOverflow:
-        return "overflow", tm.now_mu()
-    return "ok", tm.now_mu()
-
-
 def frames(tm):
     """Every open frame, the root first, as ``(start, longest, lo, hi)``."""
     return [*tm._enclosing, (tm._start, tm._longest, tm._lo, tm._hi)]
@@ -64,7 +52,8 @@ def state(tm):
 
 # Times within 200 000 MU of either end of the range or of 0, so a program
 # often lands on a window edge, with or without the 125 000 MU sync slack.
-# Delays also reach ±2**64, past the signed 64-bit range both ways.
+# Jumps also go anywhere in the range, and delays reach ±2**64 and ±2**66,
+# past the signed 64-bit range both ways.
 edge_times = st.one_of(
     st.integers(min_value=MU_MIN, max_value=MU_MIN + 200_000),
     st.integers(min_value=-200_000, max_value=200_000),
@@ -75,8 +64,9 @@ block_programs = st.lists(st.one_of(
     st.tuples(st.just("push"), st.sampled_from([SEQ, PAR])),
     st.just(("pop",)),
     st.tuples(st.just("delay_mu"), st.one_of(edge_times, st.sampled_from([MU_MIN, MU_MAX]),
-                                             st.integers(min_value=-(2**64), max_value=2**64))),
-    st.tuples(st.just("at_mu"), edge_times),
+                                             st.integers(min_value=-(2**64), max_value=2**64),
+                                             st.integers(min_value=-(2**66), max_value=2**66))),
+    st.tuples(st.just("at_mu"), st.one_of(edge_times, st.integers(min_value=MU_MIN, max_value=MU_MAX))),
     st.tuples(st.just("event"), edge_times),
     st.just(("sync",)),
     st.just(("raise",)),
@@ -639,40 +629,6 @@ class TestProperties:
         syncs = sum(1 for item in program if item[0] == "sync")
         assert cursors[SyncMode.REGULAR] - cursors[SyncMode.OPTIMISTIC] == 125_000 * syncs
 
-    @given(
-        start=mu_values,
-        kind=st.sampled_from([None, SEQ, PAR]),
-        inside=mu_values,
-        op=st.sampled_from(["delay_mu", "at_mu"]),
-        value=st.one_of(mu_values, st.integers(min_value=-(2**66), max_value=2**66)),
-    )
-    @example(start=MU_MIN, kind=SEQ, inside=MU_MAX, op="delay_mu", value=1)
-    @example(start=MU_MIN, kind=SEQ, inside=MU_MAX, op="at_mu", value=0)
-    @example(start=MU_MIN, kind=PAR, inside=0, op="at_mu", value=0)
-    @example(start=MU_MAX, kind=None, inside=0, op="delay_mu", value=1)
-    @example(start=0, kind=PAR, inside=0, op="delay_mu", value=2**63)
-    def test_raising_op_changes_nothing(self, start, kind, inside, op, value):
-        def build():
-            tm = manager()
-            tm.at_mu(start)
-            if kind is not None:
-                Frame(tm, kind).__enter__()
-            with contextlib.suppress(MachineUnitsOverflow):
-                tm.delay_mu(inside)
-            return tm
-
-        tm, ref = build(), build()
-        try:
-            getattr(tm, op)(value)
-        except MachineUnitsOverflow:
-            pass
-        else:
-            return
-        assert (tm.now_mu(), tm.depth) == (ref.now_mu(), ref.depth)
-        # The open frame is unchanged too: leaving it gives the same outcome.
-        if kind is not None:
-            assert pop_outcome(tm) == pop_outcome(ref)
-
     @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
     @given(program=block_programs)
     @example(program=[("at_mu", -1), ("push", SEQ), ("pop",), ("delay_mu", MU_MAX + 1)])
@@ -687,6 +643,12 @@ class TestProperties:
     @example(program=[("at_mu", MU_MIN), ("event", 0), ("sync",)])
     # A pop restores the root's window: the third delay fits only in the root's.
     @example(program=[("at_mu", MU_MAX - 10), ("push", SEQ), ("pop",), *[("delay_mu", -2**62)] * 3])
+    # A delay or a jump past a frame's window, or the root's, changes nothing.
+    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("delay_mu", MU_MAX), ("delay_mu", 1)])
+    @example(program=[("at_mu", MU_MIN), ("push", SEQ), ("delay_mu", MU_MAX), ("at_mu", 0)])
+    @example(program=[("at_mu", MU_MIN), ("push", PAR), ("at_mu", 0)])
+    @example(program=[("at_mu", MU_MAX), ("delay_mu", 1)])
+    @example(program=[("push", PAR), ("delay_mu", 2**63)])
     @settings(max_examples=300, deadline=None)
     def test_with_blocks_match_naive_timeline(self, mode, slack, program):
         # A push opens a ``with run.sequential()`` or ``with run.parallel()`` block that the matching pop (or

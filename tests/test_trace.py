@@ -14,6 +14,7 @@ from rtsim.timeline import MU_MAX, MU_MIN
 from rtsim.trace import export_jsonl, export_vcd, read_jsonl, records_of
 
 from conftest import FULL_DDB
+from digests import GOLDEN, digests
 from vcd_check import check_vcd
 
 
@@ -686,3 +687,9 @@ class TestReadJsonlSharing:
             tracemalloc.stop()
         assert len(records) == 10_000
         assert peak / len(records) <= 350
+
+
+def test_bundled_runs_match_pinned_digests():
+    # Both exports of demo, of each bench preset and of a body that draws from each random stream, in both
+    # sync modes. tests/digests.py prints and checks the same table without pytest.
+    assert digests() == json.loads(GOLDEN.read_text())
