@@ -212,6 +212,10 @@ class TtlIn(SimDevice):
 
     def sample_input(self) -> None:
         """Draw one Bernoulli sample at the cursor and enqueue it."""
+        self.buffer.appendleft(self.sample_get())  # the get consumed the oldest sample or this one: back in front
+
+    def sample_get(self) -> int:
+        """Draw one sample at the cursor, enqueue it, and consume the oldest enqueued sample."""
         cursor = self._time._now
         idx = bisect_right(self.prob._times, cursor)  # Signal.pull in place: the cursor is an int
         if not idx:
@@ -223,13 +227,21 @@ class TtlIn(SimDevice):
         if self._sample_delay_mu:  # a zero delay cannot raise and changes nothing, as in Dds.set
             self._time.delay_mu(self._sample_delay_mu)
         value = self._rng.bernoulli(p)  # the int 0 or 1
-        self.sample._put(value, cursor)
-        self.buffer.put(value)
-
-    def sample_get(self) -> int:
-        """Draw, enqueue, and immediately consume one sample."""
-        self.sample_input()
-        return self.fetch_sample()
+        sample = self.sample
+        times = sample._times
+        if not times or cursor > times[-1]:  # an append, written in place as _edges writes one
+            times.append(cursor)
+            sample._values.append(value)
+            top = sample._event_top
+            if cursor > top[0]:
+                top[0] = cursor
+        else:
+            sample._put(value, cursor)
+        buffer = self.buffer
+        if buffer:  # older samples wait: this one goes behind them
+            buffer.append(value)
+            return buffer.popleft()
+        return value
 
 
 class EdgeCounter(SimDevice):
@@ -345,6 +357,10 @@ class Adc(SimDevice):
 
     def sample_input(self) -> None:
         """Read all channel voltages at the cursor and enqueue the vector."""
+        self.buffer.appendleft(self.sample())  # the read consumed the oldest vector or this one: back in front
+
+    def sample(self) -> list[float]:
+        """Read all channel voltages at the cursor, enqueue the vector, and consume the oldest enqueued vector."""
         cursor = self._time._now
         values = []
         for i, sig in enumerate(self.voltages):
@@ -354,12 +370,11 @@ class Adc(SimDevice):
             values.append(sig._values[idx - 1])
         if self._sample_delay_mu:
             self._time.delay_mu(self._sample_delay_mu)
-        self.buffer.put(values)
-
-    def sample(self) -> list[float]:
-        """Sample all channels and return the vector."""
-        self.sample_input()
-        return self.fetch_sample()
+        buffer = self.buffer
+        if buffer:  # older vectors wait: this one goes behind them
+            buffer.append(values)
+            return buffer.popleft()
+        return values
 
 
 DRIVER_CLASSES = {

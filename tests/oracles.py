@@ -5,10 +5,14 @@ direct recursion (acceptance criterion 1), the timeline oracle checks each
 move against every open frame (the one cursor harness, in
 ``test_timeline.py``), the signal oracle answers pulls by scanning the full
 push log (``TestStore`` in ``test_signals.py``, acceptance criterion 2, and
-the push replay in ``test_driver_reference.py``). No oracle shares code with
+the push replay in ``test_driver_reference.py``), and the Poisson search
+inverts a uniform below mean 10 one term at a time, with no kept sums
+(``test_rng.py`` and ``test_call_counts.py``). No oracle shares code with
 the package; only ``run_tree``, which runs a tree on the real timeline,
 imports it.
 """
+
+import math
 
 from rtsim import ContextKind, TimeManager
 from rtsim.timeline import Frame
@@ -36,6 +40,34 @@ def run_tree(manager: TimeManager, node) -> None:
     with Frame(manager, ContextKind.SEQUENTIAL if tag == "seq" else ContextKind.PARALLEL):
         for child in node[1]:
             run_tree(manager, child)
+
+
+def poisson_sums(mean: float) -> list:
+    """The running sums of the Poisson pmf below mean 10 by the recurrence ``p_k = p_{k-1} * (mean / k)``,
+    from ``p_0 = exp(-mean)``, up to the first term that no longer changes the sum."""
+    p = s = math.exp(-mean)
+    sums, k = [s], 1
+    while True:
+        p *= mean / k
+        if s + p == s:
+            return sums
+        s += p
+        sums.append(s)
+        k += 1
+
+
+def poisson_search(mean: float, u: float) -> int:
+    """The sequential search below mean 10, as a stream ran it for every draw before it kept sums: the least k
+    whose running sum reaches ``u``, or the k whose term no longer changes the sum."""
+    p = s = math.exp(-mean)
+    k = 0
+    while u > s:
+        k += 1
+        p *= mean / k
+        if s + p == s:
+            return k
+        s += p
+    return k
 
 
 def random_tree(rng, max_depth: int, max_delays: int, lo: int = -(10**6), hi: int = 10**6):

@@ -11,8 +11,10 @@ import sys
 import pytest
 
 from rtsim import DeviceDb, SimConfig, SimulationRun, set_input
-from rtsim.rng import Xoshiro256StarStar
+from rtsim.rng import _TABLE_MEANS, Xoshiro256StarStar
 from rtsim.timeline import MU_MAX, REGULAR_SYNC_SLACK_MU
+
+from oracles import poisson_search
 
 
 def _python_calls(fn, limits=None):
@@ -280,3 +282,55 @@ def test_sampling_drivers_make_no_pull_call():
 
     assert _python_calls(body)["Signal.pull"] == 0
     assert ttl_in.fetch_sample() == 1 and counter.fetch_count() == 1 and adc.fetch_sample() == [0.5, -0.5]
+
+
+def test_consuming_samplers_make_no_pull_call():
+    run = _driver_run()
+    ttl_in, adc = run.get_device("in0"), run.get_device("adc0")
+
+    def body():
+        assert ttl_in.sample_get() == 1 and adc.sample() == [0.5, -0.5]
+
+    assert _python_calls(body)["Signal.pull"] == 0
+
+
+def test_appending_sample_get_makes_only_its_draw():
+    # One body: the sample event appends in place and a get from an empty buffer takes no take.
+    run = _driver_run()
+    ttl_in = run.get_device("in0")
+    set_input(run, "in0", "prob", 0, 0.5)  # a draw, not a certain value
+    calls = _python_calls(ttl_in.sample_get)
+    assert calls == {"TtlIn.sample_get": 1, "Xoshiro256StarStar.bernoulli": 1, "Xoshiro256StarStar.next_u64": 1}
+    assert len(ttl_in.sample.events()) == 1 and not ttl_in.buffer
+
+
+def test_adc_sample_makes_no_other_call():
+    run = _driver_run()
+    adc = run.get_device("adc0")
+    assert _python_calls(adc.sample) == {"Adc.sample": 1}
+    adc.sample_input()  # a later read with a vector waiting consumes that vector, in the same one call
+    assert _python_calls(adc.sample) == {"Adc.sample": 1} and len(adc.buffer) == 1
+
+
+def test_a_kept_mean_draws_by_one_bisect():
+    # The first draw at a mean searches, the second keeps its sums; from then on a draw is one uniform.
+    stream = Xoshiro256StarStar(3)
+    stream.poisson(4.5)
+    assert stream._tables == {4.5: None}
+    stream.poisson(4.5)
+    assert type(stream._tables[4.5]) is tuple
+    calls = _python_calls(functools.partial(stream.poisson, 4.5))
+    assert calls == {"Xoshiro256StarStar.poisson": 1, "Xoshiro256StarStar.random": 1, "Xoshiro256StarStar.next_u64": 1}
+
+
+def test_a_stream_keeps_a_bounded_number_of_means():
+    # Means that never repeat fill the table and clear it, over and over; the draws stay the search's.
+    stream, twin = Xoshiro256StarStar(8), Xoshiro256StarStar(8)
+    means = [0.5 + 9.4 * i / 10_000 for i in range(10_000)] + [7.25] * 3
+    most = 0
+    draws = []
+    for mean in means:
+        draws.append(stream.poisson(mean))
+        most = max(most, len(stream._tables))
+    assert most == _TABLE_MEANS == 64
+    assert draws == [poisson_search(mean, twin.random()) for mean in means]

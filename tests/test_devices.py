@@ -282,6 +282,21 @@ class TestTtlIn:
         with pytest.raises(BufferEmpty):
             dev.fetch_sample()
 
+    def test_get_consumes_the_oldest_sample_behind_which_it_enqueues(self, make_run):
+        run = make_run()
+        dev = run.get_device("in0")
+        for t, p in ((0, 1.0), (10, 0.0), (20, 1.0)):
+            self.set_prob(run, p, t)
+        dev.sample_input()
+        run.at_mu(10)
+        dev.sample_input()
+        run.at_mu(20)
+        assert dev.sample_get() == 1 and list(dev.buffer) == [0, 1]
+        run.at_mu(30)
+        dev.sample_input()
+        assert [dev.fetch_sample() for _ in range(3)] == [0, 1, 1]
+        assert dev.sample.events() == [(0, 1), (10, 0), (20, 1), (30, 1)]
+
 
 def counter_ddb(mode):
     return DeviceDb.from_dict(
@@ -627,6 +642,21 @@ class TestAdc:
         with pytest.raises(BufferEmpty):
             adc.fetch_sample()
 
+    def test_sample_consumes_the_oldest_vector_behind_which_it_enqueues(self, make_run):
+        run = make_run()
+        adc = run.get_device("adc0")
+        adc.voltages[1].push(0.0, 0)
+        for t in (0, 10, 20):
+            adc.voltages[0].push(t / 10, t)
+        adc.sample_input()
+        run.at_mu(10)
+        adc.sample_input()
+        run.at_mu(20)
+        assert adc.sample() == [0.0, 0.0] and list(adc.buffer) == [[1.0, 0.0], [2.0, 0.0]]
+        run.at_mu(30)
+        adc.sample_input()
+        assert [adc.fetch_sample()[0] for _ in range(3)] == [1.0, 2.0, 2.0]
+
     def test_sample_delay_advances_cursor(self, make_run):
         ddb = DeviceDb.from_dict(
             {"devices": [
@@ -708,6 +738,11 @@ DELAYING_CALLS = {  # name -> (call, its delay)
     "ttl_in_sample": (lambda run: run.get_device("in0").sample_input(), 30),
     "adc_sample": (lambda run: run.get_device("adc0").sample_input(), 50),
 }
+# The samplers' consuming calls, which read, delay and store as their enqueueing calls do.
+CONSUMING_CALLS = {
+    "ttl_in_get": (lambda run: run.get_device("in0").sample_get(), 30),
+    "adc_get": (lambda run: run.get_device("adc0").sample(), 50),
+}
 
 
 def run_in_frame(kind, calls, start=100):
@@ -740,24 +775,31 @@ class TestParallelFrame:
         assert ttl1.state.events() == [(100, True), (4100, False)]
         assert run.now_mu() == 4100
 
-    @pytest.mark.parametrize("name", DELAYING_CALLS)
+    @pytest.mark.parametrize("name", [*DELAYING_CALLS, *CONSUMING_CALLS])
     def test_call_stores_what_it_stores_in_a_sequential_frame(self, name):
-        call, delay = DELAYING_CALLS[name]
+        call, delay = {**DELAYING_CALLS, **CONSUMING_CALLS}[name]
         sequential = run_in_frame("sequential", [call])
         parallel = run_in_frame("parallel", [call])
         assert parallel == sequential
         assert parallel[2] == 100 + delay
 
-    def test_calls_in_one_parallel_frame_all_start_at_its_start(self):
+    @staticmethod
+    def check_one_parallel_frame(calls):
         base_events, base_buffers, _ = run_in_frame("sequential", [])
         events, buffers = dict(base_events), dict(base_buffers)
-        for call, _ in DELAYING_CALLS.values():  # each call alone, from the frame start
+        for call, _ in calls.values():  # each call alone, from the frame start
             alone_events, alone_buffers, _ = run_in_frame("sequential", [call])
             events.update((k, v) for k, v in alone_events.items() if v != base_events[k])
             buffers.update((k, v) for k, v in alone_buffers.items() if v != base_buffers[k])
-        calls = [call for call, _ in DELAYING_CALLS.values()]
-        longest = max(delay for _, delay in DELAYING_CALLS.values())
-        assert run_in_frame("parallel", calls) == (events, buffers, 100 + longest)
+        longest = max(delay for _, delay in calls.values())
+        assert run_in_frame("parallel", [call for call, _ in calls.values()]) == (events, buffers, 100 + longest)
+
+    def test_calls_in_one_parallel_frame_all_start_at_its_start(self):
+        self.check_one_parallel_frame(DELAYING_CALLS)
+
+    def test_consuming_calls_in_one_parallel_frame_all_start_at_its_start(self):
+        calls = {name: call for name, call in DELAYING_CALLS.items() if name not in ("ttl_in_sample", "adc_sample")}
+        self.check_one_parallel_frame({**calls, **CONSUMING_CALLS})
 
     @pytest.mark.parametrize("kind", ["sequential", "parallel"])
     @pytest.mark.parametrize("name", ["in0", "adc0"])

@@ -15,7 +15,10 @@ the timeline's own harness: ``("sequential",)`` or ``("parallel",)`` opens a
 any block still open. Each frame-window edge that a random program seldom
 reaches has an ``@example`` of its own. ``in0`` and ``adc0`` have a sample delay,
 and a reference sampler reads its input at the cursor, then delays, then writes
-and enqueues at the saved cursor, as the README says every driver does.
+and enqueues at the saved cursor, as the README says every driver does. A
+sampler op enqueues (``sample_input``), consumes (``sample_get`` or
+``sample``) or fetches; a reference sampler keeps its buffer as a list and
+consumes by an enqueue and a fetch from the front.
 
 Every write of the drivers' run, taken from those snapshots, is then replayed
 through ``Signal.push`` on a fresh store, which must come out the same: push
@@ -29,7 +32,8 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtsim import UNKNOWN, DeviceDb, DeviceError, InputUnset, SignalManager, SimConfig, SimulationRun, set_input
+from rtsim import (UNKNOWN, BufferEmpty, DeviceDb, DeviceError, InputUnset, SignalManager, SimConfig, SimulationRun,
+                   set_input)
 from rtsim.rng import POISSON_MEAN_LIMIT
 from rtsim.signals import SignalKindMismatch, _coerce_real
 from rtsim.timeline import MU_MAX, MU_MIN, REF_PERIOD_S, MachineUnitsOverflow, round_half_away_from_zero, short_repr
@@ -109,7 +113,16 @@ class RefDds:
         self.amp._put(amp, cursor)
 
 
-class RefTtlIn:
+class RefFifo:
+    """A sampler's input buffer as a list: enqueue at the back, consume from the front."""
+
+    def fetch_sample(self):
+        if not self.buffer:
+            raise BufferEmpty("input buffer is empty")
+        return self.buffer.pop(0)
+
+
+class RefTtlIn(RefFifo):
     def __init__(self, time, driver):
         self.time, self.name, self.prob, self.sample, self.buffer = time, driver.name, driver.prob, driver.sample, []
         self.rng = driver._rng  # the driver's own stream: the two runs draw the same samples
@@ -126,8 +139,12 @@ class RefTtlIn:
         self.sample._put(value, cursor)
         self.buffer.append(value)
 
+    def sample_get(self):
+        self.sample_input()
+        return self.fetch_sample()
 
-class RefAdc:
+
+class RefAdc(RefFifo):
     def __init__(self, time, driver):
         self.time, self.name, self.voltages, self.buffer = time, driver.name, driver.voltages, []
 
@@ -141,6 +158,10 @@ class RefAdc:
             values.append(v)
         self.time.delay_mu(SAMPLE_DELAY_MU)
         self.buffer.append(values)
+
+    def sample(self):
+        self.sample_input()
+        return self.fetch_sample()
 
 
 REFERENCES = {"ttl0": RefTtl, "ttl1": RefTtl, "counter0": RefCounter, "dds0": RefDds, "in0": RefTtlIn, "adc0": RefAdc}
@@ -235,6 +256,10 @@ def _play(run, devices, steps, log, depth=0):
             outcome = _outcome(lambda: devices["dds0"].set(*args))
         elif op == "sample":
             outcome = _outcome(devices[args[0]].sample_input)
+        elif op == "get":  # a sampler's consuming call
+            outcome = _outcome(getattr(devices[args[0]], "sample_get" if args[0] == "in0" else "sample"))
+        elif op == "fetch":
+            outcome = _outcome(devices[args[0]].fetch_sample)
         elif op in ("push", "input"):  # a user write at the cursor plus an offset: Signal.push or set_input
             device, signal = args[0].split(".")
             time = run.now_mu() + args[2]
@@ -271,7 +296,7 @@ driver_op = st.one_of(
     st.tuples(st.just("dds"), reals, reals, reals),
     st.tuples(st.just("dds"), st.one_of(st.integers(0, 10**9), st.floats(0, 1e9)),
               st.floats(0, 1, exclude_max=True), st.floats(0, 1)),
-    st.tuples(st.just("sample"), st.sampled_from(["in0", "adc0"])),
+    st.tuples(st.sampled_from(["sample", "get", "fetch"]), st.sampled_from(["in0", "adc0"])),
     st.tuples(st.just("push"), st.sampled_from(["ttl0.state", "ttl1.state", "counter0.gate"]), st.booleans(),
               offsets),
     st.tuples(st.just("push"), st.sampled_from(["dds0.freq", "dds0.phase", "dds0.amp"]), st.floats(0, 1), offsets),
@@ -317,6 +342,11 @@ driver_op = st.one_of(
 @example(program=[("input", "in0.prob", 0.0, 0), ("input", "in0.prob", 1.0, 3), ("sample", "in0"),
                   ("input", "adc0.v0", 1.5, 0), ("input", "adc0.v1", -2.0, 0), ("input", "adc0.v0", 2.5, 3),
                   ("sample", "adc0")])
+# Two samples enqueued, a get that consumes the older and enqueues its own, then fetches past the last.
+@example(program=[("input", "in0.prob", 1.0, 0), ("input", "adc0.v0", 1.0, 0), ("input", "adc0.v1", 0.0, 0),
+                  ("sample", "in0"), ("sample", "adc0"), ("input", "in0.prob", 0.0, 0), ("input", "adc0.v0", 2.0, 0),
+                  ("sample", "in0"), ("sample", "adc0"), ("get", "in0"), ("get", "adc0"), ("fetch", "in0"),
+                  ("fetch", "adc0"), ("fetch", "in0"), ("fetch", "adc0"), ("fetch", "in0"), ("fetch", "adc0")])
 # Random draws: each sample stores an int, which push accepts, not a bool.
 @example(program=[("input", "in0.prob", 0.5, 0), ("sample", "in0"), ("sample", "in0"), ("sample", "in0")])
 # A pulse and a gate of MU_MAX, the longest a driver accepts: each ends on the root window's high end.

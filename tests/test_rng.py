@@ -7,10 +7,13 @@ deterministic.
 
 import math
 import statistics
+from bisect import bisect_right
 
 import pytest
 
 from rtsim.rng import Xoshiro256StarStar
+
+from oracles import poisson_search, poisson_sums
 
 # The first counts at seed 7 and the sum of the first 1000; a change of the
 # inversion path (mean 5) or of the PTRS path shows here.
@@ -188,3 +191,51 @@ def test_largest_uniform_below_10_ends_the_search(monkeypatch):
     for mean in INVERSION_MEANS + [i / 1000 for i in range(1, 10_000)]:
         k = rng.poisson(mean)
         assert type(k) is int and 0 <= k < 60, (mean, k)
+
+
+# Gate means that repeat, as a scan's do, and means that never repeat; each stream
+# sees more than 64 means, so it also clears the sums it keeps.
+REPEATING_MEANS = [0.8 + 0.37 * i for i in range(25)]
+DISTINCT_MEANS = [9.9 * (i + 1) / 2001 for i in range(2000)]
+
+
+def _mean_sequence():
+    """20 000 draws at the repeating means, with a distinct mean after every tenth."""
+    distinct = iter(DISTINCT_MEANS)
+    for i in range(22_000):
+        yield next(distinct) if i % 11 == 10 else REPEATING_MEANS[i % 25]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_below_10_matches_the_sequential_search(seed):
+    # Each count is the sequential search's for the uniform a twin stream draws at that step.
+    rng, twin = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    means = list(_mean_sequence())
+    assert [rng.poisson(mean) for mean in means] == [poisson_search(mean, twin.random()) for mean in means]
+
+
+@pytest.mark.parametrize("mean", INVERSION_MEANS + [0.37, 3.0, 7.77])
+def test_uniform_on_a_cumulative_sum_gives_its_index(monkeypatch, mean):
+    # u equal to the sum s_k reaches it: the count is k, at the first draw and at every later one.
+    sums = poisson_sums(mean)
+    for k, s in enumerate(sums):
+        assert bisect_right(sums, s) == k + 1  # the count one past k
+        monkeypatch.setattr(Xoshiro256StarStar, "random", lambda self: s)
+        rng = Xoshiro256StarStar(0)
+        assert [rng.poisson(mean) for _ in range(3)] == [k] * 3, (mean, k)
+
+
+BERNOULLI_PS = [0.5, 3 * 2.0**-53, (2**52 + 1) * 2.0**-53, 5e-324, 1 - 2.0**-53]
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+def test_bernoulli_is_a_uniform_below_p(monkeypatch, p):
+    # Against a twin stream's random() < p, then at each 53-bit uniform next to p.
+    rng, twin = Xoshiro256StarStar(4), Xoshiro256StarStar(4)
+    assert [rng.bernoulli(p) for _ in range(2000)] == [int(twin.random() < p) for _ in range(2000)]
+    edge = math.floor(p * 2**53)
+    uniforms = [n for n in range(edge - 1, edge + 3) if 0 <= n < 2**53] + [0, 2**53 - 1]
+    for n in uniforms:
+        for low in (0, 0x7FF):  # the 11 low bits a uniform drops
+            monkeypatch.setattr(Xoshiro256StarStar, "next_u64", lambda self: n << 11 | low)
+            assert rng.bernoulli(p) == int(n * 2.0**-53 < p), (p, n)
