@@ -227,16 +227,7 @@ class TtlIn(SimDevice):
         if self._sample_delay_mu:  # a zero delay cannot raise and changes nothing, as in Dds.set
             self._time.delay_mu(self._sample_delay_mu)
         value = self._rng.bernoulli(p)  # the int 0 or 1
-        sample = self.sample
-        times = sample._times
-        if not times or cursor > times[-1]:  # an append, written in place as _edges writes one
-            times.append(cursor)
-            sample._values.append(value)
-            top = sample._event_top
-            if cursor > top[0]:
-                top[0] = cursor
-        else:
-            sample._put(value, cursor)
+        self.sample._put(value, cursor)
         buffer = self.buffer
         if buffer:  # older samples wait: this one goes behind them
             buffer.append(value)

@@ -7,11 +7,11 @@ from (seed, device name), so adding a device never perturbs another device's
 draws.
 
 A Poisson count below mean 10 takes one uniform and inverts the cumulative
-distribution by a search that stops within a bounded number of terms, or by
-one bisect in the sums a stream keeps for a mean it has seen before; from
-mean 10 up it uses Hormann's PTRS transformed rejection, whose cost does not
-grow with the mean. Either way the mean must be below 2**63, the range of a
-signed 64-bit count.
+distribution by one bisect in the cumulative sums it keeps for that mean,
+which stop within a bounded number of terms; from mean 10 up it uses
+Hormann's PTRS transformed rejection, whose cost does not grow with the
+mean. Either way the mean must be below 2**63, the range of a signed 64-bit
+count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Xoshiro256StarStar:
             state, out = _splitmix64(state)
             s.append(out)
         self._s = tuple(s)
-        self._tables = {}  # a mean below 10 -> its cumulative sums, or None after its first draw
+        self._tables = {}  # a mean below 10 -> its cumulative sums
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -73,54 +73,42 @@ class Xoshiro256StarStar:
             return 0
         if p >= 1.0:
             return 1
-        return 1 if self.next_u64() >> 11 < p * 2.0**53 else 0  # random() < p, both sides scaled by 2**53
+        return 1 if self.random() < p else 0
 
     def poisson(self, mean: float) -> int:
         """Poisson draw for a mean in [0, 2**63).
 
         Below mean 10 it draws one uniform ``u`` and returns the least k whose
-        cumulative probability reaches ``u``, by sequential search (Devroye
-        1986, X.3). The search stops once the next term no longer changes the
-        sum, so it ends within 60 terms even for ``u`` just below 1. The second
-        time the stream sees a mean it keeps those sums, and from then on a
-        draw there is ``bisect_left`` of ``u`` in them, the same k for every
-        ``u``. A stream keeps at most ``_TABLE_MEANS`` means, then clears
-        them. From 10 up it uses PTRS (Hormann 1993, with the constants of
-        NumPy's ``random_poisson_ptrs``): 2.2 to 2.7 draws a call at any mean.
-        From k = 10 up its rejection test takes the log pmf by Stirling in
-        k - mean, so it keeps its precision up to the largest mean.
+        cumulative probability reaches ``u``: ``bisect_left`` of ``u`` in the
+        sums a sequential search would visit (Devroye 1986, X.3). The stream
+        builds them at a mean's first draw and keeps them, for at most
+        ``_TABLE_MEANS`` means before it clears them all. The sums stop once
+        the next term no longer changes them, within 60 terms, so even ``u``
+        just below 1 gets a count. From 10 up it uses PTRS (Hormann 1993, with
+        the constants of NumPy's ``random_poisson_ptrs``): 2.2 to 2.7 draws a
+        call at any mean. From k = 10 up its rejection test takes the log pmf
+        by Stirling in k - mean, so it keeps its precision up to the largest
+        mean.
         """
         tables = self._tables
-        if mean in tables:  # a mean below 10 the stream has drawn at
-            table = tables[mean]
-            if table is None:  # the second sight: keep the sums s_0 ... s_{K-1} the search visits, by its recurrence
-                p = s = math.exp(-mean)
+        if mean not in tables:  # a mean without kept sums
+            if not 0.0 <= mean < POISSON_MEAN_LIMIT:  # nan, inf or a count past 64 bits
+                raise ValueError(f"poisson mean must be finite and non-negative and below 2**63: {mean}")
+            if mean < 10.0:  # float literals: a float mean compares on the interpreter's float fast path
+                if mean == 0.0:
+                    return 0
+                if len(tables) >= _TABLE_MEANS:
+                    tables.clear()
+                p = s = math.exp(-mean)  # s_0 ... s_{K-1}, by the search's recurrence
                 sums = [s]
                 k = 1
                 while s + (p := p * (mean / k)) != s:  # stops at K, whose term no longer changes the sum
                     s += p
                     sums.append(s)
                     k += 1
-                tables[mean] = table = tuple(sums)
-            return bisect_left(table, self.random())  # the least k with u <= s_k, or K past every sum
-        if not 0.0 <= mean < POISSON_MEAN_LIMIT:  # nan, inf or a count past 64 bits
-            raise ValueError(f"poisson mean must be finite and non-negative and below 2**63: {mean}")
-        if mean < 10.0:  # float literals: a float mean compares on the interpreter's float fast path
-            if mean == 0.0:
-                return 0
-            if len(tables) >= _TABLE_MEANS:
-                tables.clear()
-            tables[mean] = None  # the first sight: note the mean, and search
-            u = self.random()
-            p = s = math.exp(-mean)
-            k = 0
-            while u > s:
-                k += 1
-                p *= mean / k
-                if s + p == s:
-                    return k  # the tail left is below a uniform's resolution
-                s += p
-            return k
+                tables[mean] = tuple(sums)
+        if mean < 10.0:
+            return bisect_left(tables[mean], self.random())  # the least k with u <= s_k, or K past every sum
         loglam = math.log(mean)
         b = 0.931 + 2.53 * math.sqrt(mean)
         a = -0.059 + 0.02483 * b

@@ -60,11 +60,10 @@ MUTANTS = [
      "count if count < 2**63 else", "count if count <= 2**63 else"),
     ("bernoulli-draws-at-p-0", "src/rtsim/rng.py", "if p <= 0.0:", "if p < 0.0:"),
     ("bernoulli-draws-at-p-1", "src/rtsim/rng.py", "if p >= 1.0:", "if p > 1.0:"),
-    ("bernoulli-returns-bool", "src/rtsim/rng.py", "return 1 if self.next_u64() >> 11 < p * 2.0**53 else 0",
-     "return self.next_u64() >> 11 < p * 2.0**53"),
+    ("bernoulli-returns-bool", "src/rtsim/rng.py", "return 1 if self.random() < p else 0", "return self.random() < p"),
     # A uniform equal to a kept sum s_k counts k; an enqueue puts the sample its get consumed back in front.
-    ("poisson-table-bisect-right", "src/rtsim/rng.py", "return bisect_left(table, self.random())",
-     'return __import__("bisect").bisect_right(table, self.random())'),
+    ("poisson-table-bisect-right", "src/rtsim/rng.py", "return bisect_left(tables[mean], self.random())",
+     'return __import__("bisect").bisect_right(tables[mean], self.random())'),
     ("sampler-enqueues-at-back", "src/rtsim/devices.py", "self.buffer.appendleft(self.sample_get())",
      "self.buffer.append(self.sample_get())"),
     # A driver that stores a wrong but valid time or count.

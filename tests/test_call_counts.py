@@ -279,28 +279,20 @@ def test_sampling_drivers_make_no_pull_call():
         ttl_in.sample_input()
         counter.gate_rising_mu(1000)
         adc.sample_input()
+        assert ttl_in.sample_get() == 1 and adc.sample() == [0.5, -0.5]  # the consuming calls read the same way
 
     assert _python_calls(body)["Signal.pull"] == 0
     assert ttl_in.fetch_sample() == 1 and counter.fetch_count() == 1 and adc.fetch_sample() == [0.5, -0.5]
 
 
-def test_consuming_samplers_make_no_pull_call():
-    run = _driver_run()
-    ttl_in, adc = run.get_device("in0"), run.get_device("adc0")
-
-    def body():
-        assert ttl_in.sample_get() == 1 and adc.sample() == [0.5, -0.5]
-
-    assert _python_calls(body)["Signal.pull"] == 0
-
-
-def test_appending_sample_get_makes_only_its_draw():
-    # One body: the sample event appends in place and a get from an empty buffer takes no take.
+def test_sample_get_makes_only_its_draw_and_its_put():
+    # One body: a get from an empty buffer returns its own draw, with no sample_input or take frame.
     run = _driver_run()
     ttl_in = run.get_device("in0")
     set_input(run, "in0", "prob", 0, 0.5)  # a draw, not a certain value
     calls = _python_calls(ttl_in.sample_get)
-    assert calls == {"TtlIn.sample_get": 1, "Xoshiro256StarStar.bernoulli": 1, "Xoshiro256StarStar.next_u64": 1}
+    assert calls == {"TtlIn.sample_get": 1, "Xoshiro256StarStar.bernoulli": 1, "Xoshiro256StarStar.random": 1,
+                     "Xoshiro256StarStar.next_u64": 1, "Signal._put": 1}
     assert len(ttl_in.sample.events()) == 1 and not ttl_in.buffer
 
 
@@ -313,12 +305,10 @@ def test_adc_sample_makes_no_other_call():
 
 
 def test_a_kept_mean_draws_by_one_bisect():
-    # The first draw at a mean searches, the second keeps its sums; from then on a draw is one uniform.
+    # The first draw at a mean keeps its sums; every draw there is one uniform and one bisect.
     stream = Xoshiro256StarStar(3)
     stream.poisson(4.5)
-    assert stream._tables == {4.5: None}
-    stream.poisson(4.5)
-    assert type(stream._tables[4.5]) is tuple
+    assert list(stream._tables) == [4.5] and type(stream._tables[4.5]) is tuple
     calls = _python_calls(functools.partial(stream.poisson, 4.5))
     assert calls == {"Xoshiro256StarStar.poisson": 1, "Xoshiro256StarStar.random": 1, "Xoshiro256StarStar.next_u64": 1}
 

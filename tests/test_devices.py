@@ -743,6 +743,12 @@ CONSUMING_CALLS = {
     "ttl_in_get": (lambda run: run.get_device("in0").sample_get(), 30),
     "adc_get": (lambda run: run.get_device("adc0").sample(), 50),
 }
+ALL_CALLS = DELAYING_CALLS | CONSUMING_CALLS
+# One frame's calls: every delaying call, with the samplers' enqueueing calls or their consuming ones.
+FRAME_CALLS = {
+    "enqueueing": DELAYING_CALLS,
+    "consuming": {name: DELAYING_CALLS[name] for name in ("pulse", "gate_rising", "init", "set")} | CONSUMING_CALLS,
+}
 
 
 def run_in_frame(kind, calls, start=100):
@@ -775,16 +781,17 @@ class TestParallelFrame:
         assert ttl1.state.events() == [(100, True), (4100, False)]
         assert run.now_mu() == 4100
 
-    @pytest.mark.parametrize("name", [*DELAYING_CALLS, *CONSUMING_CALLS])
+    @pytest.mark.parametrize("name", ALL_CALLS)
     def test_call_stores_what_it_stores_in_a_sequential_frame(self, name):
-        call, delay = {**DELAYING_CALLS, **CONSUMING_CALLS}[name]
+        call, delay = ALL_CALLS[name]
         sequential = run_in_frame("sequential", [call])
         parallel = run_in_frame("parallel", [call])
         assert parallel == sequential
         assert parallel[2] == 100 + delay
 
-    @staticmethod
-    def check_one_parallel_frame(calls):
+    @pytest.mark.parametrize("samplers", FRAME_CALLS)
+    def test_calls_in_one_parallel_frame_all_start_at_its_start(self, samplers):
+        calls = FRAME_CALLS[samplers]
         base_events, base_buffers, _ = run_in_frame("sequential", [])
         events, buffers = dict(base_events), dict(base_buffers)
         for call, _ in calls.values():  # each call alone, from the frame start
@@ -793,13 +800,6 @@ class TestParallelFrame:
             buffers.update((k, v) for k, v in alone_buffers.items() if v != base_buffers[k])
         longest = max(delay for _, delay in calls.values())
         assert run_in_frame("parallel", [call for call, _ in calls.values()]) == (events, buffers, 100 + longest)
-
-    def test_calls_in_one_parallel_frame_all_start_at_its_start(self):
-        self.check_one_parallel_frame(DELAYING_CALLS)
-
-    def test_consuming_calls_in_one_parallel_frame_all_start_at_its_start(self):
-        calls = {name: call for name, call in DELAYING_CALLS.items() if name not in ("ttl_in_sample", "adc_sample")}
-        self.check_one_parallel_frame({**calls, **CONSUMING_CALLS})
 
     @pytest.mark.parametrize("kind", ["sequential", "parallel"])
     @pytest.mark.parametrize("name", ["in0", "adc0"])
