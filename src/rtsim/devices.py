@@ -125,8 +125,6 @@ class InputBuffer(collections.deque):
 
     __slots__ = ()
 
-    put = collections.deque.append
-
     def take(self):
         if not self:
             raise BufferEmpty("input buffer is empty")
@@ -269,7 +267,7 @@ class EdgeCounter(SimDevice):
         t_close = _edges(self._time, self.gate, duration_mu)
         count = self._count(mean)
         # A mean below 2**63 can still draw a count past it: a signed 64-bit counter saturates.
-        self.buffer.put(count if count < 2**63 else 2**63 - 1)
+        self.buffer.append(count if count < 2**63 else 2**63 - 1)
         return t_close
 
     gate_rising = gate_rising_mu

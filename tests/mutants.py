@@ -68,10 +68,10 @@ MUTANTS = [
      "self.buffer.append(self.sample_get())"),
     # A driver that stores a wrong but valid time or count.
     ("pulse-falling-edge-at-cursor", "src/rtsim/devices.py", "times.append(t_off)", "times.append(time._now)"),
-    ("gate-count-off-by-one", "src/rtsim/devices.py", "self.buffer.put(count if count",
-     "self.buffer.put(count + 1 if count"),
-    ("count-saturation-dropped", "src/rtsim/devices.py", "self.buffer.put(count if count < 2**63 else 2**63 - 1)",
-     "self.buffer.put(count)"),
+    ("gate-count-off-by-one", "src/rtsim/devices.py", "self.buffer.append(count if count",
+     "self.buffer.append(count + 1 if count"),
+    ("count-saturation-dropped", "src/rtsim/devices.py",
+     "self.buffer.append(count if count < 2**63 else 2**63 - 1)", "self.buffer.append(count)"),
     # A sampler with a sample delay reads its input at the cursor, not at the delay's end.
     ("ttl-in-reads-at-delay-end", "src/rtsim/devices.py", "bisect_right(self.prob._times, cursor)",
      "bisect_right(self.prob._times, cursor + self._sample_delay_mu)"),
@@ -98,6 +98,22 @@ MUTANTS = [
     ("exit-par-start", "src/rtsim/timeline.py", "time._now = start\n", "time._now = start + duration\n"),
     ("sync-count-before-check", "src/rtsim/timeline.py", _SYNC_BODY + "        self.sync_count += 1\n",
      "self.sync_count += 1\n        " + _SYNC_BODY),
+    # The event store and the value validators.
+    ("text-size-off-by-one", "src/rtsim/signals.py", "    if size > MAX_TEXT_BYTES:",
+     "    if size > MAX_TEXT_BYTES + 1:"),
+    ("put-insert-bisect-right", "src/rtsim/signals.py", "idx = bisect_left(times, time)",
+     "idx = bisect_right(times, time)"),
+    ("events-in-excludes-t1", "src/rtsim/signals.py", "hi = bisect_right(times, t1, lo)",
+     "hi = bisect_left(times, t1, lo)"),
+    # The testkit's queries.
+    ("nearest-before-excludes-time", "src/rtsim/testkit.py", "i = bisect_right(times, time)",
+     "i = bisect_right(times, time - 1)"),
+    ("expect-tolerance-strict", "src/rtsim/testkit.py", "<= abs_tol", "< abs_tol"),
+    # The exports and the JSONL reader.
+    ("records-rank-by-registration", "src/rtsim/trace.py", "enumerate(sorted(run.signals, key=_BY_NAME))",
+     "enumerate(run.signals)"),
+    ("read-plain-ignores-escape", "src/rtsim/trace.py", '"\\\\" not in part and ', ""),
+    ("read-real-as-int", "src/rtsim/trace.py", "float(real)", "int(float(real))"),
 ]
 
 # name -> why the mutant cannot change what any caller sees

@@ -2,14 +2,20 @@
 
 These stay deliberately naive: the nesting oracle evaluates timing trees by
 direct recursion (acceptance criterion 1), the timeline oracle checks each
-move against every open frame (the one cursor harness, in
+move against every open frame
+(``TestProperties::test_with_blocks_match_naive_timeline`` in
 ``test_timeline.py``), the signal oracle answers pulls by scanning the full
-push log (``TestStore`` in ``test_signals.py``, acceptance criterion 2, and
-the push replay in ``test_driver_reference.py``), and the Poisson search
-inverts a uniform below mean 10 one term at a time, with no kept sums
-(``test_rng.py`` and ``test_call_counts.py``). No oracle shares code with
-the package; only ``run_tree``, which runs a tree on the real timeline,
-imports it.
+push log (``TestStore::test_matches_push_log_oracle`` in ``test_signals.py``,
+one oracle for each of its three signals; acceptance criterion 2; and the
+push replay in ``test_driver_reference.py``), and the Poisson search inverts
+a uniform below mean 10 one term at a time, with no kept sums
+(``test_rng.py`` and ``test_call_counts.py``). The other layers' references
+are written in their harnesses' own files: the per-kind value rule in
+``test_signals.py``, the reference drivers in ``test_driver_reference.py``,
+the list-based ``assert_events`` and ``expect`` in ``test_testkit.py``, and
+the ``json.loads`` reader and the longhand VCD lines in ``test_trace.py``.
+No oracle shares code with the package; only ``run_tree``, which runs a
+tree on the real timeline, imports it.
 """
 
 import math

@@ -157,12 +157,12 @@ def test_fetches_are_the_buffer_take():
 
 
 def test_deterministic_gate_enqueues_without_a_python_call():
-    # InputBuffer.put is deque.append: a count enters the buffer without a Python frame.
+    # The gate enqueues with deque.append: a count enters the buffer without a Python frame.
     run = _counter_run("deterministic")
     counter = run.get_device("counter0")
     set_input(run, "counter0", "freq", 0, 1.0e6)
     calls = _python_calls(lambda: counter.gate_rising_mu(1000))
-    assert calls["InputBuffer.put"] == 0 and list(counter.buffer) == [1]
+    assert not [name for name in calls if name.startswith("InputBuffer.")] and list(counter.buffer) == [1]
 
 
 @pytest.mark.parametrize("p, value", [(0.0, 0), (1.0, 1)])

@@ -5,8 +5,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from rtsim import (
     UNKNOWN,
@@ -15,7 +13,6 @@ from rtsim import (
     DeviceDbError,
     DeviceError,
     Experiment,
-    InputBuffer,
     InputUnset,
     MachineUnitsOverflow,
     SignalError,
@@ -34,36 +31,9 @@ from rtsim.devices import DeviceDescriptor
 from rtsim.rng import Xoshiro256StarStar
 from rtsim.timeline import MU_MAX, MU_MIN, REF_PERIOD_S
 
-from conftest import FULL_DDB
-
 # Golden sequences generated once with the pinned xoshiro256** streams.
 BERNOULLI_SEED_12345_IN0_P05 = [1, 0, 0, 1, 0, 1, 1, 1]
 POISSON_SEED_7_COUNTER0_MEAN1 = 0
-
-# A cursor ``back`` MU below MU_MAX and a duration ``back + extra`` past it,
-# inside a sequential or a parallel frame.
-overflow_case = dict(
-    kind=st.sampled_from(["sequential", "parallel"]),
-    back=st.integers(0, 1000),
-    extra=st.integers(1, 2**64),
-)
-
-
-def overflow_in_frame(run, kind, back, extra, call):
-    """Run ``call(duration)`` at cursor ``t`` inside the frame; the call itself must overflow.
-
-    In either kind of frame the call raises before it changes anything, so
-    leaving the frame afterwards is fine and the cursor is back at ``t``.
-    Returns ``t``.
-    """
-    t = MU_MAX - back
-    run.at_mu(t)
-    with getattr(run, kind)():
-        with pytest.raises(MachineUnitsOverflow):
-            call(back + extra)
-        assert run.now_mu() == t
-    assert (run.now_mu(), run.time.depth) == (t, 1)
-    return t
 
 
 class TestDescriptor:
@@ -164,25 +134,6 @@ class TestTtlOut:
         run = make_run()
         with pytest.raises(DeviceError):
             run.get_device("ttl0").pulse(bad)
-
-    @given(bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
-    @settings(max_examples=50, deadline=None)
-    def test_non_int_duration_rejected_before_any_push(self, bad):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        ttl = run.get_device("ttl0")
-        with pytest.raises(DeviceError, match="int"):
-            ttl.pulse(bad)
-        assert ttl.state.events() == []
-        assert run.now_mu() == 0
-
-    @given(**overflow_case)
-    @example(kind="sequential", back=MU_MAX, extra=1)  # pulse(2**63) at cursor 0
-    @settings(max_examples=50, deadline=None)
-    def test_overflowing_duration_pushes_no_edge(self, kind, back, extra):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        ttl = run.get_device("ttl0")
-        overflow_in_frame(run, kind, back, extra, ttl.pulse)
-        assert ttl.state.events() == []
 
     @pytest.mark.parametrize("name", ["pulse", "pulse_mu"])
     def test_parallel_pulse_past_mu_max_raises_at_the_call(self, make_run, name):
@@ -457,29 +408,6 @@ class TestEdgeCounter:
         with pytest.raises(BufferEmpty):
             run.get_device("counter0").fetch_count()
 
-    @given(bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
-    @settings(max_examples=50, deadline=None)
-    def test_non_int_gate_rejected_before_any_push(self, bad):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        counter = run.get_device("counter0")
-        counter.freq.push(1.0, 0)
-        with pytest.raises(DeviceError, match="int"):
-            counter.gate_rising(bad)
-        assert counter.gate.events() == []
-        assert len(counter.buffer) == 0
-        assert run.now_mu() == 0
-
-    @given(**overflow_case)
-    @example(kind="sequential", back=9, extra=91)  # gate_rising(100) at 2**63 - 10
-    @settings(max_examples=50, deadline=None)
-    def test_overflowing_gate_pushes_no_edge(self, kind, back, extra):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        counter = run.get_device("counter0")
-        counter.freq.push(1.0, 0)
-        overflow_in_frame(run, kind, back, extra, counter.gate_rising)
-        assert counter.gate.events() == []
-        assert len(counter.buffer) == 0
-
     @pytest.mark.parametrize("mode", ["deterministic", "poisson"])
     def test_parallel_gate_past_mu_max_raises_at_the_call(self, mode):
         ddb = {"devices": [{"name": "core", "kind": "core"},
@@ -568,22 +496,6 @@ class TestDds:
         with pytest.raises(DeviceError):
             dds.set(freq, phase, amp)
         assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
-
-    @given(
-        freq=st.floats(0.0, allow_infinity=False) | st.integers(0, 2**1000),
-        phase=st.floats(0.0, 1.0, exclude_max=True) | st.just(0),
-        amp=st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
-    )
-    @example(freq=-0.0, phase=-0.0, amp=-0.0)
-    @settings(max_examples=200, deadline=None)
-    def test_in_range_int_or_float_stored_as_its_float(self, freq, phase, amp):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        dds = run.get_device("dds0")
-        dds.set(freq, phase, amp)
-        stored = [sig.events() for sig in (dds.freq, dds.phase, dds.amp)]
-        assert [[(t, type(v), repr(v)) for t, v in events] for events in stored] == [
-            [(0, float, repr(float(x)))] for x in (freq, phase, amp)
-        ]
 
     @pytest.mark.parametrize("position", [0, 1, 2], ids=["freq", "phase", "amp"])
     def test_argument_whose_float_value_is_out_of_range(self, make_run, position):
@@ -826,35 +738,6 @@ class TestParallelFrame:
             assert counter.gate_rising(500) == 500
             assert counter.gate_rising(300) == 300
         assert run.now_mu() == 500
-
-
-class TestInputBuffer:
-    @given(st.lists(st.integers(), max_size=50))
-    def test_fifo_order(self, values):
-        buf = InputBuffer()
-        for v in values:
-            buf.put(v)
-        assert [buf.take() for _ in values] == values
-        with pytest.raises(BufferEmpty):
-            buf.take()
-
-    @given(st.lists(st.sampled_from(["put", "take"]), max_size=60))
-    @settings(max_examples=200)
-    def test_random_interleaving_matches_model(self, ops):
-        buf = InputBuffer()
-        model = []
-        counter = 0
-        for op in ops:
-            if op == "put":
-                buf.put(counter)
-                model.append(counter)
-                counter += 1
-            elif model:
-                assert buf.take() == model.pop(0)
-            else:
-                with pytest.raises(BufferEmpty):
-                    buf.take()
-        assert len(buf) == len(model)
 
 
 class TestDeterminism:

@@ -280,7 +280,7 @@ near = st.one_of(st.integers(MU_MIN, MU_MIN + 2000), st.integers(-2000, 2000), s
 # Durations of 1-50 MU and delays of -60...60 MU make writes land on, before and after earlier events.
 durations = st.one_of(
     st.integers(1, 50), st.integers(1, 2000), st.integers(MU_MAX - 2000, MU_MAX), st.integers(-5, 0),
-    st.sampled_from([MU_MAX + 1, 2**64 - 1, 2**64, 10**30, 1.0, 100.0, math.nan, True, None]),
+    st.sampled_from([MU_MAX + 1, 2**64 - 1, 2**64, 10**30, 1.0, 100.0, -0.5, math.nan, math.inf, True, False, None]),
 )
 reals = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.floats(0.0, 1.0), st.integers(-2, 2**70),
@@ -323,7 +323,7 @@ driver_op = st.one_of(
                   ("dds", math.inf, 0.0, 1.0), ("dds", -math.inf, 0.0, 1.0), ("dds", 1e6, 1.0, 1.0),
                   ("dds", 1e6, 0.5, math.nan), ("dds", 10**6, 0, 1), ("dds", Float(2e8), Float(0.5), Float(1.0)),
                   ("dds", 0.0, 0.0, 0.0), ("dds", 1.7976931348623157e308, 0.9999999999999999, 1.0),
-                  ("dds", -0.0, -0.0, -0.0), ("dds", 1e6, -1e-300, 0.5)])
+                  ("dds", -0.0, -0.0, -0.0), ("dds", 1e6, -1e-300, 0.5), ("dds", 2**1000, 0, 1)])
 # Writes that cannot append in place. A pulse that starts on the last pulse's falling edge overwrites it.
 @example(program=[("pulse", "ttl0", 10), ("pulse", "ttl0", 10), ("pulse", "ttl0", 3)])
 # A dds.set or a gate at the cursor, below an event a user pushed ahead of it on one of its signals.
@@ -349,9 +349,9 @@ driver_op = st.one_of(
                   ("fetch", "adc0"), ("fetch", "in0"), ("fetch", "adc0"), ("fetch", "in0"), ("fetch", "adc0")])
 # Random draws: each sample stores an int, which push accepts, not a bool.
 @example(program=[("input", "in0.prob", 0.5, 0), ("sample", "in0"), ("sample", "in0"), ("sample", "in0")])
-# A pulse and a gate of MU_MAX, the longest a driver accepts: each ends on the root window's high end.
-@example(program=[("pulse", "ttl0", MU_MAX)])
-@example(program=[("gate", MU_MAX)])
+# A pulse and a gate of 2**63 at cursor 0 raise; of MU_MAX, the longest accepted, each ends on the root's high end.
+@example(program=[("pulse", "ttl0", 2**63), ("pulse", "ttl0", MU_MAX)])
+@example(program=[("gate", 2**63), ("gate", MU_MAX)])
 # A frame opened near MU_MIN keeps the root's low end, so a delay that ends below MU_MIN raises.
 @example(program=[("at_mu", MU_MIN + 2000), ("pulse", "ttl0", 1), ("sequential",), ("delay_mu", MU_MIN + 2000),
                   ("close",), ("gate", 1)])

@@ -78,6 +78,9 @@ class TestPushPull:
         sig.push(0, 100)
         sig.push(1, 100)
         assert sig.events() == [(100, 1)]
+        sig.push(2, 200)
+        sig.push(3, 100)  # below the last event
+        assert sig.events() == [(100, 3), (200, 2)]
 
     def test_out_of_order_push(self):
         sig = self.make()
@@ -153,6 +156,7 @@ class TestValueKinds:
     def test_text_bounded_to_64_bytes(self):
         sig = SignalManager().register("d", "t", SignalKind.TEXT)
         sig.push("x" * 64, 0)
+        sig.push("é" * 32, 1)  # 64 bytes in 32 code points
         with pytest.raises(SignalKindMismatch):
             sig.push("x" * 65, 0)
 
@@ -160,31 +164,6 @@ class TestValueKinds:
         sig = SignalManager().register("d", "t", SignalKind.TEXT)
         with pytest.raises(SignalKindMismatch):
             sig.push(3, 0)
-
-    @given(
-        st.text(
-            alphabet=st.one_of(
-                st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
-            ),
-            max_size=70,
-        )
-    )
-    @example("\ud800")
-    @example("x" * 63 + "\udfff")
-    @example("\U0001f600" * 16)
-    def test_any_str_is_stored_or_raises_kind_mismatch(self, text):
-        sig = SignalManager().register("d", "t", SignalKind.TEXT)
-        try:
-            fits = len(text.encode("utf-8")) <= 64
-        except UnicodeEncodeError:
-            fits = False
-        if fits:
-            sig.push(text, 0)
-            assert sig.pull(0) == text
-        else:
-            with pytest.raises(SignalKindMismatch):
-                sig.push(text, 0)
-            assert len(sig) == 0
 
 
 class _Real(float):
@@ -215,19 +194,32 @@ REJECTED = [
     (SignalKind.TEXT, 3, "expected text, got 3"),
     pytest.param(SignalKind.TEXT, 10**5000, "expected text, got <16610-bit int>", id="TEXT-10**5000"),
     (SignalKind.TEXT, "x" * 65, "text value exceeds 64 bytes"),
+    pytest.param(SignalKind.TEXT, "é" * 32 + "x", "text value exceeds 64 bytes", id="TEXT-65-bytes-in-33-code-points"),
     (SignalKind.TEXT, "\ud800", "text value cannot be encoded as UTF-8: surrogates not allowed"),
 ]
 
 
-def stored_or_error(kind, value, via_push):
+def kind_rule(kind, value):
+    """What a push of ``value`` must store, each kind's contract written plainly, or None if it must raise."""
+    try:
+        if kind is SignalKind.BOOL:
+            ok = isinstance(value, bool)
+        elif kind is SignalKind.INT:
+            ok = isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
+        elif kind is SignalKind.REAL:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value := float(value)))
+        else:
+            ok = isinstance(value, str) and len(value.encode("utf-8")) <= 64
+    except (OverflowError, UnicodeEncodeError):  # an int past the float range, or a lone surrogate
+        ok = False
+    return value if ok else None
+
+
+def outcome(validate, value):
     """What one validation gives: ("stored", type, repr) or ("raised", type, text)."""
     try:
-        if via_push:
-            sig = SignalManager().register("d", "s", kind)
-            sig.push(value, 0)
-            stored = sig.pull(0)
-        else:
-            stored = _VALIDATORS[kind](value)
+        stored = validate(value)
     except Exception as exc:
         return "raised", type(exc), str(exc)
     return "stored", type(stored), repr(stored)
@@ -245,6 +237,8 @@ values = st.one_of(
         alphabet=st.one_of(st.characters(), st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
         max_size=70,
     ),
+    # Code points of 1 to 4 UTF-8 bytes, so that the size often lands near the 64-byte bound.
+    st.text(alphabet=st.sampled_from("xé€\U0001f600"), min_size=16, max_size=64),
 )
 
 
@@ -284,9 +278,27 @@ class TestValidators:
     @example(kind=SignalKind.REAL, value=-0.0)
     @example(kind=SignalKind.REAL, value=_Real(-0.0))
     @example(kind=SignalKind.INT, value=-(2**63))
+    @example(kind=SignalKind.TEXT, value="\ud800")
+    @example(kind=SignalKind.TEXT, value="x" * 63 + "\udfff")
+    @example(kind=SignalKind.TEXT, value="\U0001f600" * 16)
+    @example(kind=SignalKind.TEXT, value="é" * 32)
+    @example(kind=SignalKind.TEXT, value="é" * 32 + "x")
     @settings(max_examples=300, deadline=None)
     def test_push_stores_what_coerce_returns(self, kind, value):
-        assert stored_or_error(kind, value, True) == stored_or_error(kind, value, False)
+        # push stores what the kind's validator returns, both as the kind's rule says; a refused push stores nothing.
+        sig = SignalManager().register("d", "s", kind)
+
+        def push_then_pull(v):
+            sig.push(v, 0)
+            return sig.pull(0)
+
+        got = outcome(push_then_pull, value)
+        assert got == outcome(_VALIDATORS[kind], value)
+        rule = kind_rule(kind, value)
+        if rule is None:
+            assert got[:2] == ("raised", SignalKindMismatch) and len(sig) == 0
+        else:
+            assert got == ("stored", type(rule), repr(rule))
 
     def test_push_does_not_go_through_coerce(self, monkeypatch):
         # Each signal binds its validator when it is built; a push never looks it up again.
@@ -370,39 +382,6 @@ class TestManagerCoupling:
         sig.push(2, -50)
         assert tm.horizon() == 700
 
-    @given(st.lists(st.one_of(
-        st.tuples(
-            st.just("push"),
-            st.integers(0, 2),
-            st.one_of(st.integers(-50, 50), st.sampled_from([MU_MIN, MU_MAX, MU_MIN - 1, MU_MAX + 1, 2**70, 1.5])),
-            st.booleans(),
-        ),
-        st.tuples(st.just("at_mu"), st.integers(-60, 60)),
-    ), max_size=60))
-    @settings(max_examples=200, deadline=None)
-    def test_horizon_is_max_of_cursor_and_stored_times(self, script):
-        # Several signals, out-of-order inserts, overwrites, and pushes that raise for
-        # a value of the wrong kind or a time outside the signed 64-bit range.
-        sm = SignalManager()
-        tm = TimeManager(SimConfig(), sm.event_top)
-        kinds = [(SignalKind.INT, 7), (SignalKind.BOOL, True), (SignalKind.REAL, 0.5)]
-        signals = [(sm.register("d", f"s{i}", kind), good) for i, (kind, good) in enumerate(kinds)]
-        stored = set()
-        for op, *args in script:
-            if op == "at_mu":
-                tm.at_mu(args[0])
-            else:
-                index, time, valid = args
-                sig, good = signals[index]
-                try:
-                    sig.push(good if valid else "x", time)
-                except SignalError:
-                    assert not valid or type(time) is not int or not MU_MIN <= time <= MU_MAX
-                else:
-                    stored.add(time)
-            assert tm.horizon() == max([tm.now_mu(), *stored])
-            assert stored == {t for sig, _ in signals for t in sig._times}
-
     def test_event_count_sums_signals(self):
         sm = SignalManager()
         a = sm.register("d", "a", SignalKind.INT)
@@ -411,15 +390,6 @@ class TestManagerCoupling:
         a.push(2, 2)
         b.push(3, 3)
         assert sm.event_count() == 3
-
-
-script = st.lists(
-    st.tuples(
-        st.integers(min_value=-(10**4), max_value=10**4),
-        st.integers(min_value=-(10**6), max_value=10**6),
-    ),
-    max_size=120,
-)
 
 
 def pushed(pushes):
@@ -437,27 +407,72 @@ def unknown_if_none(value):
     return UNKNOWN if value is None else value
 
 
+# The store harness's signals: (kind, the value it stores for a drawn int, a value of another kind).
+STORE_SIGNALS = [(SignalKind.INT, int, True), (SignalKind.BOOL, lambda n: n % 2 == 0, 1),
+                 (SignalKind.REAL, lambda n: n / 4, "0.25")]
+# Often near 0, so that pushes overwrite and insert, and on both ends of the signed 64-bit range.
+store_times = st.one_of(st.integers(-8, 8), st.integers(-(10**6), 10**6), st.sampled_from([MU_MIN, MU_MAX]))
+non_int_times = st.one_of(st.floats(allow_nan=True), st.booleans(), st.none())
+store_ops = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 2), store_times, st.integers(-(10**4), 10**4)),
+    # A push that must raise and change nothing: a value of another kind, or a time that is not a signed 64-bit int.
+    st.tuples(st.just("wrong_kind"), st.integers(0, 2), store_times),
+    st.tuples(st.just("bad_time"), st.integers(0, 2), non_int_times | st.sampled_from([MU_MIN - 1, MU_MAX + 1, 2**70])),
+    st.tuples(st.just("at_mu"), st.integers(-60, 60) | st.integers(-(10**6), 10**6)),
+), max_size=80)
+
+
 class TestStore:
-    """The signal's event store against the linear-scan oracle."""
+    """The signals' event stores against the linear-scan oracle, and the horizon a timeline reads from them."""
 
     @given(
-        pushes=script,
-        pulls=st.lists(st.integers(-(10**4) - 5, 10**4 + 5), max_size=40),
-        t0=st.integers(min_value=-(10**4), max_value=10**4),
-        span=st.integers(min_value=0, max_value=10**4),
+        ops=store_ops,
+        pulls=st.lists(store_times | st.sampled_from([MU_MIN - 1, MU_MAX + 1]), max_size=20),
+        t0=st.integers(-(10**6), 10**6),
+        span=st.integers(0, 10**6),
+        cuts=st.tuples(st.integers(0, 100), st.integers(0, 100)),
+        bad=non_int_times,
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_push_log_oracle(self, pushes, pulls, t0, span):
-        sig, oracle, top = pushed(pushes)
-        for t in pulls + [t for t, _ in pushes]:
-            assert sig.pull(t) == unknown_if_none(oracle.pull(t))
-        items = sig.events()
-        assert items == oracle.items()
-        times = [t for t, _ in items]
-        assert times == sorted(set(times))
-        assert len(sig) == len(times)
-        assert top == [times[-1] if times else MU_MIN]
-        assert sig.events_in(t0, t0 + span) == oracle.range_items(t0, t0 + span)
+    def test_matches_push_log_oracle(self, ops, pulls, t0, span, cuts, bad):
+        # Three signals of one manager, each with its own oracle, and a timeline on the manager's horizon cell.
+        sm = SignalManager()
+        tm = TimeManager(SimConfig(), sm.event_top)
+        signals = [(sm.register("d", f"s{i}", kind), PushLogOracle(), value_of, wrong)
+                   for i, (kind, value_of, wrong) in enumerate(STORE_SIGNALS)]
+        highest = MU_MIN  # the largest time stored, or MU_MIN before the first event
+        for op, *args in ops:
+            if op == "at_mu":
+                tm.at_mu(args[0])
+            else:
+                (sig, oracle, value_of, wrong), time = signals[args[0]], args[1]
+                if op == "push":
+                    sig.push(value_of(args[2]), time)
+                    oracle.push(time, value_of(args[2]))
+                    highest = max(highest, time)
+                else:
+                    before = sig.events()
+                    with pytest.raises(SignalKindMismatch if op == "wrong_kind" else SignalError):
+                        sig.push(wrong if op == "wrong_kind" else value_of(0), time)
+                    assert sig.events() == before
+            assert tm.horizon() == max(tm.now_mu(), highest)
+        assert sm.event_top == [highest]
+        for sig, oracle, _, _ in signals:
+            pushed_times = [t for t, _ in oracle.log]
+            for t in pulls + pushed_times + [t - 1 for t in pushed_times]:
+                assert sig.pull(t) == unknown_if_none(oracle.pull(t))
+            items = sig.events()
+            assert items == oracle.items()
+            times = [t for t, _ in items]
+            assert times == sorted(set(times))
+            assert len(sig) == len(times)
+            assert sig.events_in(t0, t0 + span) == oracle.range_items(t0, t0 + span)
+            if times:  # both ends on stored events
+                lo, hi = sorted(times[cut % len(times)] for cut in cuts)
+                assert sig.events_in(lo, hi) == oracle.range_items(lo, hi)
+            for call in (lambda: sig.pull(bad), lambda: sig.events_in(bad, 10), lambda: sig.events_in(-10, bad)):
+                with pytest.raises(SignalError):
+                    call()
 
     def test_empty_store_behaviour(self):
         sig, _, top = pushed([])
@@ -479,19 +494,3 @@ class TestStore:
         assert sig.events_in(MU_MIN, MU_MAX) == [(MU_MIN, 1), (MU_MAX, 2)]
         with pytest.raises(SignalError):
             sig.events_in(MU_MIN - 10, MU_MAX + 10)
-
-
-class TestIntegerTimes:
-    @given(pushes=script, bad=st.one_of(st.floats(allow_nan=True), st.booleans()))
-    @settings(max_examples=100, deadline=None)
-    def test_non_int_times_raise_and_leave_store(self, pushes, bad):
-        sig, oracle, _ = pushed(pushes)
-        with pytest.raises(SignalError):
-            sig.push(1, bad)
-        with pytest.raises(SignalError):
-            sig.pull(bad)
-        with pytest.raises(SignalError):
-            sig.events_in(bad, 10)
-        with pytest.raises(SignalError):
-            sig.events_in(-10, bad)
-        assert sig.events() == oracle.items()

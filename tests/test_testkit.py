@@ -1,8 +1,9 @@
+import math
 import tracemalloc
 from bisect import bisect_right
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtsim import (
@@ -138,25 +139,6 @@ class TestExpect:
         assert expect(pulsed, "ttl0", "state", MU_MIN, UNKNOWN)
         assert expect(pulsed, "ttl0", "state", MU_MAX, False)
 
-    @given(
-        times=st.lists(st.integers(min_value=-100, max_value=100), max_size=30),
-        queries=st.lists(st.integers(min_value=-110, max_value=110), max_size=10),
-    )
-    @example(times=[], queries=[0])
-    @settings(max_examples=200, deadline=None)
-    def test_nearest_events_match_linear_scan(self, times, queries):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        sig = run.get_device("ttl0").state
-        for t in times:
-            sig.push(True, t)
-        stored = [t for t, _ in sig.events()]
-        # Exactly at each event, before the first and after the last.
-        probes = queries + stored + [t - 1 for t in stored[:1]] + [t + 1 for t in stored[-1:]]
-        for q in probes:
-            report = expect(run, "ttl0", "state", q, True)
-            assert report.nearest_before == max((t for t in stored if t <= q), default=None)
-            assert report.nearest_after == min((t for t in stored if t > q), default=None)
-
 
 class TestAssertEvents:
     def test_pulse_sequence_passes(self, pulsed):
@@ -252,10 +234,28 @@ def _reference_assert_events(run, device, signal, expected):
     return CheckReport(True, device, signal, None, expected, actual, None, None)
 
 
-def _check_outcome(check, run, expected):
+def _reference_expect(run, device, signal, time, expected, abs_tol):
+    """expect written plainly: the kind's validator, then a linear scan for the pull and both nearest events."""
+    sig = run.signals.signal(device, signal)
+    if expected is not UNKNOWN:
+        expected = _VALIDATORS[sig.kind](expected)
+    before = [(t, v) for t, v in sig.events() if t <= time]
+    after = [t for t, _ in sig.events() if t > time]
+    actual = before[-1][1] if before else UNKNOWN
+    if expected is UNKNOWN or actual is UNKNOWN:
+        passed = actual is expected
+    elif sig.kind is SignalKind.REAL:
+        passed = math.isclose(actual, expected, rel_tol=0.0, abs_tol=abs_tol)
+    else:
+        passed = actual == expected
+    return CheckReport(passed, device, signal, time, expected, actual, before[-1][0] if before else None,
+                       after[0] if after else None)
+
+
+def _check_outcome(check, run, *args):
     """Everything two checks must agree on; a passing report's copies are left out."""
     try:
-        r = check(run, "probe", "sig", expected)
+        r = check(run, "probe", "sig", *args)
     except Exception as err:
         return "raised", type(err), str(err)
     shown = None if r.passed else repr((r.expected, r.actual))
@@ -272,6 +272,7 @@ _INVALID_VALUES = st.sampled_from([
     None, UNKNOWN, True, 1, 1.5, "x", 2**63, -2**63 - 1, 10**400,
     float("nan"), float("inf"), "é" * 33, "\ud800",
 ])
+_QUERY_VALUES = st.one_of(*_VALID.values()) | _INVALID_VALUES
 _BAD_PAIRS = st.sampled_from([5, None, (1,), (1, True, 2), "ab", "abc"])
 _ODD_TIMES = st.sampled_from([None, "t", 1.5, True])
 
@@ -307,19 +308,9 @@ class TestOneValueRule:
         assert by_expect[0] == "raised"
         assert by_expect == by_events
 
-    @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_expect_judges_as_assert_events(self, data):
-        kind = data.draw(st.sampled_from(list(SignalKind)), label="kind")
-        stored = data.draw(_VALID[kind], label="stored")
-        value = data.draw(st.one_of(*_VALID.values()) | _INVALID_VALUES.filter(lambda v: v is not UNKNOWN),
-                          label="value")
-        by_expect, by_events = _judge_both(kind, stored, value)
-        assert by_expect == by_events
-
 
 class TestAssertEventsReference:
-    """assert_events reads the store in place; it must judge and raise as the list-based reference does."""
+    """assert_events and expect read the store in place; each must judge and raise as its list-based reference does."""
 
     @given(data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -353,3 +344,11 @@ class TestAssertEventsReference:
         if got[0] is True:
             report = assert_events(run, "probe", "sig", pairs)
             assert report.expected == report.actual == f"{len(sig)} events"
+        # One expect query, often at an event's time or next to it, of a stored value, any kind's or a bad one.
+        times, values = sig._times, sig._values
+        near = st.sampled_from([t + d for t in times for d in (-1, 0, 1)]) if times else st.nothing()
+        time = data.draw(near | st.integers(-60, 60), label="query_time")
+        value = data.draw((st.sampled_from(values) if values else st.nothing()) | _QUERY_VALUES, label="query_value")
+        abs_tol = data.draw(st.sampled_from([0.0, 1, 2.5]), label="abs_tol")
+        assert (_check_outcome(expect, run, time, value, abs_tol)
+                == _check_outcome(_reference_expect, run, time, value, abs_tol))

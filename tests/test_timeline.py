@@ -564,71 +564,6 @@ class TestHorizonAndSync:
 
 
 class TestProperties:
-    @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=50))
-    def test_sequential_fold(self, durations):
-        tm = manager()
-        for d in durations:
-            tm.delay_mu(d)
-        assert tm.now_mu() == sum(durations)
-
-    @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=50))
-    def test_parallel_exit_law(self, durations):
-        tm = manager()
-        tm.delay_mu(1234)
-        with Frame(tm, PAR):
-            for d in durations:
-                tm.delay_mu(d)
-        assert tm.now_mu() == 1234 + max([0, *durations])
-
-    @given(
-        st.integers(min_value=-(10**9), max_value=10**9),
-        st.integers(min_value=-(10**9), max_value=10**9),
-        st.sampled_from([SEQ, PAR]),
-    )
-    def test_at_mu_equals_delay_of_difference(self, start, target, kind):
-        tm_a = manager()
-        tm_a.delay_mu(start)
-        tm_b = manager()
-        tm_b.delay_mu(start)
-        with Frame(tm_a, kind), Frame(tm_b, kind):
-            tm_a.at_mu(target)
-            tm_b.delay_mu(target - tm_b.now_mu())  # a parallel frame's cursor is its start
-            assert tm_a.now_mu() == tm_b.now_mu()
-        assert tm_a.now_mu() == tm_b.now_mu()
-
-    @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=60))
-    def test_horizon_monotone_for_non_negative_delays(self, delays):
-        tm = manager()
-        last = tm.horizon()
-        for d in delays:
-            tm.delay_mu(d)
-            now = tm.horizon()
-            assert now >= last
-            last = now
-
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("delay"), st.integers(min_value=0, max_value=10**6)),
-                st.just(("sync",)),
-            ),
-            max_size=30,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_config_law_final_cursor(self, program):
-        cursors = {}
-        for mode in (SyncMode.REGULAR, SyncMode.OPTIMISTIC):
-            tm = manager(mode=mode)
-            for item in program:
-                if item[0] == "delay":
-                    tm.delay_mu(item[1])
-                else:
-                    tm.sync_to_counter()
-            cursors[mode] = tm.now_mu()
-        syncs = sum(1 for item in program if item[0] == "sync")
-        assert cursors[SyncMode.REGULAR] - cursors[SyncMode.OPTIMISTIC] == 125_000 * syncs
-
     @pytest.mark.parametrize("mode,slack", [(SyncMode.REGULAR, 125_000), (SyncMode.OPTIMISTIC, 0)])
     @given(program=block_programs)
     @example(program=[("at_mu", -1), ("push", SEQ), ("pop",), ("delay_mu", MU_MAX + 1)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, SimulationRun, run_experiment, set_input
+from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, run_experiment, set_input
 from rtsim import trace
 from rtsim.cli import main as cli_main
 from rtsim.signals import MAX_TEXT_BYTES, UNKNOWN
@@ -304,37 +304,6 @@ _RECORD_SIGNALS = [
     ("ttl0", "state"), ("ttl1", "state"), ("dds0", "freq"), ("dds0", "amp"),
     ("core", "kernel"), ("in0", "sample"),
 ]
-_AS_KIND = {SignalKind.BOOL: lambda n: n % 2 == 0, SignalKind.INT: int,
-            SignalKind.REAL: float, SignalKind.TEXT: str}
-
-
-class TestRecordsOf:
-    @given(
-        order=st.permutations(["ttl1", "ttl0", "in0", "dds0", "core"]),
-        pushes=st.lists(
-            st.tuples(
-                st.integers(0, len(_RECORD_SIGNALS) - 1),
-                st.integers(min_value=-50, max_value=50),
-                st.integers(min_value=-3, max_value=3),
-            ),
-            max_size=60,
-        ),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_global_sort_by_time_device_signal(self, order, pushes):
-        run = SimulationRun(DeviceDb.from_dict(FULL_DDB), SimConfig())
-        for name in order:
-            run.get_device(name)
-        for idx, t, n in pushes:
-            sig = run.signals.signal(*_RECORD_SIGNALS[idx])
-            sig.push(_AS_KIND[sig.kind](n), t)
-
-        expected = sorted(
-            ((t, s.device_name, s.signal_name, v) for s in run.signals for t, v in s.events()),
-            key=lambda r: r[:3],
-        )
-        got = [(t, *tagged) for t, _, tagged in records_of(run, {s: _tagged(s) for s in run.signals})]
-        assert got == expected
 
 
 # Values of each kind, with the edges of what json.dumps and the VCD renderers
@@ -357,16 +326,15 @@ _VALUES = {
 _RECORD_KINDS = [SignalKind.BOOL, SignalKind.BOOL, SignalKind.REAL, SignalKind.REAL,
                  SignalKind.TEXT, SignalKind.INT]
 _PUSHES = st.lists(
-    st.integers(0, len(_RECORD_SIGNALS) - 1).flatmap(lambda i: st.tuples(
-        st.just(i), st.integers(MU_MIN, MU_MAX) | st.integers(-3, 3), _VALUES[_RECORD_KINDS[i]],
-    )),
+    st.one_of([st.tuples(st.just(i), st.integers(MU_MIN, MU_MAX) | st.integers(-3, 3), _VALUES[kind])
+               for i, kind in enumerate(_RECORD_KINDS)]),
     max_size=40,
 )
 
 
-def _run_with(pushes):
+def _run_with(order, pushes):
     def body(run):
-        for name in ("ttl1", "ttl0", "in0", "dds0", "core"):  # not in name order
+        for name in order:
             run.get_device(name)
         for idx, t, value in pushes:
             run.signals.signal(*_RECORD_SIGNALS[idx]).push(value, t)
@@ -400,17 +368,34 @@ def _vcd_line(kind, value, code):
     return "s" + "".join("_" if ch.isspace() else ch for ch in value) + " " + code
 
 
+# Records of any JSON values, built in export_jsonl's key order, so that json.dumps gives many of them its line form.
+_DUMPED = st.lists(st.tuples(
+    st.integers(MU_MIN, MU_MAX) | st.integers() | st.floats(),
+    st.text(max_size=8) | st.sampled_from(["ttl0", "core", 'a"b', "a\\b", "dév"]),
+    st.text(max_size=8) | st.sampled_from(["state", "kernel"]),
+    st.sampled_from(["bool", "int", "real", "text", ""]) | st.text(max_size=4),
+    st.booleans() | st.none() | st.integers() | st.integers(-10, 10)
+    | st.floats() | st.sampled_from([-0.0, 1e5, 5e-324, 1e300]) | st.text(max_size=12),
+).map(lambda record: dict(zip(("time_mu", "device", "signal", "kind", "value"), record))), max_size=12)
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    """One directory for every example of a property test; each export overwrites the file it writes."""
+    return tmp_path_factory.mktemp("dumps")
+
+
 class TestExportProperty:
-    @given(pushes=_PUSHES)
-    @example(pushes=_EDGE_PUSHES)
+    @given(order=st.permutations(["ttl1", "ttl0", "in0", "dds0", "core"]), pushes=_PUSHES, dumped=_DUMPED,
+           ensure_ascii=st.booleans())
+    @example(order=["ttl1", "ttl0", "in0", "dds0", "core"], pushes=_EDGE_PUSHES, dumped=[], ensure_ascii=True)
     @settings(max_examples=200, deadline=None)
-    def test_dumps_match_events(self, pushes, tmp_path_factory):
-        run = _run_with(pushes)
+    def test_dumps_match_events(self, order, pushes, dumped, ensure_ascii, dump_dir):
+        run = _run_with(order, pushes)
         events = _sorted_events(run)
-        tmp = tmp_path_factory.mktemp("dumps")
 
         # JSONL: each line is json.dumps of its record, and reads back as the same typed values.
-        path = tmp / "p.jsonl"
+        path = dump_dir / "p.jsonl"
         export_jsonl(run, path)
         expected = [
             {"time_mu": t, "device": dev, "signal": name, "kind": sig.kind.value, "value": v}
@@ -419,16 +404,17 @@ class TestExportProperty:
         lines = path.read_bytes().decode("ascii").split("\n")
         assert lines[-1] == ""
         assert lines[:-2] == [json.dumps(rec) for rec in expected]
+        # Records json.dumps wrote, after the summary: one read mixes the line form, the JSON decoder and the
+        # read's cache of name parts, and must read every record as json.loads does.
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n" for rec in dumped)
         records, summary = read_jsonl(path)
-        assert records == expected
-        assert [(type(r["value"]), repr(r["value"])) for r in records] == [
-            (type(r["value"]), repr(r["value"])) for r in expected
-        ]
+        assert _shape(records) == _shape(expected + dumped)
         assert summary["event_count"] == run.stats.event_count
         assert _shape((records, summary)) == _shape(_oracle_read(path))
 
         # VCD: a valid file whose changes are each signal's initial value, then every event at a time >= 0.
-        path = tmp / "p.vcd"
+        path = dump_dir / "p.vcd"
         export_vcd(run, path)
         parsed = check_vcd(path.read_text(encoding="utf-8"))
         code_of = {(dev, name): code for code, (dev, name, _) in parsed["ids"].items()}
@@ -619,23 +605,6 @@ class TestReadJsonlOracle:
         text = _line(time="0") + "\n" + line + ("" if last else "\n")
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(read_jsonl, path) == _outcome(_oracle_read, path)
-
-    @given(records=st.lists(st.fixed_dictionaries({
-        "time_mu": st.integers(MU_MIN, MU_MAX) | st.integers() | st.floats(),
-        "device": st.text(max_size=8) | st.sampled_from(["ttl0", "core", 'a"b', "a\\b"]),
-        "signal": st.text(max_size=8) | st.sampled_from(["state", "kernel"]),
-        "kind": st.sampled_from(["bool", "int", "real", "text", ""]) | st.text(max_size=4),
-        "value": st.booleans() | st.none() | st.integers() | st.integers(-10, 10)
-                 | st.floats() | st.sampled_from([-0.0, 1e5, 5e-324, 1e300]) | st.text(max_size=12),
-    }), max_size=12), ensure_ascii=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_any_dumped_record_reads_as_json_loads(self, records, ensure_ascii, tmp_path_factory):
-        path = tmp_path_factory.mktemp("jsonl") / "dumped.jsonl"
-        text = "".join(json.dumps(rec, ensure_ascii=ensure_ascii) + "\n" for rec in records)
-        path.write_bytes(text.encode("utf-8"))
-        got = _outcome(read_jsonl, path)
-        assert got == _outcome(_oracle_read, path)
-        assert got == ("ok", _shape((records, None)))
 
 
 def _generated_dump(path, n):
