@@ -13,6 +13,7 @@ from rtsim import (
     DeviceDbError,
     DeviceError,
     Experiment,
+    InputBuffer,
     InputUnset,
     MachineUnitsOverflow,
     SignalError,
@@ -515,6 +516,16 @@ class TestDds:
             dds.set(*args)
         assert (dds.freq.events(), dds.phase.events(), dds.amp.events()) == ([], [], [])
 
+    @pytest.mark.parametrize("freq,phase,amp", [(-0.0, -0.0, -0.0), (0, 0, 1), (2**1000, 0.5, 0), (1e6, 0.999, 1.0)])
+    def test_in_range_int_or_float_stored_as_its_float(self, make_run, freq, phase, amp):
+        run = make_run()
+        dds = run.get_device("dds0")
+        dds.set(freq, phase, amp)
+        stored = [sig.events() for sig in (dds.freq, dds.phase, dds.amp)]
+        assert [[(t, type(v), repr(v)) for t, v in events] for events in stored] == [
+            [(0, float, repr(float(x)))] for x in (freq, phase, amp)
+        ]
+
 
 class TestAdc:
     def test_sample_returns_configured_voltages(self, make_run):
@@ -610,6 +621,51 @@ def test_call_whose_delay_overflows_changes_nothing(kind, param, call):
     with pytest.raises(MachineUnitsOverflow, match="delay_mu"):
         call(dev)
     assert state() == before
+
+
+# The two calls that take a duration, each on a device whose input is set.
+DURATION_CALLS = {
+    "pulse": ("ttl0", lambda dev, duration: dev.pulse(duration)),
+    "gate_rising": ("counter0", lambda dev, duration: dev.gate_rising(duration)),
+}
+
+
+def duration_call_state(make_run, name):
+    """Return the device ``name`` calls, its call, and a function that reads the run's state."""
+    run = make_run()
+    device, call = DURATION_CALLS[name]
+    dev = run.get_device(device)
+    if device == "counter0":
+        dev.freq.push(1.0, 0)
+
+    def state():
+        return run.now_mu(), run.time.depth, [sig.events() for sig in run.signals], len(getattr(dev, "buffer", ()))
+
+    return run, dev, call, state
+
+
+@pytest.mark.parametrize("name", DURATION_CALLS)
+@pytest.mark.parametrize("bad", [2.5, 100.0, math.nan, math.inf, True, False])
+def test_non_int_duration_changes_nothing(make_run, name, bad):
+    run, dev, call, state = duration_call_state(make_run, name)
+    before = state()
+    with pytest.raises(DeviceError, match="duration must be a positive int"):
+        call(dev, bad)
+    assert state() == before
+
+
+@pytest.mark.parametrize("name", DURATION_CALLS)
+@pytest.mark.parametrize("start,duration", [(0, 2**63), (MU_MAX - 9, 100)])
+@pytest.mark.parametrize("kind", ["sequential", "parallel"])
+def test_duration_past_mu_max_in_either_frame_changes_nothing(make_run, name, start, duration, kind):
+    run, dev, call, state = duration_call_state(make_run, name)
+    run.at_mu(start)
+    with getattr(run, kind)():
+        before = state()
+        with pytest.raises(MachineUnitsOverflow):
+            call(dev, duration)
+        assert state() == before
+    assert (run.now_mu(), run.time.depth) == (start, 1)
 
 
 @pytest.mark.parametrize("kind,low,high,read", [
@@ -738,6 +794,19 @@ class TestParallelFrame:
             assert counter.gate_rising(500) == 500
             assert counter.gate_rising(300) == 300
         assert run.now_mu() == 500
+
+
+class TestInputBuffer:
+    def test_take_is_fifo_and_raises_when_empty(self):
+        buf = InputBuffer()
+        buf.append(1)
+        buf.append(2)
+        assert buf.take() == 1
+        buf.append(3)
+        assert [buf.take(), buf.take()] == [2, 3]
+        assert len(buf) == 0
+        with pytest.raises(BufferEmpty, match="input buffer is empty"):
+            buf.take()
 
 
 class TestDeterminism:
