@@ -15,7 +15,7 @@ import os
 import re
 from collections.abc import Callable
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
 
 from .environment import SimulationRun
@@ -77,13 +77,14 @@ def records_of(run: SimulationRun, render: dict[Signal, Callable[[object], str]]
     """All surviving events as (time, rank, text), sorted by (time, device, signal).
 
     ``rank`` indexes the signals sorted by ``_BY_NAME``; ``text`` is ``render[signal](value)``,
-    one ``map`` a signal. No two events share (time, rank), so the sort never compares
-    texts, and each signal's events are already an ascending run that timsort only merges.
+    one ``map`` a signal. Signals are extended in rank order and the sort is stable and keyed
+    on the time alone, so events at one time keep that name order; each signal's events are
+    already an ascending run that timsort only merges.
     """
     records = []
     for rank, sig in enumerate(sorted(run.signals, key=_BY_NAME)):
         records.extend(zip(sig._times, repeat(rank), map(render[sig], sig._values)))
-    records.sort()
+    records.sort(key=itemgetter(0))
     return records
 
 
@@ -184,12 +185,14 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
     recursion limit is a ``ValueError`` too.
 
     A line in ``export_jsonl``'s own form is read directly: its keys are
-    this module's constants, and records with the same device, signal and
-    kind share those three strings. Every other line goes through the JSON
-    decoder. Both give the same records, value types and key order.
+    this module's constants, records with the same device, signal and kind
+    share those three strings, and consecutive such lines with the same time
+    text share one int. Every other line goes through the JSON decoder. Both
+    give the same records, value types and key order.
     """
     records = []
     summary = None
+    last_text = last_time = None  # the time text of the last line read directly, and its int
     names = {}  # each distinct device/signal/kind part of a line -> one shared tuple, or () if not plain
     match = _EXPORT_LINE.fullmatch
     with open(path, "r", encoding="utf-8") as fh:
@@ -205,7 +208,9 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
                 if shared:
                     if value is None:
                         value = True if true else False if false else int(integer) if integer else float(real)
-                    records.append({"time_mu": int(time_mu), "device": shared[0], "signal": shared[1],
+                    if time_mu != last_text:  # a dump is time-sorted, so lines at one time are adjacent
+                        last_text, last_time = time_mu, int(time_mu)
+                    records.append({"time_mu": last_time, "device": shared[0], "signal": shared[1],
                                     "kind": shared[2], "value": value})
                     continue
             line = line.strip(" \t\n\r")  # JSON's whitespace, as json.loads skips it

@@ -3,11 +3,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 from rtsim import DeviceDb, SimConfig, SimulationRun, SyncMode
 from rtsim.rng import Xoshiro256StarStar
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# For tests/mutants.py: a failing example is a kill as it stands, so skip shrinking it (and explaining it),
+# which took up to a minute a failure. Shrinking starts only after a failure, so no verdict changes.
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 FULL_DDB = {
     "devices": [

@@ -7,8 +7,9 @@ Run from the root of a checkout (stdlib only; pytest and Hypothesis as for tier-
 
 Each mutant replaces one exact text, which must occur exactly once in its file,
 in a fresh temporary copy of the checkout. Tier-1 then runs in that copy with
-``-x``, a fixed Hypothesis seed and the wall-time envelope test deselected. A
-failing test that measures wall time or ``tracemalloc`` is not a kill: it is
+``-x``, a fixed Hypothesis seed, the ``mutants`` Hypothesis profile (no shrinking
+of a failing example) and the wall-time envelope test deselected. A failing
+test that measures wall time or ``tracemalloc`` is not a kill: it is
 deselected too and the run repeated. A tier-1 run that takes longer than
 ``TIER1_TIMEOUT_S``, many times a full run, is a hang the mutant caused,
 and a kill. The command exits non-zero if a mutant survives that
@@ -114,6 +115,7 @@ MUTANTS = [
      "enumerate(run.signals)"),
     ("read-plain-ignores-escape", "src/rtsim/trace.py", '"\\\\" not in part and ', ""),
     ("read-real-as-int", "src/rtsim/trace.py", "float(real)", "int(float(real))"),
+    ("read-time-stale", "src/rtsim/trace.py", "if time_mu != last_text:", "if last_text is None:"),
 ]
 
 # name -> why the mutant cannot change what any caller sees
@@ -153,7 +155,7 @@ def _tier1(root: Path, deselect: list[str]) -> tuple[str, list[str]]:
     """Run tier-1 in ``root``; return ("pass" | "fail" | "timeout", the failed or errored node ids)."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-           *(f"--deselect={node}" for node in deselect)]
+           "--hypothesis-profile=mutants", *(f"--deselect={node}" for node in deselect)]
     try:
         done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S)
     except subprocess.TimeoutExpired:

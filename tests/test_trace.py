@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -292,6 +293,27 @@ class TestJsonl:
         keys = [(r["time_mu"], r["device"], r["signal"]) for r in records]
         assert keys == sorted(keys)
         assert records_of(run, {sig: _tagged(sig) for sig in run.signals})[0][2][0] == "ttl0"
+
+    def test_ties_dump_in_name_order(self, full_ddb, tmp_path):
+        # Signals registered in reverse name order, all written at the same times: the sort is keyed on
+        # the time alone, so both dumps must keep each time's events in (device, signal) order.
+        names = [("c", "x"), ("b", "y"), ("b", "x"), ("a", "z")]
+        times = [5, 10, 20]
+
+        def body(run):
+            for i, (device, signal) in enumerate(names):
+                sig = run.signals.register(device, signal, SignalKind.INT)
+                for t in times:
+                    sig.push(i * t, t)
+
+        run = run_body(full_ddb, body)
+        expected = [(t, device, signal) for t in times for device, signal in sorted(names)]
+        export_jsonl(run, tmp_path / "ties.jsonl")
+        records, _ = read_jsonl(tmp_path / "ties.jsonl")
+        assert [(r["time_mu"], r["device"], r["signal"]) for r in records] == expected
+        export_vcd(run, tmp_path / "ties.vcd")
+        parsed = check_vcd((tmp_path / "ties.vcd").read_text())
+        assert [(t, *parsed["ids"][code][:2]) for t, code, _ in parsed["changes"] if t is not None] == expected
 
 
 def _tagged(sig):
@@ -607,8 +629,8 @@ class TestReadJsonlOracle:
         assert _outcome(read_jsonl, path) == _outcome(_oracle_read, path)
 
 
-def _generated_dump(path, n):
-    """Export a run of ``n`` events of all four kinds, one signal of each per device."""
+def _generated_dump(path, n, per_time=1):
+    """Export a run of ``n`` events of all four kinds, one signal of each per device, ``per_time`` at a time."""
     kinds = {("ttl0", "state"): lambda i: i % 3 == 0, ("in0", "sample"): lambda i: i % 2,
              ("dds0", "freq"): lambda i: i * 0.5, ("core", "kernel"): lambda i: f"point{i}"}
 
@@ -618,22 +640,23 @@ def _generated_dump(path, n):
         signals = [(run.signals.signal(*key), make) for key, make in kinds.items()]
         for i in range(n):
             sig, make = signals[i % len(signals)]
-            sig.push(make(i), i)
+            sig.push(make(i), i - i % per_time)
 
     run = run_experiment(Experiment("dump", body), DeviceDb.from_dict(FULL_DDB), SimConfig())
     export_jsonl(run, path)
 
 
 class TestReadJsonlSharing:
-    """Records share their key strings, and one signal's records share its three name strings."""
+    """Records share their key strings, one signal's records share its three name strings, and
+    consecutive records at one time share its int."""
 
     @pytest.mark.parametrize("source", ["golden", "generated"])
     def test_records_share_keys_and_names(self, tmp_path, source):
-        if source == "golden":
+        if source == "golden":  # six records at 126 000
             path = os.path.join(os.path.dirname(__file__), "golden", "demo.jsonl")
         else:
             path = tmp_path / "gen.jsonl"
-            _generated_dump(path, 400)
+            _generated_dump(path, 400, per_time=3)
         records, _ = read_jsonl(path)
         assert len(records) > 10
         first = list(records[0])
@@ -643,6 +666,21 @@ class TestReadJsonlSharing:
             shared = names.setdefault((rec["device"], rec["signal"]), (rec["device"], rec["signal"], rec["kind"]))
             assert all(a is b for a, b in zip((rec["device"], rec["signal"], rec["kind"]), shared))
         assert len(names) >= 4
+        times = [rec["time_mu"] for rec in records]
+        lines = Path(path).read_text().splitlines()
+        assert times == [obj["time_mu"] for obj in map(json.loads, lines) if "summary" not in obj]
+        pairs = [(a, b) for a, b in zip(times, times[1:]) if a == b > 256]  # past CPython's cached small ints
+        assert len(pairs) >= 5
+        assert all(a is b for a, b in pairs)
+
+    def test_time_shared_across_blank_and_decoder_lines(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        lines = [_line(time="1000"), "", _line(time="2000", value='true, "note": 1'), _line(time="1000"),
+                 _line(time="1000", signal=r'"st\\ate"'), "  ", _line(time="1000"), _line(time="3000")]
+        path.write_text("\n".join(lines) + "\n")
+        assert _outcome(read_jsonl, path) == _outcome(_oracle_read, path)
+        records, _ = read_jsonl(path)
+        assert [rec["time_mu"] for rec in records] == [1000, 2000, 1000, 1000, 1000, 3000]
 
     def test_read_peak_per_record_is_bounded(self, tmp_path):
         path = tmp_path / "big.jsonl"
