@@ -19,8 +19,7 @@ import math
 
 from .environment import Experiment, RunStats, SimulationRun, run_experiment
 from .experiments import load_demo_ddb
-from .timeline import (MU_MAX, REF_PERIOD_S, REGULAR_SYNC_SLACK_MU, FrozenRecord, Record, SimConfig, SyncMode,
-                       short_repr)
+from .timeline import MU_MAX, REF_PERIOD_S, REGULAR_SYNC_SLACK_MU, Record, SimConfig, SyncMode, short_repr
 
 BUFFER_BATCH = 16
 
@@ -29,7 +28,7 @@ BUFFER_BATCH = 16
 MAX_SCENARIO_CALLS = 10**7
 
 
-class BenchScenario(FrozenRecord):
+class BenchScenario(Record):
     __slots__ = ("name", "points", "samples_per_point", "delay_per_sample_mu", "pulses_per_sample",
                  "dds_sets_per_sample", "pulse_mu", "buffered")
 
@@ -130,7 +129,8 @@ class BenchReport(Record):
     __slots__ = ("scenario", "results")
 
     def __init__(self, scenario: BenchScenario, results: dict | None = None):
-        self.scenario, self.results = scenario, {} if results is None else results  # SyncMode -> RunStats of that run
+        results = {} if results is None else results  # SyncMode -> RunStats of that run
+        self._set(locals())
 
     @property
     def timeline_length_regular_mu(self) -> int:
@@ -158,10 +158,8 @@ def run_scenario(scenario: BenchScenario, config: SimConfig) -> SimulationRun:
 
 def run_scenario_both(scenario: BenchScenario) -> BenchReport:
     """Run a scenario under the regular and the optimistic configuration (no input, so no seed)."""
-    report = BenchReport(scenario)
-    for mode in (SyncMode.REGULAR, SyncMode.OPTIMISTIC):
-        report.results[mode] = run_scenario(scenario, SimConfig(mode=mode)).stats
-    return report
+    modes = (SyncMode.REGULAR, SyncMode.OPTIMISTIC)
+    return BenchReport(scenario, {mode: run_scenario(scenario, SimConfig(mode=mode)).stats for mode in modes})
 
 
 def report_rows(report: BenchReport, t_ref_mu: int | None = None) -> list[dict]:

@@ -10,6 +10,7 @@ import argparse
 import functools
 import sys
 from itertools import zip_longest
+from math import copysign
 
 from .environment import DeviceDbError, ExperimentRunError, load_ddb, run_experiment
 from .timeline import SimConfig, SyncMode, short_repr
@@ -165,6 +166,11 @@ def _summary_deltas(sa: dict | None, sb: dict | None) -> list[str]:
     return deltas
 
 
+def _same_value(x, y) -> bool:
+    """Whether two equal records' values are one value: ``==`` holds for ``0.0, -0.0`` and ``True, 1``."""
+    return type(x) is type(y) and (type(x) is not float or copysign(1.0, x) == copysign(1.0, y))
+
+
 def _cmd_diff(args) -> int:
     if args.max_diffs < 0:
         return _bad_input(f"--max-diffs must be >= 0, got {args.max_diffs}")
@@ -178,7 +184,7 @@ def _cmd_diff(args) -> int:
     # so the divergences past it are counted, not kept.
     divergent = 0
     for i, (a, b) in enumerate(zip_longest(recs_a, recs_b)):
-        if a != b:
+        if a != b or not _same_value(a.get("value"), b.get("value")):
             if divergent < args.max_diffs:
                 print(f"record {i}:")
                 print(f"  A: {a}")

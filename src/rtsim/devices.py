@@ -14,7 +14,7 @@ from bisect import bisect_right
 
 from . import rng
 from .signals import SignalKind, SignalKindMismatch, _coerce_real, _is_plain_name
-from .timeline import MU_MAX, REF_PERIOD_S, FrozenRecord, MachineUnitsOverflow, round_half_away_from_zero, short_repr
+from .timeline import MU_MAX, REF_PERIOD_S, MachineUnitsOverflow, Record, round_half_away_from_zero, short_repr
 
 _INF = float("inf")
 
@@ -86,7 +86,7 @@ def _counter_mode(key, value):
         return f"{key} must be 'deterministic' or 'poisson', got {short_repr(value)}"
 
 
-class DeviceDescriptor(FrozenRecord):
+class DeviceDescriptor(Record):
     """Declarative entry for one simulated device; ``params`` ends up checked, defaults filled in."""
 
     __slots__ = ("name", "kind", "params")

@@ -15,7 +15,7 @@ from collections.abc import Callable
 
 from .devices import DRIVER_CLASSES, DeviceDescriptor, DeviceError, SimDevice
 from .signals import SignalManager
-from .timeline import (MU_MAX, MU_MIN, ContextKind, Frame, FrozenRecord, MachineUnitsOverflow, Record, SimConfig,
+from .timeline import (MU_MAX, MU_MIN, ContextKind, Frame, MachineUnitsOverflow, Record, SimConfig,
                        TimeManager, short_repr)
 
 
@@ -36,7 +36,7 @@ class ExperimentRunError(RuntimeError):
         self.run = run
 
 
-class DeviceDb(FrozenRecord):
+class DeviceDb(Record):
     """Validated list of simulated devices; exactly one core device."""
 
     __slots__ = ("devices",)
@@ -117,7 +117,7 @@ class Experiment(Record):
     __slots__ = ("name", "body")
 
     def __init__(self, name: str, body: Callable[["SimulationRun"], None]):
-        self.name, self.body = name, body
+        self._set(locals())
 
 
 class RunStats(Record):
@@ -125,8 +125,7 @@ class RunStats(Record):
 
     def __init__(self, event_count: int, sync_count: int, start_cursor_after_first_sync: int | None,
                  final_cursor: int, wall_clock_ns: int):
-        self.event_count, self.sync_count, self.final_cursor = event_count, sync_count, final_cursor
-        self.start_cursor_after_first_sync, self.wall_clock_ns = start_cursor_after_first_sync, wall_clock_ns
+        self._set(locals())
 
     @property
     def timeline_length_mu(self) -> int:
@@ -174,31 +173,25 @@ class SimulationRun:
         core.kernel_marker.push(name, self.time.now_mu())
         yield
 
-    def _finalize(self, wall_clock_ns: int) -> None:
-        self.stats = RunStats(
-            event_count=self.signals.event_count(),
-            sync_count=self.time.sync_count,
-            start_cursor_after_first_sync=self.time.first_sync_cursor,
-            final_cursor=self.time.now_mu(),
-            wall_clock_ns=wall_clock_ns,
-        )
-
 
 def run_experiment(exp: Experiment, ddb: DeviceDb, config: SimConfig | None = None) -> SimulationRun:
-    """Execute an experiment body inside a fresh simulation instance.
+    """Execute an experiment body inside a fresh simulation instance, and set the run's ``stats``.
 
-    A failing body, or a timeline length past signed 64 bits, raises ExperimentRunError
-    carrying the partial run, whose timeline remains readable for post-mortem assertions.
+    The stats are taken once, when the body returns or raises. A failing body, or a timeline length
+    past signed 64 bits, raises ExperimentRunError carrying the partial run, whose ``error`` is the
+    cause and whose stats and timeline remain readable for post-mortem assertions.
     """
     run = SimulationRun(ddb, config if config is not None else SimConfig())
+    time = run.time
     t0 = _time.perf_counter_ns()
     try:
         exp.body(run)
     except Exception as exc:
         run.error = exc
-        run._finalize(_time.perf_counter_ns() - t0)
         raise ExperimentRunError(f"experiment {short_repr(exp.name)} failed: {exc}", run) from exc
-    run._finalize(_time.perf_counter_ns() - t0)
+    finally:
+        run.stats = RunStats(run.signals.event_count(), time.sync_count, time.first_sync_cursor, time.now_mu(),
+                             _time.perf_counter_ns() - t0)
     if not MU_MIN <= run.stats.timeline_length_mu <= MU_MAX:
         run.error = MachineUnitsOverflow(f"timeline length {run.stats.timeline_length_mu} MU exceeds signed 64 bits")
         raise ExperimentRunError(f"experiment {short_repr(exp.name)} failed: {run.error}", run) from run.error

@@ -56,16 +56,14 @@ def _demo_body(run: SimulationRun) -> None:
         run.delay_mu(100)
 
 
-REGISTRY = {"demo": Experiment("demo", _demo_body)}  # the bench presets join on a miss
+_DEMO = Experiment("demo", _demo_body)
 
 
 def get_experiment(name: str) -> Experiment:
-    if name not in REGISTRY:  # so a demo run never loads bench; a user's own entry is never overwritten
-        from . import bench
-        for preset, scenario in bench.PRESETS.items():
-            REGISTRY.setdefault(preset, bench.scenario_experiment(scenario))
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown experiment {short_repr(name)}; bundled experiments: {known}") from None
+    if name == "demo":  # so a demo run never loads bench
+        return _DEMO
+    from . import bench
+    if name in bench.PRESETS:
+        return bench.scenario_experiment(bench.PRESETS[name])
+    known = ", ".join(sorted(["demo", *bench.PRESETS]))
+    raise KeyError(f"unknown experiment {short_repr(name)}; bundled experiments: {known}")

@@ -11,10 +11,10 @@ from collections.abc import Iterable
 
 from .environment import SimulationRun
 from .signals import UNKNOWN, Signal, SignalError, SignalKind
-from .timeline import MU_MAX, MU_MIN, FrozenRecord, short_repr
+from .timeline import MU_MAX, MU_MIN, Record, short_repr
 
 
-class CheckReport(FrozenRecord):
+class CheckReport(Record):
     """Outcome of one signal-value check."""
 
     __slots__ = ("passed", "device", "signal", "time", "expected", "actual", "nearest_before", "nearest_after",

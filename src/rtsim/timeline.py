@@ -80,7 +80,8 @@ class SyncMode(enum.Enum):
 
 
 class Record:
-    """A mutable record, fields in ``__slots__``: ``==`` and ``repr`` as a dataclass's, minus the import's cost."""
+    """A frozen record, fields in ``__slots__``: ``==``, ``hash`` and ``repr`` as a frozen dataclass's, minus the
+    import's cost. ``__init__`` sets the fields with ``object.__setattr__``; nothing sets them after."""
 
     __slots__ = ()
 
@@ -95,17 +96,11 @@ class Record:
     def __eq__(self, other):
         return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
 
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
-
-
-class FrozenRecord(Record):
-    """A record whose ``__init__`` sets the fields with ``object.__setattr__``; nothing sets them after. Hashable."""
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
 
     def __reduce__(self):  # so copy and pickle build it with __init__, not with __setattr__
         return type(self), self._fields()
@@ -116,7 +111,7 @@ class FrozenRecord(Record):
     __delattr__ = __setattr__
 
 
-class SimConfig(FrozenRecord):
+class SimConfig(Record):
     """Synchronization configuration of one simulation instance."""
 
     __slots__ = ("mode", "seed")

@@ -150,7 +150,10 @@ def export_jsonl(run: SimulationRun, path) -> None:
     the time and the value is built once per signal, and ``records_of``
     renders the values. Wall-clock time is deliberately not exported, so two
     runs with the same seed and configuration produce byte-identical files.
+    Only a run that ``run_experiment`` finished has the summary's stats.
     """
+    if run.stats is None:  # checked first, so no file is written or cut short
+        raise ValueError("export_jsonl: the run has no stats; export a run that run_experiment finished")
     parts, render = [], {}
     for sig in sorted(run.signals, key=_BY_NAME):
         _, _, _, kind, render[sig] = _FORMS[sig.kind]

@@ -116,6 +116,14 @@ MUTANTS = [
     ("read-plain-ignores-escape", "src/rtsim/trace.py", '"\\\\" not in part and ', ""),
     ("read-real-as-int", "src/rtsim/trace.py", "float(real)", "int(float(real))"),
     ("read-time-stale", "src/rtsim/trace.py", "if time_mu != last_text:", "if last_text is None:"),
+    ("jsonl-unfinished-unchecked", "src/rtsim/trace.py",
+     '    if run.stats is None:  # checked first, so no file is written or cut short\n'
+     '        raise ValueError("export_jsonl: the run has no stats; export a run that run_experiment finished")\n',
+     ""),
+    # Results are values, and diff tells apart what == does not.
+    ("record-assignable", "src/rtsim/timeline.py",
+     'raise AttributeError(f"cannot assign to or delete field {name!r}")', "object.__setattr__(self, name, value)"),
+    ("diff-value-type-blind", "src/rtsim/cli.py", ' or not _same_value(a.get("value"), b.get("value"))', ""),
 ]
 
 # name -> why the mutant cannot change what any caller sees

@@ -126,15 +126,15 @@ class TestPresetRegistry:
         fields = [field for field in RunStats.__slots__ if field != "wall_clock_ns"]
         assert [getattr(bench, field) for field in fields] == [getattr(cli, field) for field in fields]
 
-    def test_presets_join_after_a_user_experiment(self, monkeypatch):
-        # The presets used to join only while the demo was the registry's one entry.
-        mine, own_scan = Experiment("mine", lambda run: None), Experiment("scan_demo", lambda run: None)
-        monkeypatch.setattr(experiments, "REGISTRY", {"demo": experiments.REGISTRY["demo"], "mine": mine})
-        assert experiments.get_experiment("delay_dominated").name == "delay_dominated"
-        assert experiments.get_experiment("mine") is mine
-        # A miss joins only the presets that are missing: a user's own entry is never overwritten.
-        experiments.REGISTRY["scan_demo"] = own_scan
-        with pytest.raises(KeyError, match="unknown experiment 'nope'"):
+    def test_each_bundled_name_is_looked_up(self):
+        # A lookup leaves the module as it was: each preset lookup builds its experiment anew.
+        before = dict(vars(experiments))
+        for name in PRESETS:
+            exp = experiments.get_experiment(name)
+            assert type(exp) is Experiment and exp.name == name
+        assert experiments.get_experiment("demo").name == "demo"
+        known = ", ".join(sorted(["demo", *PRESETS]))
+        with pytest.raises(KeyError) as info:
             experiments.get_experiment("nope")
-        assert experiments.get_experiment("scan_demo") is own_scan
-        assert set(experiments.REGISTRY) == {"demo", "mine", *PRESETS}
+        assert info.value.args == (f"unknown experiment 'nope'; bundled experiments: {known}",)
+        assert vars(experiments) == before

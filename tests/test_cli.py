@@ -200,6 +200,40 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "record" in out
 
+    def test_signed_zero_differs(self, tmp_path, capsys):
+        # 0.0 == -0.0, but the dumps differ byte for byte.
+        from rtsim import Experiment, SimConfig, run_experiment
+        from rtsim.experiments import load_demo_ddb
+        from rtsim.trace import export_jsonl
+
+        paths = []
+        for name, phase in (("a.jsonl", 0.0), ("b.jsonl", -0.0)):
+            run = run_experiment(Experiment("d", lambda run: run.get_device("dds0").set(1e6, phase, 1.0)),
+                                 load_demo_ddb(), SimConfig())
+            export_jsonl(run, tmp_path / name)
+            paths.append(str(tmp_path / name))
+        assert run_cli("diff", *paths) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "record 2:",
+            "  A: {'time_mu': 0, 'device': 'dds0', 'signal': 'phase', 'kind': 'real', 'value': 0.0}",
+            "  B: {'time_mu': 0, 'device': 'dds0', 'signal': 'phase', 'kind': 'real', 'value': -0.0}",
+        ]
+        assert run_cli("diff", paths[1], paths[1]) == 0  # -0.0 against itself
+        assert capsys.readouterr().out == "identical\n"
+
+    def test_bool_differs_from_int(self, tmp_path, capsys):
+        # True == 1, but the dumps differ byte for byte.
+        a = self.make_dump(tmp_path, "a.jsonl")
+        b = tmp_path / "b.jsonl"
+        lines = a.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.endswith('"value": true}'))
+        lines[i] = lines[i].replace('"value": true}', '"value": 1}')
+        b.write_text("\n".join(lines) + "\n")
+        assert run_cli("diff", str(a), str(b)) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"record {i}:" and out[1].endswith("'value': True}") and out[2].endswith("'value': 1}")
+        assert len(out) == 3
+
     def test_summary_only_difference(self, tmp_path, capsys):
         a = self.make_dump(tmp_path, "a.jsonl")
         b = tmp_path / "b.jsonl"

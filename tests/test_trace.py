@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, run_experiment, set_input
+from rtsim import DeviceDb, Experiment, SignalKind, SimConfig, SimulationRun, run_experiment, set_input
 from rtsim import trace
 from rtsim.cli import main as cli_main
 from rtsim.signals import MAX_TEXT_BYTES, UNKNOWN
@@ -229,6 +229,21 @@ class TestJsonl:
         assert summary["timeline_length_mu"] == pulse_run.stats.timeline_length_mu
         assert summary["config"]["mode"] == "regular"
         assert "wall_clock_ns" not in summary
+
+    def test_unfinished_run_is_refused_before_any_write(self, full_ddb, tmp_path):
+        # A run that run_experiment did not finish has no stats for the summary line.
+        run = SimulationRun(full_ddb, SimConfig())
+        run.get_device("ttl0").pulse(1000)
+        missing, existing = tmp_path / "missing.jsonl", tmp_path / "existing.jsonl"
+        existing.write_bytes(b"old\n" * 100)
+        for path in (missing, existing):
+            with pytest.raises(ValueError, match="^export_jsonl: the run has no stats; export a run that "
+                                                 "run_experiment finished$"):
+                export_jsonl(run, path)
+        assert not missing.exists()
+        assert existing.read_bytes() == b"old\n" * 100
+        export_vcd(run, tmp_path / "unfinished.vcd")  # the VCD holds no stats
+        check_vcd((tmp_path / "unfinished.vcd").read_text())
 
     def test_byte_identical_across_runs(self, full_ddb, tmp_path):
         def body(run):
