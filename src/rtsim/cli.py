@@ -154,21 +154,42 @@ def _cmd_bench_scan(args) -> int:
     return 0
 
 
+def _same(x, y) -> bool:
+    """Whether two JSON values are one value: equal, and of one type and floats of one sign at every
+    level. Object items are compared key by key in any key order, array items in order. ``==`` alone
+    holds for ``0, 0.0, -0.0, False``."""
+    return x == y and _alike(x, y)
+
+
+def _alike(x, y) -> bool:
+    """``_same`` of two values known to be equal: their items are equal too, so only types and signs are left.
+
+    A work list, not recursion: ``read_jsonl`` reads values nested past Python's recursion limit.
+    """
+    pending = [(x, y)]
+    for x, y in pending:  # extended as it is walked; a list iterator reads the length at each step
+        t = type(x)
+        if t is not type(y) or t is float and copysign(1.0, x) != copysign(1.0, y):
+            return False
+        if t is dict:  # equal, so both hold the same keys
+            pending += zip(x.values(), map(y.__getitem__, x))
+        elif t is list:
+            pending += zip(x, y)
+    return True
+
+
 def _summary_deltas(sa: dict | None, sb: dict | None) -> list[str]:
-    if sa == sb:
+    if _same(sa, sb):
         return []
     if sa is None or sb is None:
         return [f"summary present only in {'B' if sa is None else 'A'}"]
     deltas = []
     for key in sorted(set(sa) | set(sb)):
-        if sa.get(key) != sb.get(key):
-            deltas.append(f"summary.{key}: {sa.get(key)!r} != {sb.get(key)!r}")
+        if key not in sa or key not in sb:
+            deltas.append(f"summary.{key} present only in {'A' if key in sa else 'B'}")
+        elif not _same(sa[key], sb[key]):
+            deltas.append(f"summary.{key}: {sa[key]!r} != {sb[key]!r}")
     return deltas
-
-
-def _same_value(x, y) -> bool:
-    """Whether two equal records' values are one value: ``==`` holds for ``0.0, -0.0`` and ``True, 1``."""
-    return type(x) is type(y) and (type(x) is not float or copysign(1.0, x) == copysign(1.0, y))
 
 
 def _cmd_diff(args) -> int:
@@ -184,7 +205,7 @@ def _cmd_diff(args) -> int:
     # so the divergences past it are counted, not kept.
     divergent = 0
     for i, (a, b) in enumerate(zip_longest(recs_a, recs_b)):
-        if a != b or not _same_value(a.get("value"), b.get("value")):
+        if a != b or not _alike(a, b):
             if divergent < args.max_diffs:
                 print(f"record {i}:")
                 print(f"  A: {a}")
@@ -198,8 +219,7 @@ def _cmd_diff(args) -> int:
     for line in deltas:
         print(line)
 
-    identical = not divergent and len(recs_a) == len(recs_b) and not deltas
-    if identical:
+    if not divergent and not deltas:
         print("identical")
         return 0
     return 1

@@ -47,10 +47,16 @@ def _checked_mu(value: int, op: str) -> int:
 
 
 def round_half_away_from_zero(x: float) -> int:
-    """Round to the nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1)."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
+    """Round to the nearest integer, ties away from zero (0.5 -> 1, -0.5 -> -1), exactly for every finite float.
+
+    ``floor(x + 0.5)`` would round the sum first (0.49999999999999994 + 0.5 is 1.0); ``a - floor(a)``
+    is exact for ``a >= 0``.
+    """
+    a = abs(x)
+    n = math.floor(a)
+    if a - n >= 0.5:
+        n += 1
+    return n if x >= 0 else -n
 
 
 def seconds_to_mu(seconds: float) -> int:

@@ -165,8 +165,6 @@ def export_jsonl(run: SimulationRun, path) -> None:
         fh.write(json.dumps({"summary": _summary_of(run)}) + "\n")
 
 
-_DECODER = json.JSONDecoder()
-
 # export_jsonl's own event line. A time has at most 19 digits, each value alternative is its own
 # group, and a string has no escape and no control character (read_jsonl checks that of the names,
 # once per distinct name part), so such a match reads exactly as json.loads would read the line.
@@ -190,7 +188,7 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
     A line in ``export_jsonl``'s own form is read directly: its keys are
     this module's constants, records with the same device, signal and kind
     share those three strings, and consecutive such lines with the same time
-    text share one int. Every other line goes through the JSON decoder. Both
+    text share one int. Every other line goes through ``json.loads``. Both
     give the same records, value types and key order.
     """
     records = []
@@ -220,11 +218,9 @@ def read_jsonl(path) -> tuple[list[dict], dict | None]:
             if not line:
                 continue
             try:
-                obj, end = _DECODER.raw_decode(line)
+                obj = json.loads(line)
             except RecursionError:
                 raise ValueError(f"JSON nested too deeply in line {line[:40]!r}") from None
-            if end != len(line):
-                raise json.JSONDecodeError("Extra data", line, end)
             if type(obj) is not dict:
                 raise ValueError(f"expected a JSON object per line, got {line[:40]!r}")
             if "summary" in obj:

@@ -8,7 +8,8 @@ Run from the root of a checkout (stdlib only; pytest and Hypothesis as for tier-
 Each mutant replaces one exact text, which must occur exactly once in its file,
 in a fresh temporary copy of the checkout. Tier-1 then runs in that copy with
 ``-x``, a fixed Hypothesis seed, the ``mutants`` Hypothesis profile (no shrinking
-of a failing example) and the wall-time envelope test deselected. A failing
+of a failing example), and the wall-time envelope test and the table's own test
+(which fails in every mutant's copy, as it no longer holds the text) deselected. A failing
 test that measures wall time or ``tracemalloc`` is not a kill: it is
 deselected too and the run repeated. A tier-1 run that takes longer than
 ``TIER1_TIMEOUT_S``, many times a full run, is a hang the mutant caused,
@@ -123,7 +124,12 @@ MUTANTS = [
     # Results are values, and diff tells apart what == does not.
     ("record-assignable", "src/rtsim/timeline.py",
      'raise AttributeError(f"cannot assign to or delete field {name!r}")', "object.__setattr__(self, name, value)"),
-    ("diff-value-type-blind", "src/rtsim/cli.py", ' or not _same_value(a.get("value"), b.get("value"))', ""),
+    ("diff-value-type-blind", "src/rtsim/cli.py", " or not _alike(a, b)", ""),
+    ("diff-summary-eq", "src/rtsim/cli.py", "return x == y and _alike(x, y)", "return x == y"),
+    # Rounding that adds one half first rounds twice.
+    ("round-floor-plus-half", "src/rtsim/timeline.py",
+     "    a = abs(x)\n    n = math.floor(a)\n    if a - n >= 0.5:\n        n += 1\n    return n if x >= 0 else -n\n",
+     "    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)\n"),
 ]
 
 # name -> why the mutant cannot change what any caller sees
@@ -132,6 +138,7 @@ EQUIVALENT = {
 }
 
 ENVELOPE_TEST = "tests/test_acceptance.py::test_criterion_7_performance_envelope"
+TABLE_TEST = "tests/test_mutant_table.py"
 TIER1_TIMEOUT_S = 900
 BOUND_WORDS = re.compile(r"tracemalloc|perf_counter|monotonic|time\.time")
 
@@ -188,7 +195,7 @@ def run_mutant(path: str, text: str, new: str) -> tuple[str, str]:
         if source.count(text) != 1:
             return "error", f"text found {source.count(text)} times in {path}: {text!r}"
         target.write_text(source.replace(text, new))
-        deselect = [ENVELOPE_TEST]
+        deselect = [ENVELOPE_TEST, TABLE_TEST]
         while True:
             outcome, failed = _tier1(root, deselect)
             if outcome == "pass":

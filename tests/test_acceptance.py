@@ -105,6 +105,9 @@ def _random_sync_program(rng):
 
 
 def _run_sync_program(items, mode):
+    """The finished run of ``items`` in ``mode``, and its (cursor, sync count) after each item."""
+    trail = []
+
     def body(run):
         core = run.get_device("core")
         ttls = [run.get_device(f"ttl{i}") for i in range(3)]
@@ -122,8 +125,9 @@ def _run_sync_program(items, mode):
                 set_input(run, "in0", "prob", run.now_mu() + item[1], 0.5)
             else:
                 core.reset()
+            trail.append((run.now_mu(), run.time.sync_count))
 
-    return run_experiment(Experiment("sync-program", body), load_demo_ddb(), SimConfig(mode=mode))
+    return run_experiment(Experiment("sync-program", body), load_demo_ddb(), SimConfig(mode=mode)), trail
 
 
 def test_criterion_3_sync_law():
@@ -135,21 +139,19 @@ def test_criterion_3_sync_law():
     rng = random.Random(97)
     for i in range(100):
         items = _random_sync_program(rng)
-        runs = {mode: _run_sync_program(items, mode) for mode in SyncMode}
-        syncs = runs[SyncMode.REGULAR].stats.sync_count
-        assert syncs == runs[SyncMode.OPTIMISTIC].stats.sync_count
-        final_delta = (
-            runs[SyncMode.REGULAR].stats.final_cursor
-            - runs[SyncMode.OPTIMISTIC].stats.final_cursor
-        )
+        (regular, reg_trail), (optimistic, opt_trail) = (_run_sync_program(items, mode) for mode in SyncMode)
+        # Per operation: equal sync counts, and the regular cursor ahead by one slack a sync so far. Every
+        # write lands at its operation's cursor plus an offset the operation fixes, so this pins each write.
+        for j, ((reg_now, syncs), (opt_now, opt_syncs)) in enumerate(zip(reg_trail, opt_trail, strict=True)):
+            assert syncs == opt_syncs and reg_now - opt_now == SLACK * syncs, f"program {i}: item {j}"
+        syncs = regular.stats.sync_count
+        assert syncs == optimistic.stats.sync_count
+        final_delta = regular.stats.final_cursor - optimistic.stats.final_cursor
         assert final_delta == SLACK * syncs, f"program {i}: final-cursor law"
-        length_delta = (
-            runs[SyncMode.REGULAR].stats.timeline_length_mu
-            - runs[SyncMode.OPTIMISTIC].stats.timeline_length_mu
-        )
+        length_delta = regular.stats.timeline_length_mu - optimistic.stats.timeline_length_mu
         in_window = syncs - 1 if syncs else 0
         assert length_delta == SLACK * in_window, f"program {i}: timeline-length law"
-    report(3, "sync law exact on all bundled scenarios and 100 random sync programs")
+    report(3, "sync law exact on all bundled scenarios, and after every operation of 100 random sync programs")
 
 
 def _lengths(body):

@@ -234,6 +234,63 @@ class TestDiff:
         assert out[0] == f"record {i}:" and out[1].endswith("'value': True}") and out[2].endswith("'value': 1}")
         assert len(out) == 3
 
+    def edited_golden(self, tmp_path, old, new):
+        """The demo golden dump and a copy with its one ``old`` text replaced by ``new``."""
+        golden = Path(__file__).parent / "golden" / "demo.jsonl"
+        text = golden.read_text()
+        assert text.count(old) == 1
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(text.replace(old, new))
+        return str(golden), str(edited)
+
+    # Each pair is ==, but the dumps differ byte for byte.
+    @pytest.mark.parametrize("new", ["0.0", "-0.0", "false"])
+    def test_record_time_of_another_type_differs(self, tmp_path, capsys, new):
+        old = '{"time_mu": 0, "device": "adc0", "signal": "v0"'
+        golden, edited = self.edited_golden(tmp_path, old, old.replace("0", new, 1))
+        assert run_cli("diff", golden, edited) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "record 1:" and out[1].startswith("  A: {'time_mu': 0,")
+        assert out[2].startswith(f"  B: {{'time_mu': {json.loads(new)!r},")
+        assert len(out) == 3
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"event_count": 17', '"event_count": 17.0', "event_count"),
+        ('"seed": 0', '"seed": false', "config"),
+        ('"sync_slack_mu": 125000', '"sync_slack_mu": 125000.0', "config"),
+    ], ids=["event_count_float", "seed_false", "slack_float"])
+    def test_summary_value_of_another_type_differs(self, tmp_path, capsys, old, new, key):
+        golden, edited = self.edited_golden(tmp_path, old, new)
+        assert run_cli("diff", golden, edited) == 1
+        sa, sb = (json.loads(Path(path).read_text().splitlines()[-1])["summary"][key] for path in (golden, edited))
+        assert capsys.readouterr().out.splitlines() == [f"summary.{key}: {sa!r} != {sb!r}"]
+
+    def test_key_order_is_ignored(self, tmp_path, capsys):
+        old = '{"time_mu": 0, "device": "adc0", "signal": "v0", "kind": "real", "value": 1.25}'
+        golden, edited = self.edited_golden(
+            tmp_path, old, '{"value": 1.25, "kind": "real", "signal": "v0", "device": "adc0", "time_mu": 0}')
+        Path(edited).write_text(Path(edited).read_text().replace(
+            '{"mode": "regular", "sync_slack_mu": 125000, "ref_period_s": 1e-09, "seed": 0}',
+            '{"seed": 0, "ref_period_s": 1e-09, "sync_slack_mu": 125000, "mode": "regular"}'))
+        assert run_cli("diff", golden, edited) == 0
+        assert capsys.readouterr().out == "identical\n"
+
+    def test_summary_key_absent_is_not_null(self, tmp_path, capsys):
+        golden, edited = self.edited_golden(tmp_path, '"event_count": 17, ', '"event_count": 17, "note": null, ')
+        assert run_cli("diff", golden, edited) == 1
+        assert capsys.readouterr().out.splitlines() == ["summary.note present only in B"]
+
+    def test_value_nested_as_deep_as_read_jsonl_reads(self, tmp_path, capsys):
+        depth = 850  # read_jsonl reads it; as many nested Python calls would pass the recursion limit
+        paths = []
+        for name, leaf in (("a", "0.0"), ("b", "0.0"), ("c", "-0.0")):
+            paths.append(tmp_path / f"{name}.jsonl")
+            paths[-1].write_text(f'{{"time_mu": 0, "value": {"[" * depth}{leaf}{"]" * depth}}}\n')
+        assert run_cli("diff", str(paths[0]), str(paths[1])) == 0
+        assert capsys.readouterr().out == "identical\n"
+        assert run_cli("diff", str(paths[0]), str(paths[2])) == 1
+        assert capsys.readouterr().out.startswith("record 0:\n")
+
     def test_summary_only_difference(self, tmp_path, capsys):
         a = self.make_dump(tmp_path, "a.jsonl")
         b = tmp_path / "b.jsonl"

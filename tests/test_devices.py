@@ -268,6 +268,14 @@ class TestEdgeCounter:
         assert close == 1_000_000
         assert dev.fetch_count() == 1000
 
+    def test_deterministic_count_just_below_a_tie_rounds_down(self, make_run):
+        # The mean is 0.49999999999999994; floor(mean + 0.5) would count 1.
+        run = make_run()
+        dev = run.get_device("counter0")
+        dev.freq.push(499_999_999.99999994, 0)
+        dev.gate_rising(1)
+        assert dev.fetch_count() == 0
+
     def test_zero_frequency_counts_zero(self, make_run):
         run = make_run()
         dev = run.get_device("counter0")

@@ -1,4 +1,7 @@
 import contextlib
+import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -319,13 +322,28 @@ class TestDelaySeconds:
 
     @pytest.mark.parametrize(
         "x,expected",
-        [(0.5, 1), (-0.5, -1), (1.5, 2), (2.5, 3), (-2.5, -3), (0.4, 0), (-0.4, 0)],
+        [(0.5, 1), (-0.5, -1), (1.5, 2), (2.5, 3), (-2.5, -3), (0.4, 0), (-0.4, 0),
+         # x + 0.5 rounds up to the next integer in floating point.
+         (0.49999999999999994, 0), (-0.49999999999999994, 0),
+         (4503599627370497.0, 4503599627370497), (-4503599627370497.0, -4503599627370497)],
     )
     def test_rounding_rule(self, x, expected):
         assert round_half_away_from_zero(x) == expected
 
+    def test_rounding_is_exact_across_magnitudes(self):
+        rng = random.Random(20261021)
+        # Full 53-bit mantissas at magnitudes up to 2**65, and the ties k + 0.5 for k of up to 51 bits.
+        sign = (1.0, -1.0)
+        xs = [math.ldexp(rng.getrandbits(53), rng.randint(-60, 12)) * rng.choice(sign) for _ in range(4000)]
+        ties = [(rng.getrandbits(rng.randint(0, 51)) + 0.5) * rng.choice(sign) for _ in range(2000)]
+        xs += ties + [math.nextafter(t, math.inf) for t in ties] + [math.nextafter(t, -math.inf) for t in ties]
+        for x in xs:
+            half_away = math.floor(abs(Fraction(x)) + Fraction(1, 2))
+            assert round_half_away_from_zero(x) == (half_away if x >= 0 else -half_away), x
+
     def test_seconds_to_mu_helper(self):
         assert seconds_to_mu(1.5e-9) == 2
+        assert seconds_to_mu(4503599.627370497) == 4503599627370497  # floor(x + 0.5) gives ...498
 
     @pytest.mark.parametrize("seconds", [10**5000, 1e300, -1e300], ids=["10**5000", "1e300", "-1e300"])
     def test_huge_seconds_overflow(self, seconds):
