@@ -44,12 +44,8 @@ class SignalKindMismatch(SignalError, TypeError):
 class _Unknown:
     """Sentinel for 'no event at or before this time'. Never storable."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __reduce__(self):  # copy and every pickle protocol give back the one module-level UNKNOWN
+        return "UNKNOWN"
 
     def __repr__(self):
         return "UNKNOWN"

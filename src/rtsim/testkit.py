@@ -10,7 +10,7 @@ from bisect import bisect_right
 from collections.abc import Iterable
 
 from .environment import SimulationRun
-from .signals import UNKNOWN, Signal, SignalError, SignalKind
+from .signals import UNKNOWN, SignalError, SignalKind
 from .timeline import MU_MAX, MU_MIN, Record, short_repr
 
 
@@ -53,10 +53,10 @@ class CheckReport(Record):
         return f"CheckReport({', '.join(f'{n}={short_repr(getattr(self, n))}' for n in self.__slots__)})"
 
 
-def _nearest_events(signal: Signal, time: int):
-    times = signal._times
+def _nearest_events(times: list[int], time: int):
+    """Times of the latest event at or before ``time`` and of the first after it (or None), and that first's index."""
     i = bisect_right(times, time)
-    return (times[i - 1] if i else None), (times[i] if i < len(times) else None)
+    return (times[i - 1] if i else None), (times[i] if i < len(times) else None), i
 
 
 def set_input(run: SimulationRun, device: str, signal: str, time: int, value) -> None:
@@ -91,24 +91,15 @@ def expect(
         raise SignalError(f"query time must be a signed 64-bit int: {short_repr(time)}")
     if expected is not UNKNOWN:
         expected = sig._coerce(expected)
-    actual = sig.pull(time)
+    before, after, i = _nearest_events(sig._times, time)
+    actual = sig._values[i - 1] if i else UNKNOWN
     if expected is UNKNOWN or actual is UNKNOWN:
         passed = actual is expected
     elif sig.kind is SignalKind.REAL:
         passed = abs(actual - expected) <= abs_tol
     else:
         passed = actual == expected
-    before, after = _nearest_events(sig, time)
     return CheckReport(passed, device, signal, time, expected, actual, before, after)
-
-
-def _validate_rest(pairs, coerce) -> int:
-    """Validate the value of every pair left in ``pairs``; return how many there were."""
-    n = 0
-    for _, value in pairs:
-        coerce(value)
-        n += 1
-    return n
 
 
 def assert_events(run: SimulationRun, device: str, signal: str, expected: Iterable) -> CheckReport:
@@ -124,33 +115,26 @@ def assert_events(run: SimulationRun, device: str, signal: str, expected: Iterab
     """
     sig = run.signals.signal(device, signal)
     times, values, coerce = sig._times, sig._values, sig._coerce
-    pairs = iter(expected)
-    count = 0
-    # zip reads the store first, so it takes no pair once the store has run out.
-    for at, av, (t, v) in zip(times, values, pairs):
+    n = len(times)
+    first = None  # (index, time, value) of the first pair that differs from the store or lies past it
+    i = 0
+    for t, v in expected:
         v = coerce(v)
-        if not (t == at and v == av):
-            _validate_rest(pairs, coerce)
-            before, after = _nearest_events(sig, at)
-            return CheckReport(
-                False, device, signal, at, (t, v), (at, av), before, after,
-                detail=f"first divergence at event index {count}",
-            )
-        count += 1
-    n_expected = count
-    if count < len(times):
-        t = times[count]
+        if first is None and (i >= n or not (t == times[i] and v == values[i])):
+            first = i, t, v
+        i += 1
+    if first is None:
+        if i == n:
+            return CheckReport(True, device, signal, None, f"{n} events", f"{n} events", None, None)
+        k, t = i, times[i]  # the store has events past the last pair
     else:
-        for t, v in pairs:  # the first pair past the last event
-            coerce(v)
-            n_expected += 1 + _validate_rest(pairs, coerce)
-            break
-        else:
-            return CheckReport(True, device, signal, None, f"{count} events", f"{count} events", None, None)
+        k, t, v = first
+        if k < n:
+            at = times[k]
+            before, after, _ = _nearest_events(times, at)
+            return CheckReport(False, device, signal, at, (t, v), (at, values[k]), before, after,
+                               detail=f"first divergence at event index {k}")
     # A caller's time past the last event may be of any type; bisect compares only ints with the store.
-    before, after = _nearest_events(sig, t) if type(t) is int else (None, None)
-    return CheckReport(
-        False, device, signal, t,
-        f"{n_expected} events", f"{len(times)} events", before, after,
-        detail=f"event count mismatch at index {count}",
-    )
+    before, after, _ = _nearest_events(times, t) if type(t) is int else (None, None, None)
+    return CheckReport(False, device, signal, t, f"{i} events", f"{n} events", before, after,
+                       detail=f"event count mismatch at index {k}")

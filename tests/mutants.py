@@ -13,8 +13,10 @@ of a failing example), and the wall-time envelope test and the table's own test
 test that measures wall time or ``tracemalloc`` is not a kill: it is
 deselected too and the run repeated. A tier-1 run that takes longer than
 ``TIER1_TIMEOUT_S``, many times a full run, is a hang the mutant caused,
-and a kill. The command exits non-zero if a mutant survives that
-``EQUIVALENT`` does not list, or if a mutant's text is not found.
+and a kill. A mutant that ``EQUIVALENT`` lists but tier-1 kills is reported
+as stale, with its listed reason. The command exits non-zero if a mutant
+survives that ``EQUIVALENT`` does not list, if a listed mutant is stale, or
+if a mutant's text is not found.
 It is not part of tier-1: a killed mutant costs a run up to its first failure,
 a survivor a full tier-1 run.
 """
@@ -44,6 +46,13 @@ _SYNC_BODY = """now, top, slack = self._now, self._event_top[0], self._slack
             self._now = now + d
         elif d > self._longest:
             self._longest = d
+"""
+
+# assert_events' divergence report: a mutant also reports there a pair past the last event, as differing from none.
+_DIVERGENCE = """        if k < n:
+            at = times[k]
+            before, after, _ = _nearest_events(times, at)
+            return CheckReport(False, device, signal, at, (t, v), (at, values[k]), before, after,
 """
 
 # (name, file, text, replacement)
@@ -111,6 +120,12 @@ MUTANTS = [
     ("nearest-before-excludes-time", "src/rtsim/testkit.py", "i = bisect_right(times, time)",
      "i = bisect_right(times, time - 1)"),
     ("expect-tolerance-strict", "src/rtsim/testkit.py", "<= abs_tol", "< abs_tol"),
+    ("expect-reads-one-event-early", "src/rtsim/testkit.py", "actual = sig._values[i - 1] if i else UNKNOWN",
+     "actual = sig._values[i - 2] if i > 1 else UNKNOWN"),
+    ("assert-events-last-divergence", "src/rtsim/testkit.py", "if first is None and (i >= n", "if (i >= n"),
+    ("assert-events-extra-pair-diverges", "src/rtsim/testkit.py", _DIVERGENCE,
+     _DIVERGENCE.replace("if k < n:", "if True:").replace("at = times[k]", "at = times[k] if k < n else t")
+     .replace("values[k])", "values[k] if k < n else None)")),
     # The exports and the JSONL reader.
     ("records-rank-by-registration", "src/rtsim/trace.py", "enumerate(sorted(run.signals, key=_BY_NAME))",
      "enumerate(run.signals)"),
@@ -209,20 +224,28 @@ def run_mutant(path: str, text: str, new: str) -> tuple[str, str]:
 
 
 def score(results: dict, equivalent: dict, out=print) -> bool:
-    """Print each verdict and the score; return True iff every survivor is listed as equivalent."""
-    counts = {"killed": 0, "equivalent": 0, "survived": 0, "error": 0}
+    """Print each verdict and the score.
+
+    Return True iff every survivor is listed as equivalent and every listed mutant survived.
+    """
+    counts = {"killed": 0, "equivalent": 0, "stale": 0, "survived": 0, "error": 0}
     for name, (verdict, detail) in results.items():
         if verdict == "survived" and name in equivalent:
             verdict, detail = "equivalent", equivalent[name]
+        elif verdict == "killed" and name in equivalent:  # its listed reason no longer holds
+            verdict, detail = "stale", equivalent[name]
         counts[verdict] += 1
         out(f"{name}: {verdict.upper()}{': ' + detail if detail else ''}")
     out(f"{len(results)} mutants: {counts['killed']} killed, {counts['equivalent']} equivalent, "
-        f"{counts['survived']} survived, {counts['error']} not applied")
-    return counts["survived"] == counts["error"] == 0
+        f"{counts['stale']} stale, {counts['survived']} survived, {counts['error']} not applied")
+    return counts["stale"] == counts["survived"] == counts["error"] == 0
 
 
 def self_test() -> bool:
-    """Plant a killed, an equivalent and an unapplicable mutant; check each verdict and the exit rule."""
+    """Plant a killed, an equivalent and an unapplicable mutant; check each verdict and the exit rule.
+
+    The killed mutant, listed as equivalent, checks the stale rule.
+    """
     planted = [
         ("planted-killed", "src/rtsim/timeline.py", "MU_MAX = 2**63 - 1\n", "MU_MAX = 2**63 - 2\n"),
         ("planted-equivalent", "src/rtsim/timeline.py", "REGULAR_SYNC_SLACK_MU = 125_000\n",
@@ -238,6 +261,8 @@ def self_test() -> bool:
                                  "planted-missing": "error"},
         "a listed survivor passes": score({k: results[k] for k in ("planted-killed", "planted-equivalent")}, listed),
         "an unlisted survivor fails": not score({"planted-equivalent": results["planted-equivalent"]}, {}),
+        "a listed mutant that is killed fails": not score({"planted-killed": results["planted-killed"]},
+                                                          {"planted-killed": "a stale reason"}),
         "a text not found fails": not score({"planted-missing": results["planted-missing"]}, {}),
         "bound tests recognised": _is_bound_test(ENVELOPE_TEST, ROOT)
         and not _is_bound_test("tests/test_timeline.py::TestNowAndDelay::test_delay_advances_cursor", ROOT),

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from rtsim import DeviceDb, SimConfig, SimulationRun, set_input
+from rtsim import DeviceDb, SignalKind, SimConfig, SimulationRun, assert_events, expect, set_input
 from rtsim.rng import _TABLE_MEANS, Xoshiro256StarStar
 from rtsim.timeline import MU_MAX, REGULAR_SYNC_SLACK_MU
 
@@ -324,3 +324,36 @@ def test_a_stream_keeps_a_bounded_number_of_means():
         most = max(most, len(stream._tables))
     assert most == _TABLE_MEANS == 64
     assert draws == [poisson_search(mean, twin.random()) for mean in means]
+
+
+def _probe_run(n):
+    """A run with one INT signal ``probe.sig`` that holds ``n`` events, value t at time t."""
+    run = _run()
+    sig = run.signals.register("probe", "sig", SignalKind.INT)
+    for t in range(n):
+        sig.push(t, t)
+    return run
+
+
+def test_expect_reads_the_store_by_one_bisect():
+    # One _nearest_events call gives the value and both neighbour times; no Signal.pull bisects again.
+    run = _probe_run(100)
+    calls = _python_calls(functools.partial(expect, run, "probe", "sig", 50, 50))
+    assert calls == {"expect": 1, "SignalManager.signal": 1, "_coerce_int": 1, "_nearest_events": 1,
+                     "CheckReport.__init__": 1}
+
+
+def _assert_events_calls(n, diverge):
+    run = _probe_run(n)
+    pairs = run.signals.signal("probe", "sig").events()
+    if diverge:
+        pairs[0] = (0, -1)
+    calls = _python_calls(functools.partial(assert_events, run, "probe", "sig", pairs))
+    assert calls.pop("_coerce_int") == n
+    return calls
+
+
+@pytest.mark.parametrize("diverge", [False, True], ids=["matching", "diverging-at-0"])
+def test_assert_events_makes_one_validator_call_a_pair_and_no_other_call_that_grows(diverge):
+    # One loop over the pairs compares each in place: no helper runs per pair, nor for the pairs past a divergence.
+    assert _assert_events_calls(10, diverge) == _assert_events_calls(1000, diverge)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +107,13 @@ class TestPushPull:
     def test_unknown_has_no_truth_value(self):
         with pytest.raises(TypeError, match="UNKNOWN has no truth value"):
             bool(self.make().pull(0))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unknown_survives_pickle(self, protocol):
+        assert pickle.loads(pickle.dumps(UNKNOWN, protocol)) is UNKNOWN
+
+    def test_unknown_survives_copy(self):
+        assert copy.copy(UNKNOWN) is UNKNOWN and copy.deepcopy(UNKNOWN) is UNKNOWN
 
     def test_repr_names_signal_and_kind(self):
         assert repr(self.make(SignalKind.REAL)) == "Signal(dev.sig, real)"

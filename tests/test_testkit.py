@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 from bisect import bisect_right
 
@@ -89,6 +90,12 @@ class TestExpect:
     def test_unknown_before_first_event(self, pulsed):
         assert expect(pulsed, "ttl0", "state", 99, UNKNOWN)
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_report_of_unknown_survives_pickle(self, pulsed, protocol):
+        report = expect(pulsed, "ttl0", "state", 99, True)
+        twin = pickle.loads(pickle.dumps(report, protocol))
+        assert twin.actual is UNKNOWN and twin == report and str(twin) == str(report)
+
     def test_failure_report_contents(self, pulsed):
         report = expect(pulsed, "ttl0", "state", 100, False)
         assert not report
@@ -155,6 +162,11 @@ class TestAssertEvents:
         report = assert_events(pulsed, "ttl0", "state", [(100, False), (1100, False)])
         assert not report
         assert "index 0" in report.detail
+
+    def test_later_divergences_leave_the_first_reported(self, pulsed):
+        # Both pairs differ from the store and a third lies past it: the report keeps the first.
+        report = assert_events(pulsed, "ttl0", "state", [(100, False), (1100, True), (2000, True)])
+        assert report.detail == "first divergence at event index 0" and report.expected == (100, False)
 
     def test_failing_report_prints_its_detail(self, pulsed):
         report = assert_events(pulsed, "ttl0", "state", [(100, False)])
