@@ -94,7 +94,8 @@ class DeviceDescriptor(Record):
     def __init__(self, name: str, kind: str, params: dict | None = None):
         # The name is a VCD scope identifier and a JSONL string as it stands.
         if not _is_plain_name(name):
-            raise DeviceError(f"device name must be a non-empty string without whitespace, got {short_repr(name)}")
+            raise DeviceError("device name must be a non-empty string of printable ASCII '!' to '~' "
+                              f"that does not start with '$', got {short_repr(name)}")
         if type(kind) is not str or kind not in DRIVER_CLASSES:
             raise DeviceError(f"device {short_repr(name)}: unknown kind {short_repr(kind)}; "
                               f"allowed kinds: {', '.join(DRIVER_CLASSES)}")

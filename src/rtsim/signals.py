@@ -207,8 +207,12 @@ class Signal:
 
 
 def _is_plain_name(name) -> bool:
-    """A non-empty ``str`` without whitespace, which exports can write as it stands."""
-    return type(name) is str and name.split() == [name]
+    """A ``str`` a VCD header holds as it stands: ASCII ``!`` to ``~``, as a VCD is an ASCII file
+    that readers split on whitespace, and no ``$`` first, which a reader takes as a keyword."""
+    # name[:1] is in "$" for "" and for a name that starts with "$". String methods, not a regex:
+    # the check runs for every registered signal, and a fullmatch takes about 100 ns more.
+    return (type(name) is str and name.isascii() and name.isprintable() and " " not in name
+            and name[:1] not in "$")
 
 
 class SignalManager:
@@ -234,7 +238,8 @@ class SignalManager:
             raise TypeError(f"signal kind must be a SignalKind, got {short_repr(kind)}")
         if not (_is_plain_name(device_name) and _is_plain_name(signal_name)):
             raise SignalError(
-                "device and signal names must be non-empty strings without whitespace, "
+                "device and signal names must be non-empty strings of printable ASCII '!' to '~' "
+                "that do not start with '$', "
                 f"got device {short_repr(device_name)}, signal {short_repr(signal_name)}"
             )
         key = (device_name, signal_name)

@@ -3,8 +3,10 @@
 VCD scopes follow the order of each device's first registered signal, and
 identifier codes and the ``$dumpvars`` lines go device by device in
 declaration order, so exports are byte-stable and can be pinned as golden
-files. Negative-time events are clamped into the VCD initial-values block;
-the JSONL dump keeps them as-is.
+files. Each exporter reads a signal's store once, into rows that
+``records_of`` puts in time order. A VCD signal's last event before time 0
+is its initial value and its later events are its changes; the JSONL dump
+keeps negative-time events as they are.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import contextlib
 import json
 import os
 import re
-from collections.abc import Callable
+from bisect import bisect_left
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from json.encoder import encode_basestring_ascii
 
 from .environment import SimulationRun
-from .signals import UNKNOWN, Signal, SignalKind
+from .signals import Signal, SignalKind
 from .timeline import REF_PERIOD_S
 
 _VCD_ID_BASE = 94
@@ -70,20 +72,16 @@ _FORMS = {kind: (decl, vcd, unknown, f'"kind": "{kind.value}", "value": ', json_
 ]}
 
 
-_BY_NAME = attrgetter("device_name", "signal_name")  # the order of a record's rank
+def records_of(rows: dict[Signal, list[tuple]]) -> list[tuple]:
+    """Every signal's rows, each a tuple that starts with an event time, in one list sorted by time.
 
-
-def records_of(run: SimulationRun, render: dict[Signal, Callable[[object], str]]) -> list[tuple[int, int, str]]:
-    """All surviving events as (time, rank, text), sorted by (time, device, signal).
-
-    ``rank`` indexes the signals sorted by ``_BY_NAME``; ``text`` is ``render[signal](value)``,
-    one ``map`` a signal. Signals are extended in rank order and the sort is stable and keyed
-    on the time alone, so events at one time keep that name order; each signal's events are
-    already an ascending run that timsort only merges.
+    Signals are taken out of ``rows`` in (device, signal) name order, so each list is freed once
+    extended, and the sort is stable and keyed on the time alone: rows at one time keep that name
+    order. Each signal's rows are already an ascending run that timsort only merges.
     """
     records = []
-    for rank, sig in enumerate(sorted(run.signals, key=_BY_NAME)):
-        records.extend(zip(sig._times, repeat(rank), map(render[sig], sig._values)))
+    for sig in sorted(rows, key=attrgetter("device_name", "signal_name")):
+        records.extend(rows.pop(sig))
     records.sort(key=itemgetter(0))
     return records
 
@@ -94,31 +92,31 @@ def export_vcd(run: SimulationRun, path) -> None:
     for sig in run.signals:
         by_device.setdefault(sig.device_name, []).append(sig)
 
-    render: dict[Signal, Callable[[object], str]] = {}
+    rows = {}  # each signal's (time, text) changes from time 0 on
     lines = ["$timescale 1 ns $end"]
     initials = []  # the $dumpvars block: last pre-time-0 event wins, else unknown
     for device, sigs in by_device.items():
         lines.append(f"$scope module {device} $end")
         for sig in sigs:
-            code = _vcd_id(len(render))
+            code = _vcd_id(len(rows))
             decl, vcd, unknown, _, _ = _FORMS[sig.kind]
-            render[sig] = vcd(code)
+            render = vcd(code)
             lines.append(f"$var {decl} {code} {sig.signal_name} $end")
-            initial = sig.pull(-1)
-            if initial is not UNKNOWN:
-                initials.append(render[sig](initial))
+            times, values = sig._times, sig._values
+            start = bisect_left(times, 0)
+            if start:
+                initials.append(render(values[start - 1]))
             elif unknown is not None:
                 initials.append(unknown + code)
+            rows[sig] = list(zip(times[start:], map(render, values[start:])))
         lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
-    if render:
+    if rows:
         lines += ["$dumpvars", *initials, "$end"]
 
     current_time = None
-    for time_mu, _, text in records_of(run, render):
+    for time_mu, text in records_of(rows):
         if time_mu != current_time:
-            if time_mu < 0:
-                continue  # records are time-sorted: negatives come first
             current_time = time_mu
             lines.append(f"#{current_time}")
         lines.append(text)
@@ -147,21 +145,23 @@ def export_jsonl(run: SimulationRun, path) -> None:
 
     Each line is the text ``json.dumps`` gives the record
     ``{"time_mu", "device", "signal", "kind", "value"}``; the part between
-    the time and the value is built once per signal, and ``records_of``
-    renders the values. Wall-clock time is deliberately not exported, so two
-    runs with the same seed and configuration produce byte-identical files.
+    the time and the value is built once per signal, and each value is
+    rendered as its row is built. Wall-clock time is deliberately not
+    exported, so two runs with the same seed and configuration produce
+    byte-identical files.
     Only a run that ``run_experiment`` finished has the summary's stats.
     """
     if run.stats is None:  # checked first, so no file is written or cut short
         raise ValueError("export_jsonl: the run has no stats; export a run that run_experiment finished")
-    parts, render = [], {}
-    for sig in sorted(run.signals, key=_BY_NAME):
-        _, _, _, kind, render[sig] = _FORMS[sig.kind]
-        parts.append(f', "device": {encode_basestring_ascii(sig.device_name)}'
-                     f', "signal": {encode_basestring_ascii(sig.signal_name)}, {kind}')
+    rows = {}
+    for sig in run.signals:
+        _, _, _, kind, render = _FORMS[sig.kind]
+        part = (f', "device": {encode_basestring_ascii(sig.device_name)}'
+                f', "signal": {encode_basestring_ascii(sig.signal_name)}, {kind}')
+        rows[sig] = list(zip(sig._times, repeat(part), map(render, sig._values)))
     with _overwrite(path) as fh:
-        for time_mu, rank, text in records_of(run, render):
-            fh.write(f'{{"time_mu": {time_mu}{parts[rank]}{text}}}\n')
+        for time_mu, part, text in records_of(rows):
+            fh.write(f'{{"time_mu": {time_mu}{part}{text}}}\n')
         fh.write(json.dumps({"summary": _summary_of(run)}) + "\n")
 
 

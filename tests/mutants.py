@@ -127,8 +127,12 @@ MUTANTS = [
      _DIVERGENCE.replace("if k < n:", "if True:").replace("at = times[k]", "at = times[k] if k < n else t")
      .replace("values[k])", "values[k] if k < n else None)")),
     # The exports and the JSONL reader.
-    ("records-rank-by-registration", "src/rtsim/trace.py", "enumerate(sorted(run.signals, key=_BY_NAME))",
-     "enumerate(run.signals)"),
+    ("records-rank-by-registration", "src/rtsim/trace.py",
+     'sorted(rows, key=attrgetter("device_name", "signal_name"))', "list(rows)"),
+    ("vcd-initial-takes-time-0", "src/rtsim/trace.py", "start = bisect_left(times, 0)",
+     'start = __import__("bisect").bisect_right(times, 0)'),
+    ("vcd-writes-before-time-0", "src/rtsim/trace.py", "times[start:], map(render, values[start:])",
+     "times, map(render, values)"),
     ("read-plain-ignores-escape", "src/rtsim/trace.py", '"\\\\" not in part and ', ""),
     ("read-real-as-int", "src/rtsim/trace.py", "float(real)", "int(float(real))"),
     ("read-time-stale", "src/rtsim/trace.py", "if time_mu != last_text:", "if last_text is None:"),

@@ -6,11 +6,13 @@ of these wins fails tier-1, not only a benchmark run.
 
 import collections
 import functools
+import gc
 import sys
 
 import pytest
 
-from rtsim import DeviceDb, SignalKind, SimConfig, SimulationRun, assert_events, expect, set_input
+from rtsim import (DeviceDb, Experiment, SignalKind, SimConfig, SimulationRun, assert_events, expect, export_jsonl,
+                   export_vcd, run_experiment, set_input)
 from rtsim.rng import _TABLE_MEANS, Xoshiro256StarStar
 from rtsim.timeline import MU_MAX, REGULAR_SYNC_SLACK_MU
 
@@ -357,3 +359,31 @@ def _assert_events_calls(n, diverge):
 def test_assert_events_makes_one_validator_call_a_pair_and_no_other_call_that_grows(diverge):
     # One loop over the pairs compares each in place: no helper runs per pair, nor for the pairs past a divergence.
     assert _assert_events_calls(10, diverge) == _assert_events_calls(1000, diverge)
+
+
+def _export_calls(export, n, path):
+    """The calls ``export`` makes for a finished run whose BOOL and REAL signals hold ``n`` events each, two before 0."""
+    def body(run):
+        flag = run.signals.register("probe", "flag", SignalKind.BOOL)
+        level = run.signals.register("probe", "level", SignalKind.REAL)
+        for t in range(-2, n - 2):
+            flag.push(t % 2 == 0, t)
+            level.push(t + 0.5, t)
+
+    run = run_experiment(Experiment("probe", body), DeviceDb.from_dict({"devices": [{"name": "core", "kind": "core"}]}),
+                         SimConfig())
+    # A collection inside the export could run a gc callback, or finalize an earlier test's generator:
+    # Python calls, but not the export's.
+    gc.collect()
+    gc.disable()
+    try:
+        return _python_calls(functools.partial(export, run, path))
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("export", [export_vcd, export_jsonl])
+def test_exports_make_no_python_call_that_grows_with_the_events(export, tmp_path):
+    # Each value is rendered by a C-level callable inside a map: no Python helper runs per event.
+    # INT and TEXT VCD values are rendered by lambdas, so this run holds none.
+    assert _export_calls(export, 10, tmp_path / "dump") == _export_calls(export, 1000, tmp_path / "dump")

@@ -80,7 +80,7 @@ class TestLoadDdb:
         with pytest.raises(DeviceDbError, match=r"devices\[0\].*'kind'"):
             load_ddb(write_ddb(tmp_path, data))
 
-    @pytest.mark.parametrize("name", ["my ttl", "ttl\t0", "ttl\u00a0", "", 7, None, ["ttl0"]])
+    @pytest.mark.parametrize("name", ["my ttl", "ttl\t0", "ttl\u00a0", "", 7, None, ["ttl0"], "$end"])
     def test_name_must_be_nonblank_str_without_whitespace(self, name):
         data = {"devices": [{"name": "core", "kind": "core"}, {"name": name, "kind": "ttl_out"}]}
         with pytest.raises(DeviceDbError, match=r"devices\[1\].*device name"):

@@ -169,7 +169,8 @@ VALIDATION = [
     (SimConfig, (), {"seed": -1}, ValueError, "seed must be an unsigned 64-bit integer: -1"),
     (SimConfig, (), {"seed": 2**64}, ValueError, "seed must be an unsigned 64-bit integer: 18446744073709551616"),
     (DeviceDescriptor, ("a b", "core"), {}, DeviceError,
-     "device name must be a non-empty string without whitespace, got 'a b'"),
+     "device name must be a non-empty string of printable ASCII '!' to '~' that does not start with '$', "
+     "got 'a b'"),
     (DeviceDescriptor, ("x", "laser"), {}, DeviceError,
      "device 'x': unknown kind 'laser'; allowed kinds: core, ttl_out, ttl_in, edge_counter, dds, adc"),
     (DeviceDescriptor, ("x", "ttl_out", {"channels": 2}), {}, DeviceError,

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,15 +52,25 @@ class TestRegistry:
         assert ("d", "s") not in sm
         assert list(sm) == []
 
-    @pytest.mark.parametrize("name", ["my sig", "sig\t0", "sig\u00a0", " ", "", 7, None, ("sig",)])
+    @pytest.mark.parametrize("name", ["my sig", "sig\t0", "sig\u00a0", " ", "", 7, None, ("sig",),
+                                      "$end", "$scope", "a\x00b", "a\x7f", "\u00e9"])
     @pytest.mark.parametrize("part", ["device", "signal"])
     def test_name_must_be_nonblank_str_without_whitespace(self, part, name):
-        # Both names are written as they stand into the VCD's scope and $var lines.
+        # Both names are written as they stand into the VCD's scope and $var lines, where a reader takes
+        # a token that starts with "$" as a keyword, and a VCD is an ASCII file.
         sm = SignalManager()
         names = {"device": "ttl0", "signal": "state", part: name}
-        with pytest.raises(SignalError, match="names must be non-empty strings without whitespace"):
+        message = ("device and signal names must be non-empty strings of printable ASCII '!' to '~' "
+                   "that do not start with '$', got device ")
+        with pytest.raises(SignalError, match="^" + re.escape(message)):
             sm.register(names["device"], names["signal"], SignalKind.BOOL)
         assert list(sm) == []
+
+    @pytest.mark.parametrize("name", ["!", "~", "#0", "%", "a$", "a$end", "x" * 300])
+    def test_printable_ascii_name_not_starting_with_dollar_registers(self, name):
+        sm = SignalManager()
+        sig = sm.register(name, name, SignalKind.BOOL)
+        assert (sig.device_name, sig.signal_name) == (name, name) and list(sm) == [sig]
 
     def test_lookup_unknown_signal(self):
         with pytest.raises(UnknownSignalError):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -81,6 +83,34 @@ class TestVcd:
         assert not any(line.startswith("r1 ") for line in initials)
         assert "#300" in text
         assert "#-500" not in text
+
+    def test_event_at_time_0_is_a_change_and_the_one_before_the_initial(self, full_ddb, tmp_path):
+        def body(run):
+            sig = run.signals.register("probe", "sig", SignalKind.INT)
+            sig.push(7, -1)
+            sig.push(9, 0)
+
+        run = run_body(full_ddb, body)
+        export_vcd(run, tmp_path / "zero.vcd")
+        parsed = check_vcd((tmp_path / "zero.vcd").read_text())
+        (code,) = [c for c, (dev, _, _) in parsed["ids"].items() if dev == "probe"]
+        assert [(t, line) for t, c, line in parsed["changes"] if c == code] == [(None, f"b111 {code}"),
+                                                                                (0, f"b1001 {code}")]
+
+    def test_signal_with_only_negative_events_has_an_initial_and_no_change(self, full_ddb, tmp_path):
+        def body(run):
+            sig = run.signals.register("probe", "sig", SignalKind.BOOL)
+            sig.push(True, -5)
+            sig.push(False, -2)
+            run.get_device("ttl0").pulse(10)
+
+        run = run_body(full_ddb, body)
+        export_vcd(run, tmp_path / "negative.vcd")
+        text = (tmp_path / "negative.vcd").read_text()
+        parsed = check_vcd(text)
+        (code,) = [c for c, (dev, _, _) in parsed["ids"].items() if dev == "probe"]
+        assert [(t, line) for t, c, line in parsed["changes"] if c == code] == [(None, f"0{code}")]
+        assert "#-" not in text and "#0\n" in text
 
     def test_unset_bool_signals_start_unknown(self, full_ddb, tmp_path):
         def body(run):
@@ -169,6 +199,42 @@ class TestVcd:
             check_vcd(text)
         check_vcd(text.replace("my ttl", "my_ttl"))
 
+    @pytest.mark.parametrize("device,signal", [("$end", "s"), ("$scope", "s"), ("d", "$end"), ("d", "a\x00b"),
+                                               ("d\x7f", "s"), ("d", "\u00e9")])
+    def test_checker_rejects_name_a_reader_cannot_parse(self, device, signal):
+        # A reader splits the header on whitespace and takes a token that starts with "$" as a keyword.
+        text = (f"$timescale 1 ns $end\n$scope module {device} $end\n$var wire 1 ! {signal} $end\n$upscope $end\n"
+                "$enddefinitions $end\n")
+        with pytest.raises(AssertionError, match="name not printable ASCII or starts with '\\$'"):
+            check_vcd(text)
+        check_vcd(text.replace(f" {device} ", " d$ ").replace(f" {signal} ", " s$ "))
+
+    def test_checker_rejects_time_stamp_that_is_not_an_int(self):
+        text = "$timescale 1 ns $end\n$scope module d $end\n$var wire 1 ! s $end\n$upscope $end\n$enddefinitions $end\n"
+        for stamp in ("#", "#x", "#+1", "# 1", "#1_0"):
+            with pytest.raises(AssertionError, match="bad time stamp"):
+                check_vcd(f"{text}{stamp}\n1!\n")
+        check_vcd(f"{text}#10\n1!\n")
+
+    def test_checker_command_exit_status(self, tmp_path):
+        # 0 when every file passes, 1 when one fails a check, 2 when one cannot be read; a verdict line per file.
+        garbage, binary, missing = tmp_path / "garbage.vcd", tmp_path / "binary.vcd", tmp_path / "missing.vcd"
+        garbage.write_text("garbage\n")
+        binary.write_bytes(b"\xff\n")
+        golden = GOLDEN.parent / "demo.vcd"
+        command = [sys.executable, str(Path(__file__).with_name("vcd_check.py"))]
+        for paths, status, verdicts in [
+            ([golden], 0, ["ok"]),
+            ([garbage], 1, ["unexpected header line: garbage"]),
+            ([binary], 1, ["not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"]),
+            ([missing], 2, ["cannot read: No such file or directory"]),
+            ([golden, garbage, missing], 2, ["ok", "unexpected header line: garbage",
+                                              "cannot read: No such file or directory"]),
+        ]:
+            done = subprocess.run([*command, *map(str, paths)], capture_output=True, text=True, timeout=60)
+            assert done.returncode == status
+            assert done.stdout.splitlines() == [f"{path}: {verdict}" for path, verdict in zip(paths, verdicts)]
+
     @pytest.mark.parametrize(
         "decl,line", [("wire 1", "b1 !"), ("reg 64", "1!"), ("real 64", "s1 !"), ("string 1", "r1 !")]
     )
@@ -208,8 +274,8 @@ class TestOverwrite:
         path = tmp_path / "t.jsonl"
         path.write_text("old\n" * 5000)
 
-        def one_record_then_fail(run, render):
-            yield records_of(run, render)[0]
+        def one_record_then_fail(rows):
+            yield records_of(rows)[0]
             raise RuntimeError("renderer failed")
 
         monkeypatch.setattr(trace, "records_of", one_record_then_fail)
@@ -307,7 +373,12 @@ class TestJsonl:
         records, _ = read_jsonl(path)
         keys = [(r["time_mu"], r["device"], r["signal"]) for r in records]
         assert keys == sorted(keys)
-        assert records_of(run, {sig: _tagged(sig) for sig in run.signals})[0][2][0] == "ttl0"
+        # Rows given in reverse registration order, each naming its signal: one global sort, name order at ties.
+        rows = {sig: [(t, sig.device_name, sig.signal_name) for t in sig._times] for sig in reversed([*run.signals])}
+        every_row = sorted(row for sig_rows in rows.values() for row in sig_rows)
+        records = records_of(rows)
+        assert records == every_row and records[0][1] == "ttl0"
+        assert rows == {}  # each signal's rows are taken out as they are extended
 
     def test_ties_dump_in_name_order(self, full_ddb, tmp_path):
         # Signals registered in reverse name order, all written at the same times: the sort is keyed on
@@ -329,11 +400,6 @@ class TestJsonl:
         export_vcd(run, tmp_path / "ties.vcd")
         parsed = check_vcd((tmp_path / "ties.vcd").read_text())
         assert [(t, *parsed["ids"][code][:2]) for t, code, _ in parsed["changes"] if t is not None] == expected
-
-
-def _tagged(sig):
-    """A renderer that gives each value as (device, signal, value), so a record names its signal."""
-    return lambda value: (sig.device_name, sig.signal_name, value)
 
 
 # Every kind, from devices whose registration order the property permutes.

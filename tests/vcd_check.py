@@ -1,12 +1,22 @@
 """Minimal VCD conformance checker used by the trace and acceptance tests.
 
 Validates header structure, scope balance, identifier definitions (each
-code made of printable ASCII ``!``-``~`` only), change syntax, that each change has the form of its var's declared type, and
-ascending change times. Returns the parsed structure so tests can assert on
-contents.
+code made of printable ASCII ``!``-``~`` only), scope and var names (printable
+ASCII ``!``-``~``, not starting with ``$``), change syntax, that each change has
+the form of its var's declared type, and ascending change times. Returns the
+parsed structure so tests can assert on contents.
+
+As a command, it checks each file it is given:
+
+    python3 tests/vcd_check.py tests/golden/demo.vcd
+
+It prints each file's verdict and exits 0 if every file passes, 1 if one fails
+a check (the failed check is printed), and 2 if one cannot be read.
 """
 
+import argparse
 import re
+import sys
 
 # The one change-line form each var type takes: wire a scalar, reg a b-vector,
 # real an r-value, string an s-value.
@@ -18,6 +28,7 @@ _CHANGE_RES = {
 }
 
 _ID_CODE_RE = re.compile(r"[!-~]+")
+_NAME_RE = re.compile(r"[!-#%-~][!-~]*")  # an id code's characters, and no "$" first: a reader takes that as a keyword
 
 
 def check_vcd(text: str) -> dict:
@@ -40,6 +51,7 @@ def check_vcd(text: str) -> dict:
             timescale = " ".join(tokens[1:-1])
         elif tokens[0] == "$scope":
             assert len(tokens) == 4 and tokens[1] == "module" and tokens[3] == "$end", f"bad $scope: {line}"
+            assert _NAME_RE.fullmatch(tokens[2]), f"scope name not printable ASCII or starts with '$': {tokens[2]!r}"
             scope_stack.append(tokens[2])
             scopes.append(tokens[2])
         elif tokens[0] == "$upscope":
@@ -51,6 +63,7 @@ def check_vcd(text: str) -> dict:
             assert var_type in _CHANGE_RES, f"bad var type: {var_type}"
             assert width.isdigit(), f"bad var width: {width}"
             assert _ID_CODE_RE.fullmatch(code), f"id code not printable ASCII: {code!r}"
+            assert _NAME_RE.fullmatch(name), f"var name not printable ASCII or starts with '$': {name!r}"
             assert code not in ids, f"duplicate id code: {code}"
             assert scope_stack, f"$var outside scope: {line}"
             ids[code] = (scope_stack[-1], name, var_type)
@@ -80,6 +93,7 @@ def check_vcd(text: str) -> dict:
             continue
         if line.startswith("#"):
             assert not in_dumpvars, "time stamp inside $dumpvars"
+            assert re.fullmatch(r"#-?[0-9]+", line), f"bad time stamp: {line}"
             t = int(line[1:])
             assert t >= 0, f"negative change time: {t}"
             if current_time is not None:
@@ -99,3 +113,37 @@ def check_vcd(text: str) -> dict:
     assert not in_dumpvars, "unterminated $dumpvars"
 
     return {"timescale": timescale, "scopes": scopes, "ids": ids, "changes": changes}
+
+
+def main(paths: list[str]) -> int:
+    """Check each file; return 0 if all pass, 1 if one fails a check, 2 if one cannot be read."""
+    status = 0
+    for path in paths:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"{path}: cannot read: {exc.strerror or exc}")
+            status = 2
+            continue
+        except UnicodeDecodeError as exc:
+            print(f"{path}: not UTF-8 text: {exc}")
+            status = max(status, 1)
+            continue
+        try:
+            check_vcd(text)
+        except AssertionError as exc:
+            print(f"{path}: {exc}")
+            status = max(status, 1)
+        else:
+            print(f"{path}: ok")
+    return status
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Check VCD files against the rules check_vcd applies.")
+    parser.add_argument("paths", nargs="+", metavar="FILE")
+    paths = parser.parse_args().paths
+    if not __debug__:  # the checks are assert statements, which -O removes
+        parser.error("run without -O: the checks are assert statements")
+    sys.exit(main(paths))
